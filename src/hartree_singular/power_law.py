@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
-from .special_fn import riesz_gamma
+from .special_fn import _check_dim, riesz_gamma
 
 # gamma(arg) loses all relative accuracy within ~1e-9 of the endpoints of (0, N),
 # where it vanishes or blows up; quotients of such values are rejected outright.
@@ -51,7 +51,7 @@ class PowerLawTerm:
 
 def laplacian_power(s, dim):
     """-Lap |x|^(-s) = s(N-2-s) |x|^(-s-2), total on real s."""
-    n = _int_dim(dim)
+    n = _check_dim(dim)
     s = float(s)
     if not math.isfinite(s):
         raise DomainError(f"decay exponent must be finite, got {s}")
@@ -64,7 +64,7 @@ def riesz_power(alpha, a, dim):
     Valid on 0 < alpha < N and alpha < a < N, which keeps both gamma arguments
     inside (0, N) and the result exponent a-alpha inside (0, N).
     """
-    n = _int_dim(dim)
+    n = _check_dim(dim)
     alpha = float(alpha)
     a = float(a)
     if not 0.0 < alpha < n:
@@ -114,7 +114,7 @@ def decay_exponent(dim, mu, p, q):
     Matching -Lap(A|x|^-s) = A^(p+q) C |x|^(sp - (N-mu) + sq) term by term gives
     N - 2 + s(q-1) = 2N - mu - sp, i.e. s(p+q-1) = N - mu + 2.
     """
-    n = _int_dim(dim)
+    n = _check_dim(dim)
     if p + q <= 1.0:
         raise DomainError(f"decay exponent needs p+q > 1, got p={p}, q={q}")
     return (n - float(mu) + 2.0) / (float(p) + float(q) - 1.0)
@@ -127,7 +127,7 @@ def alternate_decay_exponent(dim, mu, p, q):
     equation when p != q; the verifier exhibits the mismatch numerically. It is
     kept only for diagnostic comparison and is never used to build solutions.
     """
-    n = _int_dim(dim)
+    n = _check_dim(dim)
     den = float(p) - float(q) + 1.0
     if den == 0.0:
         raise DomainError("variant decay formula undefined at p - q + 1 = 0")
@@ -144,7 +144,7 @@ def solve_params(dim, mu, p, q):
     Every violated window constraint is collected and reported together in a
     single ValidationError rather than failing on the first one.
     """
-    n = _int_dim(dim)
+    n = _check_dim(dim)
     mu = float(mu)
     p = float(p)
     q = float(q)
@@ -192,7 +192,7 @@ def solve_params(dim, mu, p, q):
 
 def critical_exponents(dim, mu):
     """The pair ((2N-mu)/N, (2N-mu)/(N-2)) bounding admissible nonlinearities."""
-    n = _int_dim(dim)
+    n = _check_dim(dim)
     mu = float(mu)
     if not (math.isfinite(mu) and 0.0 < mu < n):
         raise DomainError(f"critical exponents need 0 < mu < N={n}, got {mu}")
@@ -215,7 +215,7 @@ def hls_conjugate(t, mu, dim):
     Requires t > 1, 0 < mu < N, and the side condition
     1 - 1/t - mu/N < 0 < 1 - 1/t, which is exactly r > 1 together with t > 1.
     """
-    n = _int_dim(dim)
+    n = _check_dim(dim)
     t = float(t)
     mu = float(mu)
     if not (math.isfinite(mu) and 0.0 < mu < n):
@@ -240,10 +240,3 @@ def _guarded_gamma(arg, dim):
             "the quotient would lose all accuracy"
         )
     return riesz_gamma(arg, dim)
-
-
-def _int_dim(dim):
-    n = int(dim)
-    if n != dim or n < 3:
-        raise DomainError(f"dimension must be an integer >= 3, got {dim}")
-    return n

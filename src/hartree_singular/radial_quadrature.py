@@ -14,6 +14,7 @@ substitution rho = r(1 +- e^(-t)) so the split-point panels stay analytic.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import ConvergenceError, DomainError
 from .power_law import PowerLawTerm, riesz_power
-from .special_fn import riesz_gamma, sphere_area
+from .special_fn import _check_dim, riesz_gamma, sphere_area
 
 TAIL_CONTINUITY = 0.05  # tail descriptor must match the boundary sample to 5%
 
@@ -45,8 +46,13 @@ class QuadratureConfig:
             raise DomainError("quadrature tolerances must be positive")
         if self.max_panels < 16:
             raise DomainError(f"max_panels must be at least 16, got {self.max_panels}")
-        if self.angular_nodes < 4:
-            raise DomainError(f"angular_nodes must be at least 4, got {self.angular_nodes}")
+        _check_nodes(self.angular_nodes)
+
+
+def _check_nodes(nodes):
+    """Angular Gauss rules need an integer node count; 4 is the smallest allowed."""
+    if not (isinstance(nodes, numbers.Real) and float(nodes).is_integer() and nodes >= 4):
+        raise DomainError(f"angular_nodes must be an integer >= 4, got {nodes}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -250,13 +256,18 @@ def angular_kernel(r, rho, dim, mu, nodes=64):
     is finite for mu < N-1 (a Beta-function closed form) and diverges for
     mu in [N-1, N), where a signaled infinity is returned; that infinity is
     only ever consumed inside integrals, where the substitution absorbs it.
+    Non-finite or negative radii and a node count that is not an integer
+    >= 4 raise DomainError.
     """
-    n = _int_dim(dim)
+    n = _check_dim(dim)
+    _check_nodes(nodes)
     mu = float(mu)
     if not 0.0 < mu < n:
         raise DomainError(f"angular kernel requires 0 < mu < N={n}, got {mu}")
     r = float(r)
     rho = float(rho)
+    if not (math.isfinite(r) and math.isfinite(rho)):
+        raise DomainError(f"radii must be finite, got r={r}, rho={rho}")
     if r < 0.0 or rho < 0.0:
         raise DomainError("radii must be nonnegative")
     if r == 0.0 and rho == 0.0:
@@ -295,16 +306,15 @@ def _kernel_near(r, delta, side, n, mu, nodes):
 
     Near the diagonal rho collapses onto r in floating point, so the kernel
     is computed from the separation delta itself; only the smooth factors use
-    the (possibly rounded) rho.
+    the (possibly rounded) rho. Requires eps = delta^2/(2 r rho) <= 1/4, which
+    every caller guarantees (delta <= r/2 below the diagonal, delta <= r above
+    it, delta < hi/5 in angular_kernel).
     """
     delta = np.asarray(delta, dtype=float)
     rho = r + side * delta
     if n == 3:
         return _k3(r, rho, delta, mu)
-    out = np.empty_like(delta)
-    for i in range(delta.size):
-        out[i] = _k_general_delta(r, float(delta[i]), float(rho[i]), n, mu, nodes)
-    return out
+    return _k_jacobi(r, rho, delta, n, mu, nodes)
 
 
 def _k3(r, rho, delta, mu):
@@ -314,31 +324,39 @@ def _k3(r, rho, delta, mu):
     return 2.0 * math.pi * ((r + rho) ** (2.0 - mu) - delta ** (2.0 - mu)) / ((2.0 - mu) * r * rho)
 
 
-def _k_general_delta(r, delta, rho, n, mu, nodes):
+def _k_jacobi(r, rho, delta, n, mu, nodes):
+    """Near-diagonal K for any N >= 3, batched over the delta array.
+
+    Each delta keeps the rules and summation order of a scalar evaluation:
+    the scaled [0, eps] piece, then its dyadic levels in increasing k. Needs
+    eps <= 1/4 (see _kernel_near); the [0, eps] piece assumes eps < 1.
+    """
     # With u = cos(theta) and w = 1 - u, the quadratic factors as
     # 2 r rho (eps + w), eps = delta^2/(2 r rho), and
     # K = |S^(N-2)| (2 r rho)^(-mu/2) * int_0^2 w^b (2-w)^b (eps+w)^(-mu/2) dw
     b = (n - 3.0) / 2.0
     eps = delta * delta / (2.0 * r * rho)
+    e = eps[:, None]
     X, W = _jacobi_unit(min(nodes, 48), b)
     # piece [1, 2] via v = 2 - w: integrand v^b (2-v)^b (eps + 2 - v)^(-mu/2)
-    j2 = float(W @ ((2.0 - X) ** b * (eps + 2.0 - X) ** (-mu / 2.0)))
-    # piece [0, 1]
-    if eps >= 1.0:
-        j1 = float(W @ ((2.0 - X) ** b * (eps + X) ** (-mu / 2.0)))
-    else:
-        # [0, eps]: scaled Jacobi rule; the factor (eps + w) varies by at most 2x
-        xe = eps * X
-        j1 = eps ** (b + 1.0) * float(W @ ((2.0 - xe) ** b * (eps + xe) ** (-mu / 2.0)))
-        # dyadic panels [eps 2^k, eps 2^(k+1)] out to 1 absorb the algebraic layer
-        xg, wg = _gauss_legendre(24)
-        a = eps
-        while a < 1.0:
-            c = min(2.0 * a, 1.0)
-            mid, half = 0.5 * (a + c), 0.5 * (c - a)
-            wn = mid + half * xg
-            j1 += half * float(wg @ (wn ** b * (2.0 - wn) ** b * (eps + wn) ** (-mu / 2.0)))
-            a = c
+    j2 = ((2.0 - X) ** b * (e + 2.0 - X) ** (-mu / 2.0)) @ W
+    # piece [0, eps]: scaled Jacobi rule; the factor (eps + w) varies by at most 2x
+    xe = e * X
+    j1 = eps ** (b + 1.0) * (((2.0 - xe) ** b * (e + xe) ** (-mu / 2.0)) @ W)
+    # dyadic panels [eps 2^k, eps 2^(k+1)] out to 1 absorb the algebraic layer;
+    # each pass adds level k to every delta whose panels have not reached 1 yet;
+    # an eps that underflowed to 0 never reaches 1 and is left out (its K is nan)
+    xg, wg = _gauss_legendre(24)
+    live = np.flatnonzero(eps > 0.0)
+    a = eps[live]
+    while live.size:
+        c = np.minimum(2.0 * a, 1.0)
+        mid, half = 0.5 * (a + c), 0.5 * (c - a)
+        wn = mid[:, None] + half[:, None] * xg
+        el = eps[live, None]
+        j1[live] += half * ((wn ** b * (2.0 - wn) ** b * (el + wn) ** (-mu / 2.0)) @ wg)
+        keep = c < 1.0
+        live, a = live[keep], c[keep]
     return sphere_area(n - 1) * (2.0 * r * rho) ** (-mu / 2.0) * (j1 + j2)
 
 
@@ -427,7 +445,7 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
     RadialProfile with point_errors set to the per-point relative error
     estimate (quadrature plus truncation).
     """
-    n = _int_dim(dim)
+    n = _check_dim(dim)
     cfg = cfg or DEFAULT_CONFIG
     alpha = float(alpha)
     if not 0.0 < alpha < n:
@@ -698,7 +716,7 @@ def inverse_laplacian_radial(g, dim, cfg=None):
     are attached; a missing tail truncates and its estimate is reported in
     point_errors. Returns u on g's grid.
     """
-    n = _int_dim(dim)
+    n = _check_dim(dim)
     cfg = cfg or DEFAULT_CONFIG
     if g.tail_inner is not None and not g.tail_inner.exponent < n:
         raise DomainError(
@@ -794,7 +812,7 @@ def laplacian_radial_fd(f, at, dim):
     (value, error_estimate). The radius must coincide with a grid node (the
     stencil is centered there) and the node needs two neighbors on each side.
     """
-    n = _int_dim(dim)
+    n = _check_dim(dim)
     x = np.log(f.radii)
     if f.radii.size < 5:
         raise DomainError("finite differences need at least 5 samples")
@@ -828,10 +846,3 @@ def laplacian_radial_fd(f, at, dim):
     value = -(d2 + (n - 2.0) * d1) / (r * r)
     error = (e2 + abs(n - 2.0) * e1) / (r * r) + 8.0 * np.finfo(float).eps * abs(v[i]) / (h * h * r * r)
     return value, error
-
-
-def _int_dim(dim):
-    n = int(dim)
-    if n != dim or n < 3:
-        raise DomainError(f"dimension must be an integer >= 3, got {dim}")
-    return n

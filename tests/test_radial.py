@@ -22,6 +22,13 @@ from hartree_singular import (
     riesz_radial,
     sphere_area,
 )
+from hartree_singular.radial_quadrature import (
+    _gauss_legendre,
+    _jacobi_unit,
+    _k3,
+    _k_jacobi,
+    _kernel_near,
+)
 
 # Frozen oracle values.
 #   K(1, 1; N=4, mu=1) = 16*pi/3 (Beta closed form, checked against direct
@@ -51,6 +58,11 @@ def test_config_validation():
         QuadratureConfig(max_panels=4)
     with pytest.raises(DomainError):
         QuadratureConfig(angular_nodes=2)
+    with pytest.raises(DomainError):
+        QuadratureConfig(angular_nodes=10.5)
+    for nodes in (0, 10.5):
+        with pytest.raises(DomainError):
+            angular_kernel(1.0, 0.9, 4, 2.0, nodes=nodes)
 
 
 def test_log_grid_shape():
@@ -172,6 +184,73 @@ def test_kernel_near_diagonal_against_oracle():
         assert got == pytest.approx(want, rel=1e-11), delta
 
 
+def _k_general_delta(r, delta, rho, n, mu, nodes):
+    """The scalar per-delta kernel that the batched _k_jacobi replaced: its reference."""
+    b = (n - 3.0) / 2.0
+    eps = delta * delta / (2.0 * r * rho)
+    X, W = _jacobi_unit(min(nodes, 48), b)
+    j2 = float(W @ ((2.0 - X) ** b * (eps + 2.0 - X) ** (-mu / 2.0)))
+    if eps >= 1.0:
+        j1 = float(W @ ((2.0 - X) ** b * (eps + X) ** (-mu / 2.0)))
+    else:
+        xe = eps * X
+        j1 = eps ** (b + 1.0) * float(W @ ((2.0 - xe) ** b * (eps + xe) ** (-mu / 2.0)))
+        xg, wg = _gauss_legendre(24)
+        a = eps
+        while a < 1.0:
+            c = min(2.0 * a, 1.0)
+            mid, half = 0.5 * (a + c), 0.5 * (c - a)
+            wn = mid + half * xg
+            j1 += half * float(wg @ (wn ** b * (2.0 - wn) ** b * (eps + wn) ** (-mu / 2.0)))
+            a = c
+    return sphere_area(n - 1) * (2.0 * r * rho) ** (-mu / 2.0) * (j1 + j2)
+
+
+def _near_deltas(r, side, alpha, num):
+    """Deltas from the substitution's cutoff r e^(-t_cap) up to the eps = 1/4 edge."""
+    t_cap = max(40.0, 46.0 / alpha)
+    t_edge = math.log(2.0) if side < 0 else 0.0  # delta = r/2 below, r above
+    return r * np.exp(-np.linspace(t_edge, t_cap, num))
+
+
+def test_batched_near_kernel_matches_scalar_reference():
+    # the batch sums each rule in another order, so agreement is to rounding only
+    r = 1.7
+    for n in (4, 5, 6, 7):
+        for mu in (0.4 * n, n - 1.0, n - 0.5):  # mu < N-1 and N-1 <= mu < N
+            for side in (-1, 1):
+                delta = _near_deltas(r, side, n - mu, 60)
+                rho = r + side * delta
+                assert np.max(delta * delta / (2.0 * r * rho)) == pytest.approx(0.25)
+                got = _kernel_near(r, delta, side, n, mu, 64)
+                want = np.array([_k_general_delta(r, d, p, n, mu, 64)
+                                 for d, p in zip(delta, rho)])
+                assert np.all(np.isfinite(want))
+                assert np.max(np.abs(got / want - 1.0)) <= 1e-14, (n, mu, side)
+
+
+def test_batched_near_kernel_underflowed_eps_is_nan_and_isolated():
+    # eps = delta^2/(2 r rho) underflows to 0 below delta ~ 1e-162; its dyadic
+    # levels would never reach 1, so it is left out rather than stalling the batch
+    delta = np.array([1e-200, 1e-3, 0.1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = _kernel_near(1.0, delta, -1, 4, 2.0, 64)
+    assert math.isnan(got[0])
+    assert got[1:] == pytest.approx([kernel_oracle(1.0, 1.0 - d, 4, 2.0) for d in delta[1:]],
+                                    rel=1e-11)
+
+
+def test_jacobi_path_at_dim_three_matches_closed_form():
+    r = 0.9
+    for mu in (0.5, 1.5, 2.0, 2.5, 2.7):
+        for side in (-1, 1):
+            delta = _near_deltas(r, side, 3.0 - mu, 80)
+            rho = r + side * delta
+            got = _k_jacobi(r, rho, delta, 3, mu, 64)
+            want = _k3(r, rho, delta, mu)
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-13, (mu, side)
+
+
 def test_kernel_symmetry():
     rng = np.random.default_rng(43)
     for _ in range(20):
@@ -218,6 +297,10 @@ def test_kernel_zero_radius_and_errors():
         angular_kernel(1.0, 1.0, 3, 0.0)
     with pytest.raises(DomainError):
         angular_kernel(-1.0, 1.0, 3, 2.0)
+    for r, rho, n in ((math.nan, 1.0, 4), (math.inf, 1.0, 4), (1.0, math.nan, 3),
+                      (1.0, math.inf, 3), (1.0, -math.inf, 4)):
+        with pytest.raises(DomainError):
+            angular_kernel(r, rho, n, 2.0)
 
 
 def test_kernel_positivity():

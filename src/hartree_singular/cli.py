@@ -21,7 +21,6 @@ explicitly passed flags win over the config file.
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -353,15 +352,11 @@ def _do_moving_plane(res):
     centers = res.points("centers", dim, default="0," + ",".join(["0"] * (dim - 1)))
     excl = res.f("exclusion_radius")
     tol = res.f("tol")
-    threads = res.i("threads", os.cpu_count() or 1)
     term = PowerLawTerm(amplitude, decay)
     field = sample_field(term, centers, dim=dim, extent=extent, num=num,
                          exclusion_radius=excl)
     lambdas = res.floats("lambdas")
-    report = sweep_lambda0(
-        field, None if lambdas is None else np.array(lambdas), tol=tol,
-        threads=threads,
-    )
+    report = sweep_lambda0(field, None if lambdas is None else np.array(lambdas), tol=tol)
     body = {
         "kind": "moving-plane-report",
         "dim": dim,
@@ -437,7 +432,6 @@ def _add_common(sp):
     sp.add_argument("--pretty", action="store_true", default=None,
                     help="human-readable table on stdout")
     sp.add_argument("--config", default=None, help="JSON file with flag defaults")
-    sp.add_argument("--threads", default=None, help="worker cap for sweeps")
 
 
 def _add_quad(sp):

@@ -13,7 +13,6 @@ nodes are masked out of every supremum and difference.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,27 +172,37 @@ def reflect(field, lam):
                           gamma_set=gamma, mask=mask, check_gamma=False)
 
 
+def _resolve_tol(field, tol):
+    """tol, defaulting to 1e-12 of the largest unmasked magnitude; finite and >= 0."""
+    if tol is None:
+        return 1e-12 * field.unmasked_max()
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"tol must be finite and non-negative, got {tol}")
+    return tol
+
+
 def w_plus_sup(field, lam, tol=None):
     """sup over {x1 < lambda} of max(u - u_lambda, 0), masked nodes skipped.
 
-    Values within tol of zero count as zero; tol defaults to 1e-12 times the
-    largest unmasked field magnitude.
+    Row i pairs with its mirror row j = k + m-1 - i (k = 2 lambda / h); only
+    rows with i < j and the partner inside the box are compared. Both sides
+    are views into field.values (the partner rows read in reverse), so no
+    reflected field is built. A supremum within tol of zero (tol >= 0,
+    default 1e-12 times the largest unmasked field magnitude) counts as zero.
     """
-    if tol is None:
-        tol = 1e-12 * field.unmasked_max()
-    refl = reflect(field, lam)
-    sel = field.axis < float(lam)
-    if not sel.any():
+    tol = _resolve_tol(field, tol)
+    k = _plane_index_shift(field, lam)
+    m = field.shape[0]
+    c = k + m - 1
+    lo, hi = max(0, k), min(m, (c + 1) // 2)
+    if lo >= hi:
         return 0.0
-    u = field.values[sel]
-    ur = refl.values[sel]
-    live = ~(field.mask[sel] | refl.mask[sel])
-    if not live.any():
-        return 0.0
-    w = u[live] - ur[live]
-    w[w <= tol] = 0.0
-    sup = float(np.max(w, initial=0.0))
-    return sup
+    part = slice(c - hi + 1, c - lo + 1)
+    w = field.values[lo:hi] - field.values[part][::-1]
+    w[field.mask[lo:hi] | field.mask[part][::-1]] = -np.inf
+    sup = float(np.max(w))
+    return sup if sup > tol else 0.0
 
 
 @dataclass
@@ -228,12 +237,13 @@ def default_lambda_grid(field):
     return snapped
 
 
-def sweep_lambda0(field, lambda_grid=None, tol=None, threads=1):
+def sweep_lambda0(field, lambda_grid=None, tol=None):
     """Sweep the reflection plane and estimate the critical lambda0.
 
     Runs the sweep in both directions (the reverse direction acts on the
-    x1-flipped field) and reports both estimates. Requires a strictly
-    increasing grid of negative, h/2-commensurate planes.
+    x1-flipped field) and reports both estimates. Each plane is one serial
+    w_plus_sup call, which compares row slices of the field in place.
+    Requires a strictly increasing grid of negative, h/2-commensurate planes.
     """
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(field)
@@ -244,23 +254,11 @@ def sweep_lambda0(field, lambda_grid=None, tol=None, threads=1):
         raise DomainError("lambda grid must be strictly increasing and negative")
     for lam in lambda_grid:
         _plane_index_shift(field, lam)
-    if tol is None:
-        tol = 1e-12 * field.unmasked_max()
+    tol = _resolve_tol(field, tol)
 
     flipped = field.flipped()
-
-    def one(args):
-        fld, lam = args
-        return w_plus_sup(fld, lam, tol=tol)
-
-    tasks = [(field, lam) for lam in lambda_grid] + [(flipped, lam) for lam in lambda_grid]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            sups = list(pool.map(one, tasks))
-    else:
-        sups = [one(t) for t in tasks]
-    sup_fwd = np.array(sups[: lambda_grid.size])
-    sup_rev = np.array(sups[lambda_grid.size:])
+    sup_fwd = np.array([w_plus_sup(field, lam, tol=tol) for lam in lambda_grid])
+    sup_rev = np.array([w_plus_sup(flipped, lam, tol=tol) for lam in lambda_grid])
 
     return MovingPlaneReport(
         lambdas=lambda_grid,
@@ -269,7 +267,7 @@ def sweep_lambda0(field, lambda_grid=None, tol=None, threads=1):
         monotonicity_min=_monotonicity_min(field),
         reverse_sup_w_plus=sup_rev,
         reverse_lambda0_estimate=_largest_passing(lambda_grid, sup_rev, tol),
-        tol=float(tol),
+        tol=tol,
         dim_in_scope=field.dim >= 3,
     )
 

@@ -482,8 +482,9 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
         errors[i] = (abs_err + trunc) / max(abs(raw), 1e-300)
         if not ok:
             failed = True
-            if abs_err / max(abs(raw), 1e-300) >= worst[0]:
-                worst = (abs_err / max(abs(raw), 1e-300), float(r))
+            rel = abs_err / max(abs(raw), 1e-300)
+            if math.isnan(rel) or rel >= worst[0]:  # a NaN estimate ranks worst
+                worst = (rel, float(r))
     if failed:
         raise ConvergenceError(
             f"quadrature exceeded {cfg.max_panels} panels (worst radius {worst[1]})",

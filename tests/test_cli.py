@@ -166,8 +166,7 @@ def test_riesz_unconverged_quadrature_exits_2(capsys):
 
 
 def test_moving_plane_direct_decay(capsys):
-    code, out, _ = run(capsys, "moving-plane", "--decay", "0.5", "--num", "17",
-                       "--threads", "2")
+    code, out, _ = run(capsys, "moving-plane", "--decay", "0.5", "--num", "17")
     assert code == 0
     doc = json.loads(out)
     assert doc["kind"] == "moving-plane-report"
@@ -176,6 +175,24 @@ def test_moving_plane_direct_decay(capsys):
     # every plane passes, so the estimate is the last sampled plane
     assert doc["lambda0_estimate"] == doc["lambdas"][-1] == pytest.approx(-0.125)
     assert doc["monotonicity_min"] > 0.0
+
+
+def test_moving_plane_rejects_bad_tolerance(capsys):
+    for bad in ("--tol=nan", "--tol=-1", "--tol=inf"):
+        code, out, err = run(capsys, "moving-plane", "--decay", "0.5", "--num", "17", bad)
+        assert code == 1 and "domain error" in err, bad
+        assert out == ""
+
+
+def test_threads_is_not_an_option(capsys, tmp_path):
+    code, _, err = run(capsys, "moving-plane", "--decay", "0.5", "--num", "9",
+                       "--threads", "2")
+    assert code == 64 and "--threads" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"threads": 2}')
+    code, _, err = run(capsys, "moving-plane", "--decay", "0.5", "--num", "9",
+                       "--config", str(cfg))
+    assert code == 64 and "threads" in err
 
 
 def test_moving_plane_family_triple(capsys):

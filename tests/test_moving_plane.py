@@ -5,6 +5,8 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartree_singular import (
     CartesianField,
@@ -216,6 +218,59 @@ def test_w_plus_tolerance_snaps_noise():
     assert w_plus_sup(tilted, -0.5, tol=0.0) > 0.0
 
 
+def _w_plus_sup_by_reflection(field, lam, tol=None):
+    """The reflect-based w_plus_sup that the in-place row comparison replaced: its reference."""
+    if tol is None:
+        tol = 1e-12 * field.unmasked_max()
+    refl = reflect(field, lam)
+    sel = field.axis < float(lam)
+    if not sel.any():
+        return 0.0
+    u = field.values[sel]
+    ur = refl.values[sel]
+    live = ~(field.mask[sel] | refl.mask[sel])
+    if not live.any():
+        return 0.0
+    w = u[live] - ur[live]
+    w[w <= tol] = 0.0
+    sup = float(np.max(w, initial=0.0))
+    return sup
+
+
+COORD = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def fields_and_planes(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    num = draw(st.integers(5, 33))
+    centers = draw(st.lists(st.tuples(*[COORD] * dim), min_size=1, max_size=3))
+    decay = draw(st.floats(0.25, 1.5))
+    f = sample_field(PowerLawTerm(1.0, decay), centers, dim=dim, extent=2.0, num=num,
+                     check_centers=False)
+    if draw(st.booleans()):
+        f = f.flipped()
+    # planes k h/2 from past -L (partners leave the box) to past +L; odd k are half-cell planes
+    k = draw(st.integers(-num - 1, num + 1))
+    return f, k * f.h / 2.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(case=fields_and_planes(), tol=st.sampled_from([0.0, None]))
+def test_w_plus_matches_reflection_reference_bit_for_bit(case, tol):
+    f, lam = case
+    assert w_plus_sup(f, lam, tol=tol) == _w_plus_sup_by_reflection(f, lam, tol=tol)
+
+
+def test_w_plus_rejects_bad_tolerance():
+    f = small_field()
+    for bad in (-1.0, -1e-300, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            w_plus_sup(f, -0.5, tol=bad)
+        with pytest.raises(DomainError):
+            sweep_lambda0(f, tol=bad)
+
+
 # ---------------------------------------------------------------------------
 # Sweep
 
@@ -253,15 +308,6 @@ def test_sweep_recovers_shifted_balance_plane():
     assert np.all(report.sup_w_plus[past] > report.tol)
     # from the other side every sampled (negative) plane balances
     assert report.reverse_lambda0_estimate == pytest.approx(report.lambdas[-1])
-
-
-def test_sweep_threads_match_serial():
-    f = small_field(num=17)
-    serial = sweep_lambda0(f, threads=1)
-    threaded = sweep_lambda0(f, threads=4)
-    assert np.array_equal(serial.sup_w_plus, threaded.sup_w_plus)
-    assert np.array_equal(serial.reverse_sup_w_plus, threaded.reverse_sup_w_plus)
-    assert serial.lambda0_estimate == threaded.lambda0_estimate
 
 
 def test_sweep_two_dimensional_smoke_flagged_out_of_scope():

@@ -472,6 +472,15 @@ def test_riesz_convergence_error_carries_radius():
     assert exc.value.worst_radius in (0.5, 1.0)
 
 
+def test_riesz_convergence_error_names_a_radius_when_estimates_are_nan():
+    # at N=5, alpha=0.3 the near-diagonal integrand overflows, so every failing
+    # radius has a NaN error estimate; NaN must rank worst, not leave the radius unset
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, 4.5), log_grid(1e-3, 1e3, 100))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError) as exc:
+        riesz_radial(prof, 0.3, 5, cfg=QuadratureConfig(max_panels=64), at=[1.0, 2.0])
+    assert exc.value.worst_radius in (1.0, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # Inverse Laplacian
 

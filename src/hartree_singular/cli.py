@@ -21,6 +21,7 @@ explicitly passed flags win over the config file.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -37,7 +38,14 @@ from .power_law import (
     solve_params,
 )
 from .radial_quadrature import QuadratureConfig, RadialProfile, log_grid, riesz_radial
-from .serialize import dumps, fmt, moving_plane_to_csv, residual_to_csv
+from .serialize import (
+    MOVING_PLANE_SCHEMA,
+    RESIDUAL_SCHEMA,
+    dumps,
+    kv_csv,
+    report_document,
+    table_csv,
+)
 from .verifier import verify_solution
 
 _ALTERNATE_NOTE = (
@@ -83,7 +91,7 @@ class _Resolver:
         v = self.f(name, default, required)
         if v is None:
             return None
-        if v != int(v):
+        if not math.isfinite(v) or v != int(v):
             raise _UsageError(f"--{name.replace('_', '-')} expects an integer, got {v!r}")
         return int(v)
 
@@ -155,26 +163,10 @@ def _grid(res):
     return log_grid(lo, hi, num)
 
 
-def _kv_csv(d):
-    lines = ["key,value"]
-    for k, v in d.items():
-        if isinstance(v, (list, tuple, np.ndarray, dict)):
-            continue
-        if isinstance(v, bool):
-            lines.append(f"{k},{str(v).lower()}")
-        elif v is None:
-            lines.append(f"{k},")
-        elif isinstance(v, (int, np.integer)):
-            lines.append(f"{k},{int(v)}")
-        elif isinstance(v, (float, np.floating)):
-            lines.append(f"{k},{fmt(v)}")
-        else:
-            lines.append(f"{k},{v}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
-# Handlers: each returns {"json": str, "csv": str, "pretty": str}
+# Handlers: each returns (body, table, pretty). The JSON artifact is the body;
+# the CSV artifact is the column table, or the body's scalar fields when the
+# table is None.
 
 
 def _do_solve_params(res):
@@ -210,7 +202,7 @@ def _do_solve_params(res):
         f"variant decay (diagnostic only): "
         f"{'undefined' if alt is None else format(alt, '.12g')}",
     ]) + "\n"
-    return {"json": dumps(body) + "\n", "csv": _kv_csv(body), "pretty": pretty}
+    return body, None, pretty
 
 
 def _diagnostic_params(dim, mu, p, q, s, amplitude):
@@ -243,22 +235,9 @@ def _do_verify(res):
         params = solve_params(dim, mu, p, q)
         report = verify_solution(params, radii, cfg, amplitude=amplitude, grid=grid)
         mode = "family"
-    body = {
-        "kind": "verify-report",
-        "mode": mode,
-        "dim": dim,
-        "mu": mu,
-        "p": p,
-        "q": q,
-        "decay": report.decay,
-        "amplitude": report.amplitude,
-        "radii": report.radii,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "ratio": report.ratio,
-        "quadrature_error": report.quadrature_error,
-        "worst_deviation": report.worst_deviation,
-    }
+    fields, table = report_document(report, RESIDUAL_SCHEMA)
+    body = {"kind": "verify-report", "mode": mode, "dim": dim, "mu": mu, "p": p,
+            "q": q, **fields}
     rows = [
         f"{'r':>10} {'lhs':>16} {'rhs':>16} {'ratio':>16} {'quad err':>10}"
     ]
@@ -269,11 +248,7 @@ def _do_verify(res):
         )
     rows.append(f"worst |ratio - 1| = {report.worst_deviation:.3e}  ({mode} mode, "
                 f"s = {report.decay:.10g}, A = {report.amplitude:.10g})")
-    return {
-        "json": dumps(body) + "\n",
-        "csv": residual_to_csv(report),
-        "pretty": "\n".join(rows) + "\n",
-    }
+    return body, table, "\n".join(rows) + "\n"
 
 
 def _do_riesz(res):
@@ -293,11 +268,7 @@ def _do_riesz(res):
         f"I_{alpha:g}[{coefficient:g} r^-{exponent:g}] = "
         f"{term.coefficient:.12g} r^-{term.exponent:.12g}   (dim {dim})"
     ]
-    csv_text = _kv_csv({
-        "kind": "riesz-power", "dim": dim, "alpha": alpha,
-        "input_coefficient": coefficient, "input_exponent": exponent,
-        "output_coefficient": term.coefficient, "output_exponent": term.exponent,
-    })
+    table = None
     if res.flag("numeric"):
         radii = np.array(res.floats("radii", [0.5, 1.0, 2.0]))
         cfg = _quad_config(res)
@@ -311,24 +282,15 @@ def _do_riesz(res):
             "point_errors": pot.point_errors,
             "closed_form": closed,
         }
-        csv_lines = ["r,value,error,closed_form"]
-        for i in range(radii.size):
-            csv_lines.append(",".join((
-                fmt(radii[i]), fmt(pot.values[i]), fmt(pot.point_errors[i]),
-                fmt(closed[i]),
-            )))
-        csv_text = "\n".join(csv_lines) + "\n"
+        table = {"r": radii, "value": pot.values, "error": pot.point_errors,
+                 "closed_form": closed}
         pretty_lines.append(f"{'r':>10} {'numeric':>16} {'closed':>16} {'est err':>10}")
         for i in range(radii.size):
             pretty_lines.append(
                 f"{radii[i]:>10.4g} {pot.values[i]:>16.10g} {closed[i]:>16.10g} "
                 f"{pot.point_errors[i]:>10.2e}"
             )
-    return {
-        "json": dumps(body) + "\n",
-        "csv": csv_text,
-        "pretty": "\n".join(pretty_lines) + "\n",
-    }
+    return body, table, "\n".join(pretty_lines) + "\n"
 
 
 def _do_moving_plane(res):
@@ -357,23 +319,9 @@ def _do_moving_plane(res):
                          exclusion_radius=excl)
     lambdas = res.floats("lambdas")
     report = sweep_lambda0(field, None if lambdas is None else np.array(lambdas), tol=tol)
-    body = {
-        "kind": "moving-plane-report",
-        "dim": dim,
-        "num": num,
-        "extent": extent,
-        "decay": decay,
-        "amplitude": amplitude,
-        "centers": centers,
-        "tol": report.tol,
-        "dim_in_scope": report.dim_in_scope,
-        "lambdas": report.lambdas,
-        "sup_w_plus": report.sup_w_plus,
-        "lambda0_estimate": report.lambda0_estimate,
-        "reverse_sup_w_plus": report.reverse_sup_w_plus,
-        "reverse_lambda0_estimate": report.reverse_lambda0_estimate,
-        "monotonicity_min": report.monotonicity_min,
-    }
+    fields, table = report_document(report, MOVING_PLANE_SCHEMA)
+    body = {"kind": "moving-plane-report", "dim": dim, "num": num, "extent": extent,
+            "decay": decay, "amplitude": amplitude, "centers": centers, **fields}
     rows = [f"{'lambda':>10} {'sup w+':>14} {'reverse sup w+':>14}"]
     for i in range(report.lambdas.size):
         rows.append(
@@ -385,11 +333,7 @@ def _do_moving_plane(res):
                 f"monotonicity min {report.monotonicity_min:.4e}")
     if not report.dim_in_scope:
         rows.append("note: dimension below 3 is outside the symmetry statements")
-    return {
-        "json": dumps(body) + "\n",
-        "csv": moving_plane_to_csv(report),
-        "pretty": "\n".join(rows) + "\n",
-    }
+    return body, table, "\n".join(rows) + "\n"
 
 
 def _do_hls(res):
@@ -401,7 +345,7 @@ def _do_hls(res):
             "t": pair.t, "r": pair.r}
     pretty = (f"1/t + 1/r + mu/N = 2 with t = {pair.t:.12g}, mu = {pair.mu:g}, "
               f"N = {pair.dim}: r = {pair.r:.12g}\n")
-    return {"json": dumps(body) + "\n", "csv": _kv_csv(body), "pretty": pretty}
+    return body, None, pretty
 
 
 def _do_critical(res):
@@ -412,7 +356,7 @@ def _do_critical(res):
             "lower": lo, "upper": hi}
     pretty = (f"admissible window for dim {dim}, mu = {mu:g}: "
               f"((2N-mu)/N, (2N-mu)/(N-2)) = ({lo:.12g}, {hi:.12g})\n")
-    return {"json": dumps(body) + "\n", "csv": _kv_csv(body), "pretty": pretty}
+    return body, None, pretty
 
 
 _HANDLERS = {
@@ -516,7 +460,7 @@ def main(argv=None):
             raise _UsageError("a subcommand is required (see --help)")
         config = _load_config(args.config, args)
         res = _Resolver(args, config)
-        rendered = _HANDLERS[args.command](res)
+        body, table, pretty_text = _HANDLERS[args.command](res)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 64
@@ -540,17 +484,22 @@ def main(argv=None):
     if out_format not in ("json", "csv"):
         print(f"unknown format {out_format!r}", file=sys.stderr)
         return 64
-    machine = rendered[out_format]
+    if out_format == "json":
+        machine = dumps(body) + "\n"
+    else:
+        machine = kv_csv(body) if table is None else table_csv(table)
     pretty = res.flag("pretty")
     output = args.output if args.output is not None else config.get("output")
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(machine)
-        if pretty:
-            sys.stdout.write(rendered["pretty"])
-    elif pretty:
-        sys.stdout.write(rendered["pretty"])
-    else:
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(machine)
+        except OSError as exc:
+            print(f"cannot write output file {output}: {exc}", file=sys.stderr)
+            return 64
+    if pretty:
+        sys.stdout.write(pretty_text)
+    elif not output:
         sys.stdout.write(machine)
     return 0
 

@@ -64,7 +64,7 @@ class CartesianField:
         if mask is None:
             mask = np.zeros(self.shape, dtype=bool)
             if self.gamma_set:
-                grids = np.meshgrid(*([self.axis] * n), indexing="ij")
+                grids = np.meshgrid(*([self.axis] * n), indexing="ij", sparse=True)
                 for p, rad in self.gamma_set:
                     d2 = sum((g - c) ** 2 for g, c in zip(grids, p))
                     mask |= d2 <= rad * rad
@@ -119,7 +119,7 @@ def sample_field(profile, centers, dim=3, extent=2.0, num=65, exclusion_radius=N
         if check_centers and abs(c[0]) > _HYPERPLANE_TOL:
             raise DomainError(f"center {c} must lie on the hyperplane x1 = 0")
     axis = -extent + h * np.arange(num)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
+    grids = np.meshgrid(*([axis] * n), indexing="ij", sparse=True)
     values = np.zeros((num,) * n)
     mask = np.zeros((num,) * n, dtype=bool)
     for c in centers:
@@ -128,7 +128,7 @@ def sample_field(profile, centers, dim=3, extent=2.0, num=65, exclusion_radius=N
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             term = np.asarray(profile(np.sqrt(d2)), dtype=float)
         term[~np.isfinite(term)] = np.nan
-        values = values + term
+        values += term
     values[mask] = np.nan
     return CartesianField(
         n, h, extent, values,

@@ -1,9 +1,9 @@
-"""Deterministic serialization to JSON, CSV, and a flat field format.
+"""Deterministic JSON and CSV rendering of the CLI documents.
 
 Every float is written with repr-faithful precision (17 significant digits),
-so write -> read -> write is byte-stable and reading recovers the exact
-double. JSON objects keep insertion order; infinities and NaN use the
-Infinity/-Infinity/NaN tokens that the stdlib parser accepts.
+so the stdlib parser recovers the exact double. JSON objects keep insertion
+order; infinities and NaN use the Infinity/-Infinity/NaN tokens that the
+stdlib parser accepts.
 """
 
 import json
@@ -12,10 +12,6 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .moving_plane import CartesianField, MovingPlaneReport
-from .power_law import PowerLawTerm
-from .radial_quadrature import RadialProfile
-from .verifier import ResidualReport
 
 
 def fmt(x):
@@ -68,200 +64,63 @@ def _emit(obj, out):
         raise DomainError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def loads(text):
-    return json.loads(text)
-
-
 # ---------------------------------------------------------------------------
-# Radial profiles
+# Report schemas, declared once: the JSON fields in document order, then the
+# CSV columns as (header, attribute) pairs.
+
+RESIDUAL_SCHEMA = (
+    ("decay", "amplitude", "radii", "lhs", "rhs", "ratio", "quadrature_error",
+     "worst_deviation"),
+    (("r", "radii"), ("lhs", "lhs"), ("rhs", "rhs"), ("ratio", "ratio"),
+     ("quadrature_error", "quadrature_error")),
+)
+
+MOVING_PLANE_SCHEMA = (
+    ("tol", "dim_in_scope", "lambdas", "sup_w_plus", "lambda0_estimate",
+     "reverse_sup_w_plus", "reverse_lambda0_estimate", "monotonicity_min"),
+    (("lambda", "lambdas"), ("sup_w_plus", "sup_w_plus"),
+     ("reverse_sup_w_plus", "reverse_sup_w_plus")),
+)
 
 
-def _term_dict(term):
-    if term is None:
-        return None
-    return {"coefficient": term.coefficient, "exponent": term.exponent}
+def report_document(report, schema):
+    """The report's JSON fields (ordered dict) and its CSV column table."""
+    fields, columns = schema
+    return ({name: getattr(report, name) for name in fields},
+            {header: getattr(report, name) for header, name in columns})
 
 
-def _term_from(d):
-    if d is None:
-        return None
-    return PowerLawTerm(float(d["coefficient"]), float(d["exponent"]))
-
-
-def profile_to_json(profile):
-    body = {
-        "kind": "radial-profile",
-        "radii": profile.radii,
-        "values": profile.values,
-        "tail_inner": _term_dict(profile.tail_inner),
-        "tail_outer": _term_dict(profile.tail_outer),
-        "point_errors": profile.point_errors,
-    }
-    return dumps(body)
-
-
-def profile_from_json(text):
-    d = loads(text)
-    if d.get("kind") != "radial-profile":
-        raise DomainError(f"expected a radial-profile document, got kind={d.get('kind')!r}")
-    errs = d.get("point_errors")
-    return RadialProfile(
-        np.array(d["radii"], dtype=float),
-        np.array(d["values"], dtype=float),
-        _term_from(d.get("tail_inner")),
-        _term_from(d.get("tail_outer")),
-        point_errors=None if errs is None else np.array(errs, dtype=float),
-    )
-
-
-def profile_to_csv(profile):
-    """Columns r,value[,error]; tails are JSON-only metadata."""
-    has_err = profile.point_errors is not None
-    lines = ["r,value,error" if has_err else "r,value"]
-    for i, (r, v) in enumerate(zip(profile.radii, profile.values)):
-        row = [fmt(r), fmt(v)]
-        if has_err:
-            row.append(fmt(profile.point_errors[i]))
-        lines.append(",".join(row))
+def table_csv(table):
+    """A header -> column mapping as CSV: one header line, then one row per index."""
+    lines = [",".join(table)]
+    lines.extend(",".join(fmt(v) for v in row) for row in zip(*table.values()))
     return "\n".join(lines) + "\n"
 
 
-def profile_from_csv(text):
-    rows = [ln for ln in text.splitlines() if ln.strip()]
-    header = rows[0].split(",")
-    if header[:2] != ["r", "value"]:
-        raise DomainError(f"expected header r,value[,error], got {rows[0]!r}")
-    data = [[float(c) for c in ln.split(",")] for ln in rows[1:]]
-    cols = list(zip(*data))
-    errs = np.array(cols[2]) if len(header) > 2 else None
-    return RadialProfile(np.array(cols[0]), np.array(cols[1]), point_errors=errs)
+def kv_csv(body):
+    """The scalar fields of a document as key,value rows.
 
-
-# ---------------------------------------------------------------------------
-# Residual reports
-
-
-def residual_to_json(report):
-    body = {
-        "kind": "residual-report",
-        "decay": report.decay,
-        "amplitude": report.amplitude,
-        "radii": report.radii,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "ratio": report.ratio,
-        "quadrature_error": report.quadrature_error,
-        "worst_deviation": report.worst_deviation,
-    }
-    return dumps(body)
-
-
-def residual_from_json(text):
-    d = loads(text)
-    if d.get("kind") != "residual-report":
-        raise DomainError(f"expected a residual-report document, got kind={d.get('kind')!r}")
-    return ResidualReport(
-        radii=np.array(d["radii"], dtype=float),
-        lhs=np.array(d["lhs"], dtype=float),
-        rhs=np.array(d["rhs"], dtype=float),
-        ratio=np.array(d["ratio"], dtype=float),
-        quadrature_error=np.array(d["quadrature_error"], dtype=float),
-        decay=float(d["decay"]),
-        amplitude=float(d["amplitude"]),
-    )
-
-
-def residual_to_csv(report):
-    lines = ["r,lhs,rhs,ratio,quadrature_error"]
-    for i in range(report.radii.size):
-        lines.append(",".join(fmt(a[i]) for a in (
-            report.radii, report.lhs, report.rhs, report.ratio,
-            report.quadrature_error,
-        )))
+    One level of nested dicts is flattened to parent_child keys; arrays and
+    deeper nesting are JSON-only.
+    """
+    items = []
+    for k, v in body.items():
+        if isinstance(v, dict):
+            items.extend((f"{k}_{ck}", cv) for ck, cv in v.items())
+        else:
+            items.append((k, v))
+    lines = ["key,value"]
+    for k, v in items:
+        if isinstance(v, (list, tuple, np.ndarray, dict)):
+            continue
+        if isinstance(v, bool):
+            lines.append(f"{k},{str(v).lower()}")
+        elif v is None:
+            lines.append(f"{k},")
+        elif isinstance(v, (int, np.integer)):
+            lines.append(f"{k},{int(v)}")
+        elif isinstance(v, (float, np.floating)):
+            lines.append(f"{k},{fmt(v)}")
+        else:
+            lines.append(f"{k},{v}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Moving-plane reports
-
-
-def moving_plane_to_json(report):
-    body = {
-        "kind": "moving-plane-report",
-        "tol": report.tol,
-        "dim_in_scope": report.dim_in_scope,
-        "lambdas": report.lambdas,
-        "sup_w_plus": report.sup_w_plus,
-        "lambda0_estimate": report.lambda0_estimate,
-        "reverse_sup_w_plus": report.reverse_sup_w_plus,
-        "reverse_lambda0_estimate": report.reverse_lambda0_estimate,
-        "monotonicity_min": report.monotonicity_min,
-    }
-    return dumps(body)
-
-
-def moving_plane_from_json(text):
-    d = loads(text)
-    if d.get("kind") != "moving-plane-report":
-        raise DomainError(
-            f"expected a moving-plane-report document, got kind={d.get('kind')!r}"
-        )
-    lam0 = d["lambda0_estimate"]
-    rlam0 = d["reverse_lambda0_estimate"]
-    return MovingPlaneReport(
-        lambdas=np.array(d["lambdas"], dtype=float),
-        sup_w_plus=np.array(d["sup_w_plus"], dtype=float),
-        lambda0_estimate=None if lam0 is None else float(lam0),
-        monotonicity_min=float(d["monotonicity_min"]),
-        reverse_sup_w_plus=np.array(d["reverse_sup_w_plus"], dtype=float),
-        reverse_lambda0_estimate=None if rlam0 is None else float(rlam0),
-        tol=float(d["tol"]),
-        dim_in_scope=bool(d["dim_in_scope"]),
-    )
-
-
-def moving_plane_to_csv(report):
-    lines = ["lambda,sup_w_plus,reverse_sup_w_plus"]
-    for i in range(report.lambdas.size):
-        lines.append(",".join((
-            fmt(report.lambdas[i]),
-            fmt(report.sup_w_plus[i]),
-            fmt(report.reverse_sup_w_plus[i]),
-        )))
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Cartesian fields: one header line, then node values in C (lexicographic) order
-
-
-def field_to_text(field):
-    head = [str(field.dim), fmt(field.h), fmt(field.extent), str(len(field.gamma_set))]
-    for p, rad in field.gamma_set:
-        head.extend(fmt(c) for c in p)
-        head.append(fmt(rad))
-    lines = [" ".join(head)]
-    lines.extend(fmt(v) for v in field.values.ravel(order="C"))
-    return "\n".join(lines) + "\n"
-
-
-def field_from_text(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    dim = int(head[0])
-    h = float(head[1])
-    extent = float(head[2])
-    n_gamma = int(head[3])
-    pos = 4
-    gamma = []
-    for _ in range(n_gamma):
-        p = [float(c) for c in head[pos:pos + dim]]
-        rad = float(head[pos + dim])
-        gamma.append((np.array(p), rad))
-        pos += dim + 1
-    m = int(round(2.0 * extent / h)) + 1
-    flat = np.array([float(v) for v in lines[1:]])
-    if flat.size != m ** dim:
-        raise DomainError(f"expected {m ** dim} node values, found {flat.size}")
-    values = flat.reshape((m,) * dim)
-    return CartesianField(dim, h, extent, values, gamma_set=gamma, check_gamma=False)

@@ -9,11 +9,6 @@ import math
 
 from .errors import DomainError
 
-# math.gamma is a correctly-rounded Lanczos-type rational approximation, good to
-# well under 1e-15 relative on (0, 50]. Above 50 we go through log-gamma so the
-# function keeps returning a value (inf on overflow) instead of raising.
-_RATIONAL_CUTOFF = 50.0
-
 
 def gamma(z):
     """Gamma(z) for real z > 0.
@@ -25,11 +20,9 @@ def gamma(z):
     z = float(z)
     if not math.isfinite(z) or z <= 0.0:
         raise DomainError(f"gamma requires finite z > 0, got {z}")
-    if z <= _RATIONAL_CUTOFF:
-        return math.gamma(z)
     try:
-        return math.exp(math.lgamma(z))
-    except OverflowError:
+        return math.gamma(z)
+    except OverflowError:  # z above about 171.6
         return math.inf
 
 

@@ -7,9 +7,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hartree_singular import (
+    PowerLawTerm,
+    RadialProfile,
+    alternate_decay_exponent,
+    critical_exponents,
+    hls_conjugate,
+    log_grid,
+    riesz_power,
+    riesz_radial,
+    sample_field,
+    solve_params,
+    sweep_lambda0,
+    verify_solution,
+)
 from hartree_singular.cli import main
+from hartree_singular.serialize import dumps, fmt
 
 
 def run(capsys, *argv):
@@ -88,6 +104,21 @@ def test_no_subcommand(capsys):
 def test_malformed_number(capsys):
     code, _, err = run(capsys, "solve-params", "--mu", "abc", "--p", "2", "--q", "2")
     assert code == 64 and "abc" in err
+
+
+def test_non_finite_integer_flag(capsys, tmp_path):
+    for argv in (("critical-exponents", "--dim", "nan", "--mu", "2.5"),
+                 ("critical-exponents", "--dim", "inf", "--mu", "2.5"),
+                 ("moving-plane", "--decay", "0.5", "--num", "inf"),
+                 ("verify", "--mu", "2.5", "--p", "2", "--q", "2", "--grid-num", "nan")):
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and "expects an integer" in err, argv
+        assert out == ""
+    for value in ("NaN", "Infinity", "1e400", '"nan"'):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"dim": {value}, "mu": 2.5}}')
+        code, _, err = run(capsys, "critical-exponents", "--config", str(cfg))
+        assert code == 64 and "--dim expects an integer" in err, value
 
 
 def test_mutually_exclusive_verify_flags(capsys):
@@ -250,6 +281,129 @@ def test_critical_exponents(capsys):
 
 
 # ---------------------------------------------------------------------------
+# machine output bytes: every subcommand, json and csv, against documents
+# built here from the library calls with the key order and headers spelled out
+
+
+def _csv_rows(header, *cols):
+    lines = [header]
+    lines.extend(",".join(fmt(c[i]) for c in cols) for i in range(len(cols[0])))
+    return "\n".join(lines) + "\n"
+
+
+def _expected_solve_params():
+    prm = solve_params(3, 2.5, 2.0, 2.0)
+    alt = alternate_decay_exponent(3, 2.5, 2.0, 2.0)
+    doc = {"kind": "solve-params", "dim": 3, "mu": 2.5, "p": 2.0, "q": 2.0,
+           "s": prm.s, "amplitude": prm.amplitude, "sp": prm.sp, "sq1": prm.sq1,
+           "symmetry_window": True, "alternate_s": alt,
+           "alternate_s_note": "diagnostic variant with q entering by -q; does not "
+                               "satisfy the equation when p != q"}
+    csv = ("key,value\nkind,solve-params\ndim,3\nmu,2.5\np,2\nq,2\n"
+           f"s,{fmt(prm.s)}\namplitude,{fmt(prm.amplitude)}\nsp,{fmt(prm.sp)}\n"
+           f"sq1,{fmt(prm.sq1)}\nsymmetry_window,true\nalternate_s,{fmt(alt)}\n"
+           f"alternate_s_note,{doc['alternate_s_note']}\n")
+    return doc, csv
+
+
+def _expected_verify():
+    prm = solve_params(3, 2.5, 2.0, 2.0)
+    rep = verify_solution(prm, np.array([0.5, 1.0, 2.0]), None,
+                          grid=log_grid(1e-3, 1e3, 400))
+    doc = {"kind": "verify-report", "mode": "family", "dim": 3, "mu": 2.5,
+           "p": 2.0, "q": 2.0, "decay": rep.decay, "amplitude": rep.amplitude,
+           "radii": rep.radii, "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio,
+           "quadrature_error": rep.quadrature_error,
+           "worst_deviation": rep.worst_deviation}
+    csv = _csv_rows("r,lhs,rhs,ratio,quadrature_error", rep.radii, rep.lhs, rep.rhs,
+                    rep.ratio, rep.quadrature_error)
+    return doc, csv
+
+
+def _expected_riesz():
+    term = riesz_power(1.3, 2.1, 3)
+    doc = {"kind": "riesz-power", "dim": 3, "alpha": 1.3,
+           "input": {"coefficient": 1.0, "exponent": 2.1},
+           "output": {"coefficient": term.coefficient, "exponent": term.exponent}}
+    csv = ("key,value\nkind,riesz-power\ndim,3\nalpha,1.3\ninput_coefficient,1\n"
+           f"input_exponent,{fmt(2.1)}\noutput_coefficient,{fmt(term.coefficient)}\n"
+           f"output_exponent,{fmt(term.exponent)}\n")
+    return doc, csv
+
+
+def _expected_riesz_numeric():
+    radii = np.array([0.5, 1.0, 2.0])
+    term = riesz_power(2.0, 2.5, 3)
+    src = RadialProfile.from_power(PowerLawTerm(1.0, 2.5), log_grid(1e-3, 1e3, 400))
+    pot = riesz_radial(src, 2.0, 3, cfg=None, at=radii)
+    closed = term(radii)
+    doc = {"kind": "riesz-power", "dim": 3, "alpha": 2.0,
+           "input": {"coefficient": 1.0, "exponent": 2.5},
+           "output": {"coefficient": term.coefficient, "exponent": term.exponent},
+           "numeric": {"radii": radii, "values": pot.values,
+                       "point_errors": pot.point_errors, "closed_form": closed}}
+    csv = _csv_rows("r,value,error,closed_form", radii, pot.values, pot.point_errors,
+                    closed)
+    return doc, csv
+
+
+def _expected_moving_plane():
+    field = sample_field(PowerLawTerm(1.0, 0.5), [[0.0, 0.0, 0.0]], dim=3,
+                         extent=2.0, num=17)
+    rep = sweep_lambda0(field)
+    doc = {"kind": "moving-plane-report", "dim": 3, "num": 17, "extent": 2.0,
+           "decay": 0.5, "amplitude": 1.0, "centers": [[0.0, 0.0, 0.0]],
+           "tol": rep.tol, "dim_in_scope": True, "lambdas": rep.lambdas,
+           "sup_w_plus": rep.sup_w_plus, "lambda0_estimate": rep.lambda0_estimate,
+           "reverse_sup_w_plus": rep.reverse_sup_w_plus,
+           "reverse_lambda0_estimate": rep.reverse_lambda0_estimate,
+           "monotonicity_min": rep.monotonicity_min}
+    csv = _csv_rows("lambda,sup_w_plus,reverse_sup_w_plus", rep.lambdas,
+                    rep.sup_w_plus, rep.reverse_sup_w_plus)
+    return doc, csv
+
+
+def _expected_hls():
+    r = hls_conjugate(1.5, 2.0, 3).r
+    doc = {"kind": "hls-conjugate", "dim": 3, "mu": 2.0, "t": 1.5, "r": r}
+    return doc, f"key,value\nkind,hls-conjugate\ndim,3\nmu,2\nt,1.5\nr,{fmt(r)}\n"
+
+
+def _expected_critical():
+    lo, hi = critical_exponents(3, 2.5)
+    doc = {"kind": "critical-exponents", "dim": 3, "mu": 2.5, "lower": lo, "upper": hi}
+    csv = (f"key,value\nkind,critical-exponents\ndim,3\nmu,2.5\nlower,{fmt(lo)}\n"
+           f"upper,{fmt(hi)}\n")
+    return doc, csv
+
+
+_BYTE_CASES = {
+    "solve-params": (("solve-params", "--mu", "2.5", "--p", "2", "--q", "2"),
+                     _expected_solve_params),
+    "verify": (("verify", "--mu", "2.5", "--p", "2", "--q", "2"), _expected_verify),
+    "riesz": (("riesz", "--alpha", "1.3", "--exponent", "2.1"), _expected_riesz),
+    "riesz-numeric": (("riesz", "--alpha", "2", "--exponent", "2.5", "--numeric",
+                       "--radii", "0.5,1,2"), _expected_riesz_numeric),
+    "moving-plane": (("moving-plane", "--decay", "0.5", "--num", "17"),
+                     _expected_moving_plane),
+    "hls": (("hls", "--t", "1.5", "--mu", "2"), _expected_hls),
+    "critical-exponents": (("critical-exponents", "--mu", "2.5"), _expected_critical),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BYTE_CASES))
+def test_machine_output_bytes(capsys, case):
+    argv, expected = _BYTE_CASES[case]
+    doc, csv = expected()
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == dumps(doc) + "\n"
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and err == ""
+    assert out == csv
+
+
+# ---------------------------------------------------------------------------
 # output files, config files, precedence
 
 
@@ -270,6 +424,14 @@ def test_output_file_with_pretty_table_on_stdout(capsys, tmp_path):
     assert code == 0
     assert "decay exponent" in out
     assert json.loads(target.read_text())["kind"] == "solve-params"
+
+
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run(capsys, "solve-params", "--mu", "2.5", "--p", "2",
+                             "--q", "2", "--output", str(target), "--pretty")
+        assert code == 64 and "cannot write output file" in err, target
+        assert out == ""
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Deterministic JSON/CSV/text round-trips for every report type."""
+"""Deterministic JSON and CSV rendering of the report documents."""
 
 import json
 import math
@@ -7,15 +7,7 @@ import numpy as np
 import pytest
 
 import hartree_singular.serialize as ser
-from hartree_singular import (
-    DomainError,
-    MovingPlaneReport,
-    PowerLawTerm,
-    RadialProfile,
-    ResidualReport,
-    log_grid,
-    sample_field,
-)
+from hartree_singular import DomainError, MovingPlaneReport, ResidualReport
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +37,7 @@ def test_dumps_is_deterministic_and_parseable():
     assert back["a"][0] == 0.1
     assert back["a"][2] == math.inf
     assert math.isnan(back["arr"][1])
-    assert ser.loads(out1)["nested"]["x"] is None
+    assert back["nested"]["x"] is None
 
 
 def test_dumps_handles_numpy_scalars():
@@ -58,52 +50,6 @@ def test_dumps_rejects_unknown_types():
         ser.dumps({"x": object()})
     with pytest.raises(DomainError):
         ser.dumps({"x": {1, 2}})
-
-
-# ---------------------------------------------------------------------------
-# Radial profiles
-
-
-def test_profile_json_roundtrip_bitwise():
-    prof = RadialProfile.from_power(PowerLawTerm(0.1531076580302631, 5.0 / 6.0),
-                                    log_grid(1e-3, 1e3, 50))
-    text = ser.profile_to_json(prof)
-    again = ser.profile_from_json(text)
-    assert np.array_equal(prof.radii, again.radii)
-    assert np.array_equal(prof.values, again.values)
-    assert again.tail_inner.coefficient == prof.tail_inner.coefficient
-    assert again.tail_outer.exponent == prof.tail_outer.exponent
-    assert again.point_errors is None
-    assert ser.profile_to_json(again) == text
-
-
-def test_profile_json_keeps_infinite_errors():
-    prof = RadialProfile(np.array([1.0, 2.0, 4.0]), np.array([3.0, 2.0, 1.0]),
-                         point_errors=np.array([1e-12, math.inf, 0.0]))
-    again = ser.profile_from_json(ser.profile_to_json(prof))
-    assert math.isinf(again.point_errors[1])
-    assert again.point_errors[0] == 1e-12
-    assert again.tail_inner is None and again.tail_outer is None
-
-
-def test_profile_csv_roundtrip():
-    prof = RadialProfile(np.array([0.5, 1.0, 2.0]), np.array([0.1, 0.2, 0.3]),
-                         point_errors=np.array([1e-9, 2e-9, math.inf]))
-    text = ser.profile_to_csv(prof)
-    assert text.splitlines()[0] == "r,value,error"
-    again = ser.profile_from_csv(text)
-    assert np.array_equal(prof.radii, again.radii)
-    assert np.array_equal(prof.values, again.values)
-    assert np.array_equal(prof.point_errors, again.point_errors)
-    plain = ser.profile_to_csv(RadialProfile(prof.radii, prof.values))
-    assert plain.splitlines()[0] == "r,value"
-
-
-def test_profile_wrong_documents_rejected():
-    with pytest.raises(DomainError):
-        ser.profile_from_json(ser.dumps({"kind": "something-else"}))
-    with pytest.raises(DomainError):
-        ser.profile_from_csv("x,y\n1,2\n")
 
 
 # ---------------------------------------------------------------------------
@@ -124,22 +70,19 @@ def residual_example():
 
 def test_residual_json_roundtrip_bitwise():
     rep = residual_example()
-    text = ser.residual_to_json(rep)
-    doc = json.loads(text)
-    assert doc["kind"] == "residual-report"
+    fields, _ = ser.report_document(rep, ser.RESIDUAL_SCHEMA)
+    doc = json.loads(ser.dumps(fields))
+    assert list(doc) == ["decay", "amplitude", "radii", "lhs", "rhs", "ratio",
+                         "quadrature_error", "worst_deviation"]
     assert doc["worst_deviation"] == rep.worst_deviation
-    again = ser.residual_from_json(text)
     for name in ("radii", "lhs", "rhs", "ratio", "quadrature_error"):
-        assert np.array_equal(getattr(rep, name), getattr(again, name)), name
-    assert again.decay == rep.decay and again.amplitude == rep.amplitude
-    assert ser.residual_to_json(again) == text
-    with pytest.raises(DomainError):
-        ser.residual_from_json(ser.dumps({"kind": "radial-profile"}))
+        assert np.array_equal(getattr(rep, name), doc[name]), name
+    assert doc["decay"] == rep.decay and doc["amplitude"] == rep.amplitude
 
 
 def test_residual_csv_columns():
-    text = ser.residual_to_csv(residual_example())
-    lines = text.splitlines()
+    _, table = ser.report_document(residual_example(), ser.RESIDUAL_SCHEMA)
+    lines = ser.table_csv(table).splitlines()
     assert lines[0] == "r,lhs,rhs,ratio,quadrature_error"
     assert len(lines) == 4
     assert lines[2].split(",")[4] == "Infinity"
@@ -164,51 +107,38 @@ def plane_example(lam0=-0.0625):
 
 def test_moving_plane_json_roundtrip():
     rep = plane_example()
-    text = ser.moving_plane_to_json(rep)
-    assert json.loads(text)["kind"] == "moving-plane-report"
-    again = ser.moving_plane_from_json(text)
-    assert np.array_equal(rep.lambdas, again.lambdas)
-    assert np.array_equal(rep.sup_w_plus, again.sup_w_plus)
-    assert np.array_equal(rep.reverse_sup_w_plus, again.reverse_sup_w_plus)
-    assert again.lambda0_estimate == rep.lambda0_estimate
-    assert again.tol == rep.tol and again.dim_in_scope is True
-    assert ser.moving_plane_to_json(again) == text
+    fields, _ = ser.report_document(rep, ser.MOVING_PLANE_SCHEMA)
+    doc = json.loads(ser.dumps(fields))
+    assert list(doc) == ["tol", "dim_in_scope", "lambdas", "sup_w_plus",
+                         "lambda0_estimate", "reverse_sup_w_plus",
+                         "reverse_lambda0_estimate", "monotonicity_min"]
+    assert np.array_equal(rep.lambdas, doc["lambdas"])
+    assert np.array_equal(rep.sup_w_plus, doc["sup_w_plus"])
+    assert np.array_equal(rep.reverse_sup_w_plus, doc["reverse_sup_w_plus"])
+    assert doc["lambda0_estimate"] == rep.lambda0_estimate
+    assert doc["tol"] == rep.tol and doc["dim_in_scope"] is True
 
 
 def test_moving_plane_none_estimate_roundtrips():
-    rep = plane_example(lam0=None)
-    again = ser.moving_plane_from_json(ser.moving_plane_to_json(rep))
-    assert again.lambda0_estimate is None
-    assert again.reverse_lambda0_estimate == -0.5
+    fields, _ = ser.report_document(plane_example(lam0=None), ser.MOVING_PLANE_SCHEMA)
+    doc = json.loads(ser.dumps(fields))
+    assert doc["lambda0_estimate"] is None
+    assert doc["reverse_lambda0_estimate"] == -0.5
 
 
 def test_moving_plane_csv_columns():
-    lines = ser.moving_plane_to_csv(plane_example()).splitlines()
+    _, table = ser.report_document(plane_example(), ser.MOVING_PLANE_SCHEMA)
+    lines = ser.table_csv(table).splitlines()
     assert lines[0] == "lambda,sup_w_plus,reverse_sup_w_plus"
     assert len(lines) == 4
 
 
 # ---------------------------------------------------------------------------
-# Cartesian field text format
+# Key-value CSV of a document's scalar fields
 
 
-def test_field_text_roundtrip_with_mask_and_gamma():
-    f = sample_field(PowerLawTerm(1.0, 0.5), [(-0.5, 0.0, 0.0)], num=9,
-                     check_centers=False)
-    text = ser.field_to_text(f)
-    head = text.splitlines()[0].split()
-    assert head[0] == "3" and int(head[3]) == 1
-    again = ser.field_from_text(text)
-    assert again.dim == f.dim and again.h == f.h and again.extent == f.extent
-    assert np.array_equal(f.values, again.values, equal_nan=True)
-    assert np.array_equal(f.mask, again.mask)  # rebuilt from the gamma balls
-    assert again.gamma_set[0][0][0] == -0.5
-    assert again.gamma_set[0][1] == f.gamma_set[0][1]
-    assert ser.field_to_text(again) == text
-
-
-def test_field_text_value_count_checked():
-    f = sample_field(PowerLawTerm(1.0, 0.5), [(0.0, 0.0, 0.0)], num=9)
-    lines = ser.field_to_text(f).splitlines()
-    with pytest.raises(DomainError):
-        ser.field_from_text("\n".join(lines[:-3]) + "\n")
+def test_kv_csv_flattens_one_level_and_skips_arrays():
+    doc = {"kind": "k", "n": np.int64(3), "x": 0.1, "ok": False, "none": None,
+           "arr": np.array([1.0]), "input": {"a": 2.0, "deep": {"b": 1}, "v": [1]}}
+    assert ser.kv_csv(doc) == ("key,value\nkind,k\nn,3\nx,0.10000000000000001\n"
+                               "ok,false\nnone,\ninput_a,2\n")

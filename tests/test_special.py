@@ -49,6 +49,11 @@ def test_positivity():
         assert gamma(z) > 0.0
 
 
+def test_large_argument_keeps_full_precision():
+    # 59! is exactly representable to within one rounding of the double
+    assert gamma(60.0) == pytest.approx(float(math.factorial(59)), rel=1e-15)
+
+
 def test_large_argument_does_not_overflow_exceptionally():
     assert gamma(200.0) > 1e300 or math.isinf(gamma(200.0))
     assert math.isinf(gamma(1e6))

@@ -148,8 +148,7 @@ def solve_params(dim, mu, p, q):
     mu = float(mu)
     p = float(p)
     q = float(q)
-    if not (math.isfinite(mu) and 0.0 < mu < n):
-        raise DomainError(f"kernel exponent must satisfy 0 < mu < N={n}, got {mu}")
+    _check_mu(mu, n)
     if not (math.isfinite(p) and p >= 1.0):
         raise DomainError(f"p must be >= 1, got {p}")
     if not (math.isfinite(q) and q >= 1.0):
@@ -194,8 +193,7 @@ def critical_exponents(dim, mu):
     """The pair ((2N-mu)/N, (2N-mu)/(N-2)) bounding admissible nonlinearities."""
     n = _check_dim(dim)
     mu = float(mu)
-    if not (math.isfinite(mu) and 0.0 < mu < n):
-        raise DomainError(f"critical exponents need 0 < mu < N={n}, got {mu}")
+    _check_mu(mu, n)
     return (2.0 * n - mu) / n, (2.0 * n - mu) / (n - 2.0)
 
 
@@ -218,8 +216,7 @@ def hls_conjugate(t, mu, dim):
     n = _check_dim(dim)
     t = float(t)
     mu = float(mu)
-    if not (math.isfinite(mu) and 0.0 < mu < n):
-        raise DomainError(f"hls_conjugate needs 0 < mu < N={n}, got mu={mu}")
+    _check_mu(mu, n)
     if not (math.isfinite(t) and t > 1.0):
         raise DomainError(f"side condition 0 < 1 - 1/t fails: t = {t} must exceed 1")
     rest = 2.0 - 1.0 / t - mu / n
@@ -231,6 +228,12 @@ def hls_conjugate(t, mu, dim):
         )
     r = 1.0 / rest
     return HlsExponents(t=t, r=r, mu=mu, dim=n)
+
+
+def _check_mu(mu, n):
+    """The kernel window 0 < mu < N; NaN and +-inf fail the chained comparison."""
+    if not 0.0 < mu < n:
+        raise DomainError(f"kernel exponent must satisfy 0 < mu < N={n}, got {mu}")
 
 
 def _guarded_gamma(arg, dim):

@@ -16,6 +16,7 @@ substitution rho = r(1 +- e^(-t)) so the split-point panels stay analytic.
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -31,6 +32,8 @@ TAIL_CONTINUITY = 0.05  # tail descriptor must match the boundary sample to 5%
 # fast path; above it the near-diagonal reduction takes over
 _SEP_RATIO = 0.8
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -42,17 +45,16 @@ class QuadratureConfig:
     angular_nodes: int = 64
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_panels < 16:
-            raise DomainError(f"max_panels must be at least 16, got {self.max_panels}")
-        _check_nodes(self.angular_nodes)
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise DomainError("quadrature tolerances must be positive and finite")
+        _check_count("max_panels", self.max_panels, 16)
+        _check_count("angular_nodes", self.angular_nodes, 4)
 
 
-def _check_nodes(nodes):
-    """Angular Gauss rules need an integer node count; 4 is the smallest allowed."""
-    if not (isinstance(nodes, numbers.Real) and float(nodes).is_integer() and nodes >= 4):
-        raise DomainError(f"angular_nodes must be an integer >= 4, got {nodes}")
+def _check_count(name, value, least):
+    """Node, panel and sample counts must be integers >= least (integral floats pass)."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= least):
+        raise DomainError(f"{name} must be an integer >= {least}, got {value}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -60,8 +62,9 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 def log_grid(r_min=1e-3, r_max=1e3, num=400):
     """Log-spaced radii, the default sampling for power-law profiles."""
-    if not (0.0 < r_min < r_max) or num < 2:
-        raise DomainError(f"need 0 < r_min < r_max and num >= 2, got {r_min}, {r_max}, {num}")
+    if not 0.0 < r_min < r_max < math.inf:
+        raise DomainError(f"need 0 < r_min < r_max < inf, got {r_min}, {r_max}")
+    _check_count("num", num, 2)
     return np.geomspace(r_min, r_max, int(num))
 
 
@@ -83,8 +86,8 @@ class RadialProfile:
             raise DomainError("radii and values must be 1-d arrays of equal length")
         if radii.size < 2:
             raise DomainError("a profile needs at least two samples")
-        if not (radii[0] > 0.0 and np.all(np.diff(radii) > 0.0)):
-            raise DomainError("radii must be strictly increasing and positive")
+        if not (radii[0] > 0.0 and radii[-1] < math.inf and np.all(np.diff(radii) > 0.0)):
+            raise DomainError("radii must be strictly increasing, positive and finite")
         if not np.all(np.isfinite(values)):
             raise DomainError("profile values must be finite")
         if tail_inner is not None:
@@ -183,10 +186,14 @@ class RadialProfile:
         return RadialProfile(self.radii, values, ti, to)
 
 
+def _tail_jumps(tv, v_edge):
+    """True when a tail value misses its boundary sample by more than TAIL_CONTINUITY."""
+    return abs(tv - v_edge) > TAIL_CONTINUITY * max(abs(v_edge), abs(tv), 1e-300)
+
+
 def _check_tail_continuity(term, r_edge, v_edge, which):
     tv = term(r_edge)
-    scale = max(abs(v_edge), abs(tv), 1e-300)
-    if abs(tv - v_edge) > TAIL_CONTINUITY * scale:
+    if _tail_jumps(tv, v_edge):
         raise DomainError(
             f"{which} tail descriptor discontinuous at r={r_edge}: "
             f"tail gives {tv}, sample is {v_edge}"
@@ -260,7 +267,7 @@ def angular_kernel(r, rho, dim, mu, nodes=64):
     >= 4 raise DomainError.
     """
     n = _check_dim(dim)
-    _check_nodes(nodes)
+    _check_count("angular_nodes", nodes, 4)
     mu = float(mu)
     if not 0.0 < mu < n:
         raise DomainError(f"angular kernel requires 0 < mu < N={n}, got {mu}")
@@ -437,8 +444,8 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
         Ambient dimension N >= 3.
     cfg : QuadratureConfig, optional
     at : array_like, optional
-        Strictly increasing positive radii to evaluate at (at least two);
-        defaults to f.radii.
+        Strictly increasing positive radii to evaluate at (at least two),
+        each with (r/2)^N finite; defaults to f.radii.
 
     Returns
     -------
@@ -451,12 +458,14 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
     if not 0.0 < alpha < n:
         raise DomainError(f"riesz_radial requires 0 < alpha < N={n}, got {alpha}")
     mu = n - alpha
-    if at is None:
-        at = f.radii
-    else:
-        at = np.asarray(at, dtype=float)
-        if at.ndim != 1 or at.size < 2 or not (at[0] > 0.0 and np.all(np.diff(at) > 0.0)):
-            raise DomainError("evaluation radii must be >= 2 strictly increasing positive values")
+    at = f.radii if at is None else np.asarray(at, dtype=float)
+    if at.ndim != 1 or at.size < 2 or not (at[0] > 0.0 and np.all(np.diff(at) > 0.0)):
+        raise DomainError("evaluation radii must be >= 2 strictly increasing positive values")
+    # the far regions weight f by rho^N out to r/2 and to the top of the grid
+    top = max(0.5 * float(at[-1]), float(f.radii[-1]))
+    if not n * math.log(top) < _LOG_FLOAT_MAX:
+        raise DomainError(f"rho^N overflows at N={n} for rho = {top:.6g}, the larger of half "
+                          "the largest radius and the top of the grid")
     if f.tail_inner is not None and not f.tail_inner.exponent < n:
         raise DomainError(
             f"inner tail exponent {f.tail_inner.exponent} >= N={n}: integral diverges at the origin"
@@ -505,10 +514,7 @@ def _map_tail(term, alpha, n, r_edge, v_edge, first):
     if not alpha < a < n:
         return None
     mapped = riesz_power(alpha, a, n).scaled(term.coefficient)
-    tv = mapped(r_edge)
-    if abs(tv - v_edge) > TAIL_CONTINUITY * max(abs(v_edge), abs(tv), 1e-300):
-        return None
-    return mapped
+    return None if _tail_jumps(mapped(r_edge), v_edge) else mapped
 
 
 def _fit_or(mapped, r2, v2):
@@ -524,152 +530,96 @@ def _fit_or(mapped, r2, v2):
 
 
 def _potential_at(f, r, n, mu, alpha, cfg):
-    """Raw integral int f rho^(N-1) K dr (no 1/gamma) at one radius."""
+    """Raw integral int f rho^(N-1) K drho (no 1/gamma) at one radius.
+
+    The tails cover [0, lo] and [hi, inf), analytically or by a truncation
+    estimate. [lo, hi] is summed over the rows of one region table, in order:
+
+        g_lo     [lo, r/2]              side  0   x = log(rho)
+        g_left   [max(lo, r/2), r]      side -1   rho = r(1 - e^(-t))
+        g_right  [r, min(hi, 2r)]       side +1   rho = r(1 + e^(-t))
+        g_hi     [2r, hi]               side  0   x = log(rho)
+
+    A side 0 row is a smooth far region integrated over [log a, log b]. A
+    side -+1 row is a near-diagonal piece, where delta = r e^(-t) is exact
+    and t runs from the far edge, log(r/|rho - r|), out to t_cap. Rows with
+    an empty rho interval are skipped.
+    """
     r0, r1 = float(f.radii[0]), float(f.radii[-1])
     nodes = cfg.angular_nodes
-    budget = cfg.max_panels
-    total = 0.0
-    err = 0.0
-    trunc = 0.0
+    total = err = trunc = 0.0
     ok = True
 
-    def f_rho_pow(rho):
-        return f(rho) * rho ** (n - 1.0)
-
-    # analytic inner piece [0, b_lo]
-    if f.tail_inner is not None:
-        b_lo = min(r0, 0.5 * r)
-        v, e = _tail_inner_piece(f.tail_inner, r, b_lo, n, mu, nodes)
+    if f.tail_inner is not None:  # analytic inner piece [0, lo]
+        lo = min(r0, 0.5 * r)
+        g = n - 1.0 - f.tail_inner.exponent  # > -1 by the tail precondition
+        v, e = _tail_piece(f.tail_inner, g, lo ** (g + 1.0),
+                           lambda X, m: _kernel_sep(r, lo * X, n, mu, m), nodes)
         total += v
         err += e
-        lo = b_lo
     else:
         lo = r0
         trunc += _trunc_inner_estimate(f, r, n, mu, nodes)
 
-    # analytic outer piece [b_hi, inf)
-    if f.tail_outer is not None:
-        b_hi = max(r1, 2.0 * r)
-        v, e = _tail_outer_piece(f.tail_outer, r, b_hi, n, mu, alpha, nodes)
+    if f.tail_outer is not None:  # analytic outer piece [hi, inf) via x = hi/rho
+        hi = max(r1, 2.0 * r)
+        g = f.tail_outer.exponent - alpha - 1.0  # > -1 by the tail precondition
+        v, e = _tail_piece(f.tail_outer, g, hi ** (alpha - f.tail_outer.exponent),
+                           lambda X, m: _kernel_sep(1.0, r * X / hi, n, mu, m), nodes)
         total += v
         err += e
-        hi = b_hi
     else:
         hi = r1
         trunc += _trunc_outer_estimate(f, r, n, mu, alpha)
 
-    quarter = max(budget // 4, 4)
-
-    # the interpolant is one cubic between consecutive sample nodes, so panel
-    # edges aligned with the nodes guarantee no sampled feature is skipped
-    def node_breaks(a_rho, b_rho, transform):
-        sel = f.radii[(f.radii > a_rho) & (f.radii < b_rho)]
-        return transform(sel) if sel.size else None
-
-    # smooth far region below the diagonal, integrated in x = log(rho)
-    if lo < 0.5 * r:
-        xa, xb = math.log(lo), math.log(0.5 * r)
-
-        def g_lo(x):
-            rho = np.exp(x)
+    def integrand(y, side):
+        """(f rho^p) K jacobian: p = N in x = log(rho), else p = N-1 and jacobian delta."""
+        if side == 0:
+            rho = np.exp(y)
             return f(rho) * rho ** float(n) * _kernel_sep(r, rho, n, mu, nodes)
+        d = r * np.exp(-y)
+        rho = r + side * d
+        return f(rho) * rho ** (n - 1.0) * _kernel_near(r, d, side, n, mu, nodes) * d
 
-        v, e, used, good = _adaptive_gl(
-            g_lo, xa, xb, cfg.rel_tol, cfg.abs_tol, quarter,
-            presplit=max(1, int((xb - xa) / 1.2)),
-            breaks=node_breaks(lo, 0.5 * r, np.log),
-        )
-        total += v
-        err += e
-        ok = ok and good
-
-    # near-diagonal pieces via rho = r(1 -+ e^(-t)); delta = r e^(-t) is exact
+    quarter = max(cfg.max_panels // 4, 4)
     t_cap = max(40.0, 46.0 / alpha)
-    start = max(lo, 0.5 * r)
-    if start < r:
-        t0 = math.log(r / (r - start))
-
-        def g_left(t):
-            d = r * np.exp(-t)
-            rho = r - d
-            return f_rho_pow(rho) * _kernel_near(r, d, -1, n, mu, nodes) * d
-
-        v, e, used, good = _adaptive_gl(
-            g_left, t0, t_cap, cfg.rel_tol, cfg.abs_tol, quarter,
-            presplit=max(2, int((t_cap - t0) / 6.0)),
-            breaks=node_breaks(start, r, lambda rho: np.log(r / (r - rho))),
-        )
+    regions = ((lo, 0.5 * r, 0), (max(lo, 0.5 * r), r, -1),  # g_lo, g_left
+               (r, min(hi, 2.0 * r), 1), (2.0 * r, hi, 0))  # g_right, g_hi
+    for a, b, side in regions:
+        if not a < b:
+            continue
+        # the interpolant is one cubic between consecutive sample nodes, so panel
+        # edges aligned with the nodes guarantee no sampled feature is skipped
+        sel = f.radii[(f.radii > a) & (f.radii < b)]
+        if side == 0:
+            ya, yb = math.log(a), math.log(b)
+            breaks, presplit = np.log(sel), max(1, int((yb - ya) / 1.2))
+        else:
+            far = a if side < 0 else b
+            ya, yb = math.log(r / abs(far - r)), t_cap
+            breaks, presplit = np.log(r / np.abs(sel - r)), max(2, int((yb - ya) / 6.0))
+        v, e, _, good = _adaptive_gl(partial(integrand, side=side), ya, yb, cfg.rel_tol,
+                                     cfg.abs_tol, quarter, presplit=presplit, breaks=breaks)
         total += v
         err += e
         ok = ok and good
-
-    end = min(hi, 2.0 * r)
-    if end > r:
-        t0 = math.log(r / (end - r))
-
-        def g_right(t):
-            d = r * np.exp(-t)
-            rho = r + d
-            return f_rho_pow(rho) * _kernel_near(r, d, +1, n, mu, nodes) * d
-
-        v, e, used, good = _adaptive_gl(
-            g_right, t0, t_cap, cfg.rel_tol, cfg.abs_tol, quarter,
-            presplit=max(2, int((t_cap - t0) / 6.0)),
-            breaks=node_breaks(r, end, lambda rho: np.log(r / (rho - r))),
-        )
-        total += v
-        err += e
-        ok = ok and good
-
-    # smooth far region above the diagonal
-    if hi > 2.0 * r:
-        xa, xb = math.log(2.0 * r), math.log(hi)
-
-        def g_hi(x):
-            rho = np.exp(x)
-            return f(rho) * rho ** float(n) * _kernel_sep(r, rho, n, mu, nodes)
-
-        v, e, used, good = _adaptive_gl(
-            g_hi, xa, xb, cfg.rel_tol, cfg.abs_tol, quarter,
-            presplit=max(1, int((xb - xa) / 1.2)),
-            breaks=node_breaks(2.0 * r, hi, np.log),
-        )
-        total += v
-        err += e
-        ok = ok and good
-
     return total, err, trunc, ok
 
 
-def _tail_inner_piece(term, r, b, n, mu, nodes):
-    """int_0^b c rho^(N-1-a) K(r, rho) drho with the endpoint power in the weight."""
-    g = n - 1.0 - term.exponent  # > -1 by the tail precondition
+def _tail_piece(term, g, scale, kernel, nodes):
+    """c * scale * int_0^1 x^g kernel(x) dx over a tail, by Gauss-Jacobi in x.
+
+    The rule runs at m = min(nodes, 32) and at max(m // 2, 8) nodes; kernel(X,
+    2m) gives the kernel at the rule's nodes X with 2m angular nodes. Returns
+    (value at m, |difference|).
+    """
+    def rule(m):
+        X, W = _jacobi_unit(m, g)
+        return term.coefficient * scale * float(W @ kernel(X, m * 2))
+
     m = min(nodes, 32)
-    v = _jacobi_tail_rule(term, r, b, g, n, mu, m)
-    v2 = _jacobi_tail_rule(term, r, b, g, n, mu, max(m // 2, 8))
-    return v, abs(v - v2)
-
-
-def _jacobi_tail_rule(term, r, b, g, n, mu, m):
-    X, W = _jacobi_unit(m, g)
-    rho = b * X
-    kv = _kernel_sep(r, rho, n, mu, m * 2)
-    return term.coefficient * b ** (g + 1.0) * float(W @ kv)
-
-
-def _tail_outer_piece(term, r, b, n, mu, alpha, nodes):
-    """int_b^inf via x = b/rho; homogeneity turns K into K(r x / b, 1)."""
-    g = term.exponent - alpha - 1.0  # > -1 by the tail precondition
-    m = min(nodes, 32)
-    v = _outer_rule(term, r, b, g, n, mu, alpha, m)
-    v2 = _outer_rule(term, r, b, g, n, mu, alpha, max(m // 2, 8))
-    return v, abs(v - v2)
-
-
-def _outer_rule(term, r, b, g, n, mu, alpha, m):
-    X, W = _jacobi_unit(m, g)
-    kv = _kernel_sep(1.0, r * X / b, n, mu, m * 2)
-    return term.coefficient * b ** (alpha - term.exponent) * float(W @ kv)
+    v = rule(m)
+    return v, abs(v - rule(max(m // 2, 8)))
 
 
 def _edge_slope(radii, values, first):
@@ -679,19 +629,25 @@ def _edge_slope(radii, values, first):
     return -math.log(abs(values[j] / values[i])) / math.log(radii[j] / radii[i])
 
 
-def _trunc_inner_estimate(f, r, n, mu, nodes):
-    """Order-of-magnitude bound for the discarded mass below the grid."""
-    if f.values[0] == 0.0:
-        return 0.0  # data decays into the edge; nothing measurable is cut
-    r0 = float(f.radii[0])
+def _inner_mass_bound(f, n):
+    """Order-of-magnitude bound for int_0^r0 |f| rho^(N-1) drho, the mass below the grid."""
     a_est = _edge_slope(f.radii, f.values, first=True)
     if a_est is None:
         a_est = 0.0
     if a_est >= n:
         return math.inf
-    mass = abs(f.values[0]) * r0 ** float(n) / (n - a_est)
-    k_ref = float(_kernel_sep(max(r, r0), np.array([0.5 * min(r, r0)]), n, mu, nodes)[0])
-    return mass * k_ref
+    return abs(f.values[0]) * f.radii[0] ** float(n) / (n - a_est)
+
+
+def _trunc_inner_estimate(f, r, n, mu, nodes):
+    """Order-of-magnitude bound for the discarded mass below the grid, times the kernel."""
+    if f.values[0] == 0.0:
+        return 0.0  # data decays into the edge; nothing measurable is cut
+    mass = _inner_mass_bound(f, n)
+    if mass == math.inf:
+        return mass
+    r0 = float(f.radii[0])
+    return mass * float(_kernel_sep(max(r, r0), np.array([0.5 * min(r, r0)]), n, mu, nodes)[0])
 
 
 def _trunc_outer_estimate(f, r, n, mu, alpha):
@@ -749,10 +705,7 @@ def inverse_laplacian_radial(g, dim, cfg=None):
         inner0 = c * radii[0] ** (n - a) / (n - a)
     else:
         inner0 = 0.0
-        a_est = _edge_slope(radii, g.values, first=True)
-        if a_est is None:
-            a_est = 0.0
-        trunc_in = math.inf if a_est >= n else abs(g.values[0]) * radii[0] ** float(n) / (n - a_est)
+        trunc_in = _inner_mass_bound(g, n)
 
     trunc_out = 0.0
     if g.tail_outer is not None:
@@ -795,10 +748,7 @@ def _map_inverse_tail(term, n, r_edge, v_edge):
     if not 2.0 < a < n:
         return None
     mapped = PowerLawTerm(term.coefficient / ((a - 2.0) * (n - a)), a - 2.0)
-    tv = mapped(r_edge)
-    if abs(tv - v_edge) > TAIL_CONTINUITY * max(abs(v_edge), abs(tv), 1e-300):
-        return None
-    return mapped
+    return None if _tail_jumps(mapped(r_edge), v_edge) else mapped
 
 
 # ---------------------------------------------------------------------------

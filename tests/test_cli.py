@@ -185,6 +185,13 @@ def test_riesz_out_of_window_is_domain_error(capsys):
     assert code == 1 and "domain error" in err
 
 
+def test_riesz_non_finite_radius_is_domain_error(capsys):
+    code, out, err = run(capsys, "riesz", "--alpha", "1", "--exponent", "1.5", "--numeric",
+                         "--radii", "0.5,inf")
+    assert code == 1 and "domain error" in err
+    assert out == ""
+
+
 def test_riesz_unconverged_quadrature_exits_2(capsys):
     code, _, err = run(capsys, "riesz", "--alpha", "0.5", "--exponent", "2.5",
                        "--numeric", "--rel-tol", "1e-15", "--abs-tol", "1e-300",

@@ -1,6 +1,7 @@
 """Radial quadrature: angular kernel, Riesz potential, inverse Laplacian."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hartree_singular import (
     riesz_radial,
     sphere_area,
 )
+from hartree_singular import radial_quadrature
 from hartree_singular.radial_quadrature import (
     _gauss_legendre,
     _jacobi_unit,
@@ -63,6 +65,38 @@ def test_config_validation():
     for nodes in (0, 10.5):
         with pytest.raises(DomainError):
             angular_kernel(1.0, 0.9, 4, 2.0, nodes=nodes)
+
+
+def test_non_finite_inputs_raise_domain_error():
+    for args in ((1.0, math.inf, 5), (math.nan, 1.0, 5), (1e-3, 1e3, math.inf),
+                 (1e-3, 1e3, 16.5)):
+        with pytest.raises(DomainError):
+            log_grid(*args)
+    for kw in ({"rel_tol": math.inf}, {"abs_tol": math.inf}, {"max_panels": math.inf},
+               {"max_panels": 16.5}):
+        with pytest.raises(DomainError):
+            QuadratureConfig(**kw)
+    with pytest.raises(DomainError):
+        RadialProfile([1.0, math.inf], [1.0, 1.0])
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, 1.5), log_grid(0.1, 10.0, 50))
+    for at in ([0.5, math.inf], [1.0, 1e308], [1.0, 1e200]):
+        with pytest.raises(DomainError):
+            riesz_radial(prof, 1.0, 3, at=at)
+
+
+def test_riesz_rejects_radii_where_rho_pow_n_overflows():
+    # the far regions weight f by rho^N out to r/2: at N=3 that overflows
+    # from r = 2 * 1.798e308^(1/3) = 1.13e103, and at N=6 from 4.75e51
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, 1.5), log_grid(0.1, 10.0, 50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, good, bad in ((3, 1.1e103, 1.2e103), (6, 4.7e51, 4.8e51)):
+            assert math.isfinite(riesz_radial(prof, 1.0, n, at=[1.0, good]).values[-1])
+            with pytest.raises(DomainError, match="overflows"):
+                riesz_radial(prof, 1.0, n, at=[1.0, bad])
+    high = RadialProfile.from_power(PowerLawTerm(1.0, 1.5), log_grid(0.1, 1e104, 60))
+    with pytest.raises(DomainError, match="top of the grid"):
+        riesz_radial(high, 1.0, 3, at=[1.0, 2.0])
 
 
 def test_log_grid_shape():
@@ -335,6 +369,29 @@ def test_riesz_power_law_oracle_higher_dim():
         prof = RadialProfile.from_power(PowerLawTerm(1.0, a), log_grid(1e-3, 1e3, 200))
         got = riesz_radial(prof, alpha, n, at=at)
         assert np.max(np.abs(got.values / closed(at) - 1.0)) < 1e-6, (n, alpha, a)
+
+
+@pytest.mark.parametrize("n, alpha, a, tol", [(3, 1.0, 1.8, 1e-7), (4, 1.5, 2.9, 1e-6)])
+@pytest.mark.parametrize("window, live", [
+    ((0.01, 0.3), 3),  # entirely below r: g_lo, g_left, g_right
+    ((3.0, 100.0), 3),  # entirely above r: g_left, g_right, g_hi
+    ((0.01, 100.0), 4),  # straddling r: every row
+    ((0.7, 1.5), 2),  # within (r/2, 2r): the near-diagonal pair only
+])
+def test_riesz_region_selection(monkeypatch, n, alpha, a, tol, window, live):
+    at = np.array([1.0, 1.1])
+    calls = []
+    adaptive = radial_quadrature._adaptive_gl
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return adaptive(*args, **kwargs)
+
+    monkeypatch.setattr(radial_quadrature, "_adaptive_gl", counted)
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, a), log_grid(*window, 40))
+    got = riesz_radial(prof, alpha, n, at=at)
+    assert len(calls) == live * at.size
+    assert np.max(np.abs(got.values / riesz_power(alpha, a, n)(at) - 1.0)) < tol
 
 
 def test_riesz_result_tails_are_mapped():

@@ -27,10 +27,15 @@ class ConvergenceError(RuntimeError):
     """Adaptive quadrature did not converge within the panel budget.
 
     `worst_radius` is the evaluation radius with the largest error estimate.
+    `errors` (relative quadrature error estimates) and `panels` (panels
+    used) are per-radius arrays aligned with the evaluation radii, or None
+    when the raiser has no such detail.
     """
 
-    def __init__(self, message, worst_radius=None):
+    def __init__(self, message, worst_radius=None, errors=None, panels=None):
         self.worst_radius = worst_radius
+        self.errors = errors
+        self.panels = panels
         super().__init__(message)
 
 

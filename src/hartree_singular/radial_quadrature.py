@@ -16,7 +16,6 @@ substitution rho = r(1 +- e^(-t)) so the split-point panels stay analytic.
 import math
 import numbers
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -76,7 +75,8 @@ class RadialProfile:
     relative. Off-grid queries inside the window use monotone cubic (PCHIP)
     interpolation in log-log coordinates, falling back to log-linear abscissae
     with raw values when the data is not strictly positive. Queries beyond the
-    window require the corresponding tail.
+    window require the corresponding tail. A negative or NaN query radius
+    raises DomainError; r = 0 is allowed and takes the inner tail's value.
     """
 
     def __init__(self, radii, values, tail_inner=None, tail_outer=None, point_errors=None):
@@ -122,6 +122,8 @@ class RadialProfile:
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
+        if not np.all(r >= 0.0):
+            raise DomainError(f"query radius must be nonnegative, got {r[~(r >= 0.0)][0]}")
         out = np.empty_like(r)
         below = r < self.radii[0]
         above = r > self.radii[-1]
@@ -298,13 +300,14 @@ def _kernel_diagonal(r, n, mu):
 
 
 def _kernel_sep(r, rho, n, mu, nodes):
-    """K(r, rho) for arrays rho with min/max ratio <= _SEP_RATIO."""
+    """K(r, rho) for broadcastable arrays r, rho with min/max ratio <= _SEP_RATIO."""
     rho = np.asarray(rho, dtype=float)
     if n == 3:
         return _k3(r, rho, np.abs(r - rho), mu)
     b = (n - 3.0) / 2.0
     u, w = _jacobi_sym(nodes, b)
-    q = (r * r + rho[:, None] ** 2 - 2.0 * r * rho[:, None] * u[None, :]) ** (-mu / 2.0)
+    r, rho = np.asarray(r, dtype=float)[..., None], rho[..., None]
+    q = (r * r + rho ** 2 - 2.0 * r * rho * u) ** (-mu / 2.0)
     return sphere_area(n - 1) * (q @ w)
 
 
@@ -332,7 +335,7 @@ def _k3(r, rho, delta, mu):
 
 
 def _k_jacobi(r, rho, delta, n, mu, nodes):
-    """Near-diagonal K for any N >= 3, batched over the delta array.
+    """Near-diagonal K for any N >= 3, batched over the delta array (r scalar or aligned).
 
     Each delta keeps the rules and summation order of a scalar evaluation:
     the scaled [0, eps] piece, then its dyadic levels in increasing k. Needs
@@ -368,60 +371,64 @@ def _k_jacobi(r, rho, delta, n, mu, nodes):
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Gauss quadrature (vectorized global bisection)
+# Adaptive Gauss quadrature (vectorized global bisection over tagged panels)
 
 _GL_ORDER = 12
+_RADIUS_BLOCK = 32  # radii per _adaptive_gl run, which bounds the live panel arrays
+# panels per integrand call at N = 3; at N >= 4 each point also carries a row
+# of angular_nodes kernel terms, so a call takes 8 * _CHUNK_PANELS // nodes
+_CHUNK_PANELS = 512
 
 
-def _adaptive_gl(fun, a, b, rel_tol, abs_tol, max_panels, presplit=1, breaks=None):
-    """Globally adaptive Gauss-Legendre quadrature of a vectorized integrand.
+def _gauss_points(segs):
+    """The 12- and then the 24-point Gauss nodes of each panel [a, b]: (panels, 36)."""
+    x = np.concatenate([_gauss_legendre(_GL_ORDER)[0], _gauss_legendre(2 * _GL_ORDER)[0]])
+    mid = 0.5 * (segs[:, 0] + segs[:, 1])
+    half = 0.5 * (segs[:, 1] - segs[:, 0])
+    return mid[:, None] + half[:, None] * x
 
-    Uses paired 12/24-point rules per panel; panels whose rule difference
-    exceeds their length-proportional share of the tolerance are bisected.
-    breaks, when given, adds explicit initial panel edges (clipped to (a, b));
-    aligning them with the sample nodes of an interpolated integrand keeps
-    narrow features from slipping between quadrature nodes undetected.
-    Returns (value, error_bound, panels_used, converged).
+
+def _adaptive_gl(fun, segs, tag, length, rel_tol, abs_tol, max_panels, chunk):
+    """Globally adaptive Gauss-Legendre quadrature of many integrals at once.
+
+    Integral g has length length[g] and initial panels segs[tag == g];
+    fun(segs, tag) gives the integrand at _gauss_points(segs), chunk panels
+    at a time. Each integral keeps the rules of a run of its own: a panel
+    whose 12/24-point difference (never a NaN) exceeds its length share of
+    max(abs_tol, rel_tol |estimate|) is bisected, and after max_panels the
+    open panels are added as they are and the integral is not converged.
+    Rule sums use einsum, whose row sums (unlike BLAS gemv) do not depend on
+    a panel's place in the batch. Returns per-integral (value, error_bound,
+    panels_used, converged).
     """
-    if not b > a:
-        return 0.0, 0.0, 0, True
-    x1, w1 = _gauss_legendre(_GL_ORDER)
-    x2, w2 = _gauss_legendre(2 * _GL_ORDER)
-    edges = np.linspace(a, b, max(1, int(presplit)) + 1)
-    if breaks is not None and len(breaks):
-        inner = np.asarray(breaks, dtype=float)
-        inner = inner[(inner > a) & (inner < b)]
-        edges = np.unique(np.concatenate([edges, inner]))
-    segs = np.column_stack([edges[:-1], edges[1:]])
-    total_len = b - a
-    acc_val = 0.0
-    acc_err = 0.0
-    panels = 0
-    while segs.size:
-        mid = 0.5 * (segs[:, 0] + segs[:, 1])
+    w1, w2 = _gauss_legendre(_GL_ORDER)[1], _gauss_legendre(2 * _GL_ORDER)[1]
+    groups = length.size
+    val, err = np.zeros(groups), np.zeros(groups)
+    used, ok = np.zeros(groups, dtype=np.int64), np.ones(groups, dtype=bool)
+    while tag.size:
         half = 0.5 * (segs[:, 1] - segs[:, 0])
-        f1 = fun((mid[:, None] + half[:, None] * x1[None, :]).ravel()).reshape(-1, _GL_ORDER)
-        f2 = fun((mid[:, None] + half[:, None] * x2[None, :]).ravel()).reshape(-1, 2 * _GL_ORDER)
-        coarse = (f1 @ w1) * half
-        fine = (f2 @ w2) * half
-        err = np.abs(fine - coarse)
-        panels += segs.shape[0]
-        scale = abs(acc_val + fine.sum())
-        tol = np.maximum(abs_tol, rel_tol * scale) * (2.0 * half / total_len)
-        done = err <= tol
-        acc_val += fine[done].sum()
-        acc_err += err[done].sum()
-        rest = segs[~done]
-        if rest.size == 0:
-            return acc_val, acc_err, panels, True
-        if panels >= max_panels:
-            return acc_val + fine[~done].sum(), acc_err + err[~done].sum(), panels, False
+        coarse, fine = np.empty(tag.size), np.empty(tag.size)
+        for s in range(0, tag.size, chunk):
+            v = fun(segs[s:s + chunk], tag[s:s + chunk])
+            coarse[s:s + chunk] = np.einsum("ij,j->i", v[:, :_GL_ORDER], w1)
+            fine[s:s + chunk] = np.einsum("ij,j->i", v[:, _GL_ORDER:], w2)
+        coarse *= half
+        fine *= half
+        e = np.abs(fine - coarse)
+        used += np.bincount(tag, minlength=groups)
+        scale = np.abs(val + np.bincount(tag, fine, groups))
+        done = e <= np.maximum(abs_tol, rel_tol * scale[tag]) * (2.0 * half / length[tag])
+        over = (np.bincount(tag[~done], minlength=groups) > 0) & (used >= max_panels)
+        ok &= ~over
+        take = done | over[tag]
+        val += np.bincount(tag[take], fine[take], groups)
+        err += np.bincount(tag[take], e[take], groups)
+        rest, tag = segs[~take], tag[~take]
         mids = 0.5 * (rest[:, 0] + rest[:, 1])
-        segs = np.vstack([
-            np.column_stack([rest[:, 0], mids]),
-            np.column_stack([mids, rest[:, 1]]),
-        ])
-    return acc_val, acc_err, panels, True
+        segs = np.concatenate([np.column_stack([rest[:, 0], mids]),
+                               np.column_stack([mids, rest[:, 1]])])
+        tag = np.concatenate([tag, tag])
+    return val, err, used, ok
 
 
 # ---------------------------------------------------------------------------
@@ -481,23 +488,21 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
         raise DomainError("evaluation above the sampled window requires an outer tail")
 
     gam = riesz_gamma(alpha, n)
-    values = np.empty(at.size)
-    errors = np.empty(at.size)
-    worst = (0.0, None)
-    failed = False
-    for i, r in enumerate(at):
-        raw, abs_err, trunc, ok = _potential_at(f, float(r), n, mu, alpha, cfg)
-        values[i] = raw / gam
-        errors[i] = (abs_err + trunc) / max(abs(raw), 1e-300)
-        if not ok:
-            failed = True
-            rel = abs_err / max(abs(raw), 1e-300)
-            if math.isnan(rel) or rel >= worst[0]:  # a NaN estimate ranks worst
-                worst = (rel, float(r))
-    if failed:
+    table = _profile_table(f, n)
+    blocks = [_riesz_block(f, at[i:i + _RADIUS_BLOCK], n, mu, alpha, cfg, table)
+              for i in range(0, at.size, _RADIUS_BLOCK)]
+    raw, abs_err, trunc, ok, panels = (np.concatenate(part) for part in zip(*blocks))
+    values = raw / gam
+    size = np.maximum(np.abs(raw), 1e-300)
+    errors = (abs_err + trunc) / size
+    if not ok.all():
+        rel = abs_err / size
+        bad = np.flatnonzero(~ok)
+        nan = np.isnan(rel[bad])  # a NaN estimate ranks worst; ties go to the larger radius
+        worst = bad[nan][-1] if nan.any() else bad[rel[bad] == rel[bad].max()][-1]
         raise ConvergenceError(
-            f"quadrature exceeded {cfg.max_panels} panels (worst radius {worst[1]})",
-            worst_radius=worst[1],
+            f"quadrature exceeded {cfg.max_panels} panels (worst radius {float(at[worst])})",
+            worst_radius=float(at[worst]), errors=rel, panels=panels,
         )
     tail_in = _map_tail(f.tail_inner, alpha, n, at[0], values[0], first=True)
     tail_out = _map_tail(f.tail_outer, alpha, n, at[-1], values[-1], first=False)
@@ -529,11 +534,29 @@ def _fit_or(mapped, r2, v2):
     return PowerLawTerm(v2[-1] * r2[-1] ** a, a)
 
 
-def _potential_at(f, r, n, mu, alpha, cfg):
-    """Raw integral int f rho^(N-1) K drho (no 1/gamma) at one radius.
+def _profile_table(f, n):
+    """(log f.radii, rho, f(rho) rho^N) at _gauss_points of every grid interval in log(rho).
+
+    The nodes come from _gauss_points, as in _adaptive_gl, so an entry is
+    bit-equal to a direct evaluation on a far panel that is one grid interval.
+    """
+    logr = np.log(f.radii)
+    rho = np.exp(_gauss_points(np.column_stack([logr[:-1], logr[1:]])))
+    return logr, rho, f(rho) * rho ** float(n)
+
+
+def _runs(counts):
+    """Owner and position of each item when owner g holds counts[g] consecutive items."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+
+
+def _riesz_block(f, r, n, mu, alpha, cfg, table):
+    """Raw integrals int f rho^(N-1) K drho (no 1/gamma) at the radii r, all run together.
 
     The tails cover [0, lo] and [hi, inf), analytically or by a truncation
-    estimate. [lo, hi] is summed over the rows of one region table, in order:
+    estimate, as (radii x nodes) matrices. [lo, hi] is summed over the rows
+    of one region table, in order:
 
         g_lo     [lo, r/2]              side  0   x = log(rho)
         g_left   [max(lo, r/2), r]      side -1   rho = r(1 - e^(-t))
@@ -542,84 +565,132 @@ def _potential_at(f, r, n, mu, alpha, cfg):
 
     A side 0 row is a smooth far region integrated over [log a, log b]. A
     side -+1 row is a near-diagonal piece, where delta = r e^(-t) is exact
-    and t runs from the far edge, log(r/|rho - r|), out to t_cap. Rows with
-    an empty rho interval are skipped.
+    and t runs from the far edge, log(r/|rho - r|), out to t_cap. Every
+    non-empty (radius, row) pair is one integral of one _adaptive_gl run.
+    Returns (raw, abs_err, trunc, converged, panels) aligned with r.
     """
     r0, r1 = float(f.radii[0]), float(f.radii[-1])
     nodes = cfg.angular_nodes
-    total = err = trunc = 0.0
-    ok = True
+    raw, err, trunc = np.zeros(r.size), np.zeros(r.size), np.zeros(r.size)
 
     if f.tail_inner is not None:  # analytic inner piece [0, lo]
-        lo = min(r0, 0.5 * r)
+        lo = np.minimum(r0, 0.5 * r)
         g = n - 1.0 - f.tail_inner.exponent  # > -1 by the tail precondition
         v, e = _tail_piece(f.tail_inner, g, lo ** (g + 1.0),
-                           lambda X, m: _kernel_sep(r, lo * X, n, mu, m), nodes)
-        total += v
+                           lambda X, m: _kernel_sep(r[:, None], lo[:, None] * X, n, mu, m), nodes)
+        raw += v
         err += e
     else:
-        lo = r0
+        lo = np.full(r.size, r0)
         trunc += _trunc_inner_estimate(f, r, n, mu, nodes)
 
     if f.tail_outer is not None:  # analytic outer piece [hi, inf) via x = hi/rho
-        hi = max(r1, 2.0 * r)
+        hi = np.maximum(r1, 2.0 * r)
         g = f.tail_outer.exponent - alpha - 1.0  # > -1 by the tail precondition
         v, e = _tail_piece(f.tail_outer, g, hi ** (alpha - f.tail_outer.exponent),
-                           lambda X, m: _kernel_sep(1.0, r * X / hi, n, mu, m), nodes)
-        total += v
+                           lambda X, m: _kernel_sep(1.0, r[:, None] * X / hi[:, None], n, mu, m),
+                           nodes)
+        raw += v
         err += e
     else:
-        hi = r1
+        hi = np.full(r.size, r1)
         trunc += _trunc_outer_estimate(f, r, n, mu, alpha)
 
-    def integrand(y, side):
-        """(f rho^p) K jacobian: p = N in x = log(rho), else p = N-1 and jacobian delta."""
-        if side == 0:
-            rho = np.exp(y)
-            return f(rho) * rho ** float(n) * _kernel_sep(r, rho, n, mu, nodes)
-        d = r * np.exp(-y)
-        rho = r + side * d
-        return f(rho) * rho ** (n - 1.0) * _kernel_near(r, d, side, n, mu, nodes) * d
+    # the region table, one group g = 4 i + k per radius i and row k
+    a = np.column_stack([lo, np.maximum(lo, 0.5 * r), r, 2.0 * r]).ravel()
+    b = np.column_stack([0.5 * r, r, np.minimum(hi, 2.0 * r), hi]).ravel()
+    side, rg = np.tile([0.0, -1.0, 1.0, 0.0], r.size), np.repeat(r, 4)
+    live = np.flatnonzero(a < b)
+    al, bl, rl, far = a[live], b[live], rg[live], side[live] == 0.0
+    ya = np.log(np.where(far, al, rl / np.abs(np.where(side[live] < 0.0, al, bl) - rl)))
+    yb = np.where(far, np.log(bl), max(40.0, 46.0 / alpha))  # t_cap on the near side
+    length = np.zeros(a.size)
+    length[live] = yb - ya
+    segs, tag = _initial_panels(f.radii, table[0], al, bl, ya, yb, rl, far)
+    val, e, used, ok = _adaptive_gl(
+        _region_integrand(f, n, mu, nodes, rg, side, table), segs, live[tag], length,
+        cfg.rel_tol, cfg.abs_tol, max(cfg.max_panels // 4, 4),
+        _CHUNK_PANELS if n == 3 else max(1, 8 * _CHUNK_PANELS // nodes))
+    for k in range(4):  # summed row by row, in table order
+        raw += val[k::4]
+        err += e[k::4]
+    return raw, err, trunc, ok.reshape(-1, 4).all(axis=1), used.reshape(-1, 4).sum(axis=1)
 
-    quarter = max(cfg.max_panels // 4, 4)
-    t_cap = max(40.0, 46.0 / alpha)
-    regions = ((lo, 0.5 * r, 0), (max(lo, 0.5 * r), r, -1),  # g_lo, g_left
-               (r, min(hi, 2.0 * r), 1), (2.0 * r, hi, 0))  # g_right, g_hi
-    for a, b, side in regions:
-        if not a < b:
-            continue
-        # the interpolant is one cubic between consecutive sample nodes, so panel
-        # edges aligned with the nodes guarantee no sampled feature is skipped
-        sel = f.radii[(f.radii > a) & (f.radii < b)]
-        if side == 0:
-            ya, yb = math.log(a), math.log(b)
-            breaks, presplit = np.log(sel), max(1, int((yb - ya) / 1.2))
-        else:
-            far = a if side < 0 else b
-            ya, yb = math.log(r / abs(far - r)), t_cap
-            breaks, presplit = np.log(r / np.abs(sel - r)), max(2, int((yb - ya) / 6.0))
-        v, e, _, good = _adaptive_gl(partial(integrand, side=side), ya, yb, cfg.rel_tol,
-                                     cfg.abs_tol, quarter, presplit=presplit, breaks=breaks)
-        total += v
-        err += e
-        ok = ok and good
-    return total, err, trunc, ok
+
+def _initial_panels(radii, logr, a, b, ya, yb, r, far):
+    """Initial (segs, tag) of groups over rho in (a, b), that is variable in (ya, yb).
+
+    Group g gets the edges of np.linspace(ya[g], yb[g], presplit + 1), bit for
+    bit, and one at each grid radius inside (a[g], b[g]): the interpolant is
+    one cubic between sample nodes, so node-aligned edges let no sampled
+    feature slip through. A group with ya >= yb gets no panels.
+    """
+    span = yb - ya
+    split = np.where(far, np.maximum(1, (span / 1.2).astype(int)),
+                     np.maximum(2, (span / 6.0).astype(int)))
+    g, k = _runs(np.where(span > 0.0, split + 1, 0))
+    y = np.where(k == split[g], yb[g], k * (span / split)[g] + ya[g])
+    first = np.searchsorted(radii, a, "right")
+    h, j = _runs(np.maximum(np.searchsorted(radii, b, "left") - first, 0))
+    i = first[h] + j
+    x = logr[i]
+    d = ~far[h]
+    x[d] = np.log(r[h[d]] / np.abs(radii[i[d]] - r[h[d]]))
+    keep = (x > ya[h]) & (x < yb[h])
+    g, y = np.concatenate([g, h[keep]]), np.concatenate([y, x[keep]])
+    order = np.lexsort((y, g))
+    g, y = g[order], y[order]
+    pair = (g[1:] == g[:-1]) & (y[1:] != y[:-1])  # adjacent distinct edges of one group
+    return np.column_stack([y[:-1][pair], y[1:][pair]]), g[:-1][pair]
+
+
+def _region_integrand(f, n, mu, nodes, r, side, table):
+    """fun(segs, tag) of _adaptive_gl: (f rho^p) K jacobian for group g at r[g], side[g].
+
+    Far panels are in x = log(rho) with p = N, and one that is exactly a grid
+    interval reads rho and f rho^N from the table. Near-diagonal panels are
+    in t, with delta = r e^(-t) exact, p = N-1 and jacobian delta.
+    """
+    logr, t_rho, t_fr = table
+
+    def fun(segs, tag):
+        out = np.empty((tag.size, t_rho.shape[1]))
+        rg, sg = r[tag], side[tag]
+        i = np.minimum(np.searchsorted(logr, segs[:, 0]), logr.size - 2)
+        hit = (sg == 0.0) & (logr[i] == segs[:, 0]) & (logr[i + 1] == segs[:, 1])
+        h = np.flatnonzero(hit)
+        out[h] = t_fr[i[h]] * _kernel_sep(rg[h, None], t_rho[i[h]], n, mu, nodes)
+        far = np.flatnonzero(~hit & (sg == 0.0))
+        if far.size:
+            rho = np.exp(_gauss_points(segs[far]))
+            out[far] = f(rho) * rho ** float(n) * _kernel_sep(rg[far, None], rho, n, mu, nodes)
+        near = np.flatnonzero(sg != 0.0)
+        if near.size:
+            rn, sn = np.repeat(rg[near], out.shape[1]), np.repeat(sg[near], out.shape[1])
+            d = rn * np.exp(-_gauss_points(segs[near]).ravel())
+            rho = rn + sn * d
+            k = _kernel_near(rn, d, sn, n, mu, nodes)
+            out[near] = (f(rho) * rho ** (n - 1.0) * k * d).reshape(near.size, -1)
+        return out
+
+    return fun
 
 
 def _tail_piece(term, g, scale, kernel, nodes):
-    """c * scale * int_0^1 x^g kernel(x) dx over a tail, by Gauss-Jacobi in x.
+    """c * scale * int_0^1 x^g kernel(x) dx over a tail, by Gauss-Jacobi in x, per radius.
 
     The rule runs at m = min(nodes, 32) and at max(m // 2, 8) nodes; kernel(X,
-    2m) gives the kernel at the rule's nodes X with 2m angular nodes. Returns
-    (value at m, |difference|).
+    2m) gives the (radii x nodes) kernel at the rule's nodes X with 2m
+    angular nodes, and scale is one factor per radius. Returns (value at m,
+    |difference|) per radius, summed by einsum as in _adaptive_gl.
     """
     def rule(m):
         X, W = _jacobi_unit(m, g)
-        return term.coefficient * scale * float(W @ kernel(X, m * 2))
+        return term.coefficient * scale * np.einsum("ij,j->i", kernel(X, m * 2), W)
 
     m = min(nodes, 32)
     v = rule(m)
-    return v, abs(v - rule(max(m // 2, 8)))
+    return v, np.abs(v - rule(max(m // 2, 8)))
 
 
 def _edge_slope(radii, values, first):
@@ -647,7 +718,7 @@ def _trunc_inner_estimate(f, r, n, mu, nodes):
     if mass == math.inf:
         return mass
     r0 = float(f.radii[0])
-    return mass * float(_kernel_sep(max(r, r0), np.array([0.5 * min(r, r0)]), n, mu, nodes)[0])
+    return mass * _kernel_sep(np.maximum(r, r0), 0.5 * np.minimum(r, r0), n, mu, nodes)
 
 
 def _trunc_outer_estimate(f, r, n, mu, alpha):

@@ -26,10 +26,13 @@ from hartree_singular import (
 from hartree_singular import radial_quadrature
 from hartree_singular.radial_quadrature import (
     _gauss_legendre,
+    _gauss_points,
     _jacobi_unit,
     _k3,
     _k_jacobi,
     _kernel_near,
+    _profile_table,
+    _region_integrand,
 )
 
 # Frozen oracle values.
@@ -150,6 +153,23 @@ def test_profile_tail_queries():
         bare(0.01)
     with pytest.raises(DomainError):
         bare(100.0)
+
+
+def test_profile_rejects_negative_and_nan_queries():
+    # an r^-2 inner tail used to give p(-1) = 1.0, an r^-2.5 tail nan with a
+    # RuntimeWarning, and nan passed with or without tails
+    grid = log_grid(0.1, 10.0, 20)
+    tailed = [RadialProfile.from_power(PowerLawTerm(1.0, a), grid) for a in (2.0, 2.5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for prof in tailed + [RadialProfile(grid, grid ** -2.0)]:
+            for r in (-1.0, -4.0, math.nan, [0.5, math.nan], np.array([[1.0, -0.5]])):
+                with pytest.raises(DomainError):
+                    prof(r)
+    # the centre stays a valid query: sample_field evaluates it and masks it
+    with np.errstate(divide="ignore"):
+        assert tailed[0](0.0) == math.inf
+        assert tailed[0](np.array([0.0, 1.0]))[1] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_profile_algebra_and_tails():
@@ -371,6 +391,119 @@ def test_riesz_power_law_oracle_higher_dim():
         assert np.max(np.abs(got.values / closed(at) - 1.0)) < 1e-6, (n, alpha, a)
 
 
+def _initial_edges(a, b, presplit, breaks):
+    """Initial panel edges of the replaced one-integral quadrature."""
+    edges = np.linspace(a, b, max(1, int(presplit)) + 1)
+    if len(breaks):
+        inner = np.asarray(breaks, dtype=float)
+        inner = inner[(inner > a) & (inner < b)]
+        edges = np.unique(np.concatenate([edges, inner]))
+    return edges
+
+
+def _adaptive_gl_scalar(fun, a, b, rel_tol, abs_tol, max_panels, presplit=1):
+    """One integral at a time: the loop that the tagged _adaptive_gl replaced."""
+    if not b > a:
+        return 0.0, 0.0, 0, True
+    order = radial_quadrature._GL_ORDER
+    x1, w1 = _gauss_legendre(order)
+    x2, w2 = _gauss_legendre(2 * order)
+    edges = _initial_edges(a, b, presplit, [])
+    segs = np.column_stack([edges[:-1], edges[1:]])
+    total_len = b - a
+    acc_val = 0.0
+    acc_err = 0.0
+    panels = 0
+    while segs.size:
+        mid = 0.5 * (segs[:, 0] + segs[:, 1])
+        half = 0.5 * (segs[:, 1] - segs[:, 0])
+        f1 = fun((mid[:, None] + half[:, None] * x1[None, :]).ravel()).reshape(-1, order)
+        f2 = fun((mid[:, None] + half[:, None] * x2[None, :]).ravel()).reshape(-1, 2 * order)
+        coarse = (f1 @ w1) * half
+        fine = (f2 @ w2) * half
+        err = np.abs(fine - coarse)
+        panels += segs.shape[0]
+        scale = abs(acc_val + fine.sum())
+        tol = np.maximum(abs_tol, rel_tol * scale) * (2.0 * half / total_len)
+        done = err <= tol
+        acc_val += fine[done].sum()
+        acc_err += err[done].sum()
+        rest = segs[~done]
+        if rest.size == 0:
+            return acc_val, acc_err, panels, True
+        if panels >= max_panels:
+            return acc_val + fine[~done].sum(), acc_err + err[~done].sum(), panels, False
+        mids = 0.5 * (rest[:, 0] + rest[:, 1])
+        segs = np.vstack([
+            np.column_stack([rest[:, 0], mids]),
+            np.column_stack([mids, rest[:, 1]]),
+        ])
+    return acc_val, acc_err, panels, True
+
+
+def test_tagged_quadrature_matches_scalar_reference_per_integral():
+    # each integral keeps its own tolerance share, budget and convergence flag;
+    # only the summation order differs, and chunk=7 splits panels across calls
+    cases = [  # integrand, a, b, presplit
+        (np.exp, 0.0, 3.0, 2),
+        (np.sqrt, 0.0, 1.0, 1),  # endpoint singularity: overruns the budget
+        (lambda x: 1.0 / (1e-6 + x * x), -1.0, 1.0, 3),  # sharp peak: refines deep
+        (lambda x: np.sin(40.0 * x), 0.0, 2.0, 1),
+        (lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0, 1),  # NaN never converges
+    ]
+    budget, rel_tol, abs_tol = 64, 1e-10, 1e-14
+    with np.errstate(invalid="ignore"):
+        ref = [_adaptive_gl_scalar(fn, a, b, rel_tol, abs_tol, budget, presplit=p)
+               for fn, a, b, p in cases]
+    edges = [np.linspace(a, b, p + 1) for _, a, b, p in cases]
+    segs = np.concatenate([np.column_stack([e[:-1], e[1:]]) for e in edges])
+    tag = np.repeat(np.arange(len(cases)), [p for *_, p in cases])
+    length = np.array([b - a for _, a, b, _ in cases])
+
+    def fun(s, t):
+        y = _gauss_points(s)
+        out = np.empty_like(y)
+        for g, (fn, *_) in enumerate(cases):
+            out[t == g] = fn(y[t == g])
+        return out
+
+    val, err, used, ok = radial_quadrature._adaptive_gl(
+        fun, segs, tag, length, rel_tol, abs_tol, budget, 7)
+    assert [c for *_, c in ref] == [True, False, True, True, False]
+    for g, (v, e, panels, converged) in enumerate(ref):
+        assert used[g] == panels and ok[g] == converged, g
+        if math.isnan(v):
+            assert math.isnan(val[g])
+        else:
+            assert val[g] == pytest.approx(v, rel=1e-13, abs=1e-300), g
+            # rule sums run in another order: estimates agree to round-off of the value
+            assert err[g] == pytest.approx(e, rel=0.0, abs=16 * np.finfo(float).eps * abs(v)), g
+
+
+def test_initial_panels_match_linspace_and_node_breaks():
+    # every group starts from the edges the one-integral loop built, bit for bit
+    rng = np.random.default_rng(3)
+    radii = np.sort(rng.uniform(0.01, 100.0, 60))
+    r = rng.uniform(0.005, 150.0, 40)
+    side = rng.choice([0.0, -1.0, 1.0], 40)
+    a = np.where(side == 0.0, rng.uniform(1e-3, 50.0, 40), r * rng.uniform(0.5, 0.999, 40))
+    a[side > 0.0] = r[side > 0.0]
+    b = np.where(side < 0.0, r, np.where(side > 0.0, r * rng.uniform(1.001, 2.0, 40),
+                                         a + rng.uniform(1e-3, 60.0, 40)))
+    far = side == 0.0
+    ya = np.log(np.where(far, a, r / np.abs(np.where(side < 0.0, a, b) - r)))
+    yb = np.where(far, np.log(b), 40.0)
+    segs, tag = radial_quadrature._initial_panels(radii, np.log(radii), a, b, ya, yb, r, far)
+    for g in range(r.size):
+        sel = radii[(radii > a[g]) & (radii < b[g])]
+        if far[g]:
+            breaks, presplit = np.log(sel), max(1, int((yb[g] - ya[g]) / 1.2))
+        else:
+            breaks, presplit = np.log(r[g] / np.abs(sel - r[g])), max(2, int((yb[g] - ya[g]) / 6.0))
+        edges = _initial_edges(ya[g], yb[g], presplit, breaks)
+        np.testing.assert_array_equal(segs[tag == g], np.column_stack([edges[:-1], edges[1:]]))
+
+
 @pytest.mark.parametrize("n, alpha, a, tol", [(3, 1.0, 1.8, 1e-7), (4, 1.5, 2.9, 1e-6)])
 @pytest.mark.parametrize("window, live", [
     ((0.01, 0.3), 3),  # entirely below r: g_lo, g_left, g_right
@@ -379,19 +512,54 @@ def test_riesz_power_law_oracle_higher_dim():
     ((0.7, 1.5), 2),  # within (r/2, 2r): the near-diagonal pair only
 ])
 def test_riesz_region_selection(monkeypatch, n, alpha, a, tol, window, live):
+    # counts the (radius, region) groups that start with panels in _adaptive_gl
     at = np.array([1.0, 1.1])
-    calls = []
+    groups = []
     adaptive = radial_quadrature._adaptive_gl
 
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return adaptive(*args, **kwargs)
+    def counted(fun, segs, tag, *args):
+        groups.append(np.unique(tag).size)
+        return adaptive(fun, segs, tag, *args)
 
     monkeypatch.setattr(radial_quadrature, "_adaptive_gl", counted)
     prof = RadialProfile.from_power(PowerLawTerm(1.0, a), log_grid(*window, 40))
     got = riesz_radial(prof, alpha, n, at=at)
-    assert len(calls) == live * at.size
+    assert sum(groups) == live * at.size
     assert np.max(np.abs(got.values / riesz_power(alpha, a, n)(at) - 1.0)) < tol
+
+
+def test_profile_table_matches_direct_evaluation_bit_for_bit():
+    # far panels that are exactly one grid interval read f(rho) rho^N from the
+    # table; it must equal a direct evaluation at the same nodes, bit for bit
+    grid = log_grid(1e-2, 1e2, 60)
+    positive = RadialProfile.from_power(PowerLawTerm(1.3, 2.2), grid)
+    signed = RadialProfile(grid, np.cos(np.log(grid)))  # PCHIP on raw values
+    for prof, n in ((positive, 3), (signed, 3), (positive, 5)):
+        logr, rho, fr = _profile_table(prof, n)
+        segs = np.column_stack([logr[:-1], logr[1:]])[::-1]  # other batch positions
+        direct = np.exp(_gauss_points(segs))
+        np.testing.assert_array_equal(rho[::-1], direct)
+        np.testing.assert_array_equal(fr[::-1], prof(direct) * direct ** float(n))
+        # through the integrand: shifted nodes match no panel, so nothing reads the table
+        r, side, tag = np.array([1e-3, 5e2]), np.zeros(2), np.arange(segs.shape[0]) % 2
+        hit = _region_integrand(prof, n, n - 1.5, 64, r, side, (logr, rho, fr))(segs, tag)
+        miss = _region_integrand(prof, n, n - 1.5, 64, r, side, (logr + 1e-3, rho, fr))(segs, tag)
+        np.testing.assert_array_equal(hit, miss)
+
+
+@pytest.mark.parametrize("n, alpha, a", [(3, 1.2, 2.1), (4, 1.5, 2.9), (5, 2.2, 3.4)])
+def test_riesz_radius_blocks_match_pairwise_calls(n, alpha, a):
+    # 40 radii cross a block of _RADIUS_BLOCK radii; taken two at a time they must
+    # give the same values, and error bars equal up to round-off in the estimates
+    at = np.geomspace(0.05, 20.0, 40)
+    assert radial_quadrature._RADIUS_BLOCK < at.size
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, a), log_grid(1e-2, 1e2, 100))
+    whole = riesz_radial(prof, alpha, n, at=at)
+    pairs = [riesz_radial(prof, alpha, n, at=at[i:i + 2]) for i in range(0, at.size, 2)]
+    values = np.concatenate([p.values for p in pairs])
+    errors = np.concatenate([p.point_errors for p in pairs])
+    assert np.max(np.abs(whole.values / values - 1.0)) <= 4.5e-16
+    assert np.max(np.abs(whole.point_errors / errors - 1.0)) <= 1e-4
 
 
 def test_riesz_result_tails_are_mapped():
@@ -524,9 +692,20 @@ def test_riesz_domain_errors():
 def test_riesz_convergence_error_carries_radius():
     cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300, max_panels=16)
     prof = RadialProfile.from_power(PowerLawTerm(1.0, 2.5), log_grid())
+    at = np.array([0.5, 1.0])
     with pytest.raises(ConvergenceError) as exc:
-        riesz_radial(prof, 0.5, 3, cfg=cfg, at=np.array([0.5, 1.0]))
-    assert exc.value.worst_radius in (0.5, 1.0)
+        riesz_radial(prof, 0.5, 3, cfg=cfg, at=at)
+    err = exc.value
+    assert err.worst_radius in (0.5, 1.0)
+    assert str(err) == f"quadrature exceeded 16 panels (worst radius {err.worst_radius})"
+    # per-radius detail, aligned with at: the worst radius has the largest estimate,
+    # and every radius used at least one region's budget of max(16 // 4, 4) panels
+    assert err.errors.shape == err.panels.shape == at.shape
+    assert np.all(err.errors > 0.0)
+    assert err.errors[at == err.worst_radius][0] == err.errors.max()
+    assert np.all(err.panels >= 4) and err.panels.dtype.kind == "i"
+    assert ConvergenceError("other raiser").errors is None
+    assert ConvergenceError("other raiser").panels is None
 
 
 def test_riesz_convergence_error_names_a_radius_when_estimates_are_nan():

@@ -16,12 +16,12 @@ stdout instead (the --output file still receives the machine format);
 diagnostics go to stderr only. Identical invocations produce byte-identical
 machine output. --config FILE supplies defaults for the subcommand's flags
 (a JSON object keyed by flag names with dashes replaced by underscores);
-explicitly passed flags win over the config file.
+explicitly passed flags win over the config file. A config value is read by
+the same rules as the flag's command-line text (switches take true or false).
 """
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -37,7 +37,13 @@ from .power_law import (
     riesz_power,
     solve_params,
 )
-from .radial_quadrature import QuadratureConfig, RadialProfile, log_grid, riesz_radial
+from .radial_quadrature import (
+    DEFAULT_CONFIG,
+    QuadratureConfig,
+    RadialProfile,
+    log_grid,
+    riesz_radial,
+)
 from .serialize import (
     MOVING_PLANE_SCHEMA,
     RESIDUAL_SCHEMA,
@@ -63,120 +69,112 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-class _Resolver:
-    """Flag values with config-file fallback: explicit flag > config > default."""
+# ---------------------------------------------------------------------------
+# Flag kinds: each reads a flag's command-line text and its --config JSON value
+# by the same rules, and raises _UsageError naming the flag otherwise.
 
-    def __init__(self, args, config):
-        self.args = args
-        self.config = config
 
-    def _raw(self, name, default):
-        v = getattr(self.args, name, None)
-        if v is None:
-            v = self.config.get(name, default)
-        return v
-
-    def f(self, name, default=None, required=False):
-        v = self._raw(name, default)
-        if v is None:
-            if required:
-                raise _UsageError(f"missing required value --{name.replace('_', '-')}")
-            return None
+def _number(flag, v):
+    if isinstance(v, (str, int, float)) and not isinstance(v, bool):
         try:
             return float(v)
-        except (TypeError, ValueError):
-            raise _UsageError(f"--{name.replace('_', '-')} expects a number, got {v!r}")
-
-    def i(self, name, default=None, required=False):
-        v = self.f(name, default, required)
-        if v is None:
-            return None
-        if not math.isfinite(v) or v != int(v):
-            raise _UsageError(f"--{name.replace('_', '-')} expects an integer, got {v!r}")
-        return int(v)
-
-    def flag(self, name):
-        v = self._raw(name, False)
-        return bool(v)
-
-    def floats(self, name, default=None):
-        v = self._raw(name, default)
-        if v is None:
-            return None
-        if isinstance(v, str):
-            parts = [piece for piece in v.split(",") if piece.strip()]
-        else:
-            parts = list(v)
-        try:
-            out = [float(piece) for piece in parts]
-        except (TypeError, ValueError):
-            raise _UsageError(f"--{name.replace('_', '-')} expects comma-separated numbers")
-        if not out:
-            raise _UsageError(f"--{name.replace('_', '-')} expects at least one number")
-        return out
-
-    def points(self, name, dim, default=None):
-        v = self._raw(name, default)
-        if v is None:
-            return None
-        if isinstance(v, str):
-            groups = [g for g in v.split(";") if g.strip()]
-            pts = []
-            for g in groups:
-                try:
-                    pts.append([float(c) for c in g.split(",")])
-                except ValueError:
-                    raise _UsageError(
-                        f"--{name.replace('_', '-')} expects points like 0,0,0;0,0.5,0"
-                    )
-        else:
-            pts = [list(map(float, g)) for g in v]
-        for pt in pts:
-            if len(pt) != dim:
-                raise _UsageError(
-                    f"--{name.replace('_', '-')}: point {pt} is not {dim}-dimensional"
-                )
-        return pts
+        except (ValueError, OverflowError):
+            pass
+    raise _UsageError(f"{flag} expects a number, got {v!r}")
 
 
-def _quad_config(res):
-    kwargs = {}
-    rel = res.f("rel_tol")
-    if rel is not None:
-        kwargs["rel_tol"] = rel
-    ab = res.f("abs_tol")
-    if ab is not None:
-        kwargs["abs_tol"] = ab
-    mp = res.i("max_panels")
-    if mp is not None:
-        kwargs["max_panels"] = mp
-    an = res.i("angular_nodes")
-    if an is not None:
-        kwargs["angular_nodes"] = an
-    return QuadratureConfig(**kwargs) if kwargs else None
+def _integer(flag, v):
+    x = _number(flag, v)
+    if not x.is_integer():
+        raise _UsageError(f"{flag} expects an integer, got {x!r}")
+    return int(x)
 
 
-def _grid(res):
-    lo = res.f("grid_min", 1e-3)
-    hi = res.f("grid_max", 1e3)
-    num = res.i("grid_num", 400)
-    return log_grid(lo, hi, num)
+def _numbers(flag, v):
+    items = [s for s in v.split(",") if s.strip()] if isinstance(v, str) else v
+    if not isinstance(items, list) or not items:
+        raise _UsageError(f"{flag} expects one or more comma-separated numbers, got {v!r}")
+    return [_number(flag, x) for x in items]
+
+
+def _points(flag, v):
+    groups = [g.split(",") for g in v.split(";") if g.strip()] if isinstance(v, str) else v
+    if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
+        raise _UsageError(f"{flag} expects points like 0,0,0;0,0.5,0, got {v!r}")
+    return [[_number(flag, c) for c in g] for g in groups]
+
+
+def _switch(flag, v):
+    if not isinstance(v, bool):
+        raise _UsageError(f"{flag} expects true or false, got {v!r}")
+    return v
+
+
+def _text(flag, v):
+    if not isinstance(v, str):
+        raise _UsageError(f"{flag} expects text, got {v!r}")
+    return v
+
+
+def _format(flag, v):
+    if v not in ("json", "csv"):
+        raise _UsageError(f"{flag} expects json or csv, got {v!r}")
+    return v
+
+
+# Every flag: name -> (kind, default). None means unset; the handler decides.
+_FLAGS = {
+    **dict.fromkeys(("mu", "p", "q", "t", "alpha", "exponent", "decay", "amplitude",
+                     "exclusion_radius", "tol"), (_number, None)),
+    **dict.fromkeys(("use_alternate_s", "numeric", "pretty"), (_switch, False)),
+    **dict.fromkeys(("output", "config"), (_text, None)),
+    "dim": (_integer, 3),
+    "coefficient": (_number, 1.0),
+    "radii": (_numbers, [0.5, 1.0, 2.0]),
+    "rel_tol": (_number, DEFAULT_CONFIG.rel_tol),
+    "abs_tol": (_number, DEFAULT_CONFIG.abs_tol),
+    "max_panels": (_integer, DEFAULT_CONFIG.max_panels),
+    "angular_nodes": (_integer, DEFAULT_CONFIG.angular_nodes),
+    "grid_min": (_number, 1e-3),
+    "grid_max": (_number, 1e3),
+    "grid_num": (_integer, 400),
+    "num": (_integer, 65),
+    "extent": (_number, 2.0),
+    "centers": (_points, None),
+    "lambdas": (_numbers, None),
+    "format": (_format, "json"),
+}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _required(v, *names):
+    for name in names:
+        if getattr(v, name) is None:
+            raise _UsageError(f"missing required value {_flag(name)}")
+    return [getattr(v, name) for name in names]
+
+
+def _quadrature(v):
+    """(radii, config, grid) of the numeric Riesz pass shared by verify and riesz."""
+    return (np.array(v.radii),
+            QuadratureConfig(v.rel_tol, v.abs_tol, v.max_panels, v.angular_nodes),
+            log_grid(v.grid_min, v.grid_max, v.grid_num))
 
 
 # ---------------------------------------------------------------------------
-# Handlers: each returns (body, table, pretty). The JSON artifact is the body;
-# the CSV artifact is the column table, or the body's scalar fields when the
-# table is None.
+# Handlers: each takes the resolved flag values and returns (body, table,
+# pretty). The JSON artifact is the body; the CSV artifact is the column
+# table, or the body's scalar fields when the table is None.
 
 
-def _do_solve_params(res):
-    dim = res.i("dim", 3)
-    mu = res.f("mu", required=True)
-    p = res.f("p", required=True)
-    q = res.f("q", required=True)
-    params = solve_params(dim, mu, p, q)
+def _do_solve_params(v):
+    mu, p, q = _required(v, "mu", "p", "q")
+    params = solve_params(v.dim, mu, p, q)
     try:
-        alt = alternate_decay_exponent(dim, mu, p, q)
+        alt = alternate_decay_exponent(v.dim, mu, p, q)
     except DomainError:
         alt = None
     body = {
@@ -205,36 +203,24 @@ def _do_solve_params(res):
     return body, None, pretty
 
 
-def _diagnostic_params(dim, mu, p, q, s, amplitude):
-    return ModelParams(dim=dim, mu=mu, p=p, q=q, s=s, amplitude=amplitude,
-                       symmetry_window=(dim - 2.0 < mu < dim))
-
-
-def _do_verify(res):
-    dim = res.i("dim", 3)
-    mu = res.f("mu", required=True)
-    p = res.f("p", required=True)
-    q = res.f("q", required=True)
-    radii = np.array(res.floats("radii", [0.5, 1.0, 2.0]))
-    cfg = _quad_config(res)
-    grid = _grid(res)
-    use_alt = res.flag("use_alternate_s")
-    decay = res.f("decay")
-    amplitude = res.f("amplitude")
-    if use_alt and decay is not None:
+def _do_verify(v):
+    dim = v.dim
+    mu, p, q = _required(v, "mu", "p", "q")
+    radii, cfg, grid = _quadrature(v)
+    if v.use_alternate_s and v.decay is not None:
         raise _UsageError("--use-alternate-s and --decay are mutually exclusive")
-    if use_alt:
-        decay = alternate_decay_exponent(dim, mu, p, q)
+    decay = alternate_decay_exponent(dim, mu, p, q) if v.use_alternate_s else v.decay
+    amplitude = v.amplitude
     if decay is not None:
-        amp = 1.0 if amplitude is None else amplitude
-        params = _diagnostic_params(dim, mu, p, q, decay, amp)
-        report = verify_solution(params, radii, cfg, decay=decay, amplitude=amp,
-                                 grid=grid)
+        amplitude = 1.0 if amplitude is None else amplitude
+        params = ModelParams(dim=dim, mu=mu, p=p, q=q, s=decay, amplitude=amplitude,
+                             symmetry_window=(dim - 2.0 < mu < dim))
         mode = "diagnostic"
     else:
         params = solve_params(dim, mu, p, q)
-        report = verify_solution(params, radii, cfg, amplitude=amplitude, grid=grid)
         mode = "family"
+    report = verify_solution(params, radii, cfg, decay=decay, amplitude=amplitude,
+                             grid=grid)
     fields, table = report_document(report, RESIDUAL_SCHEMA)
     body = {"kind": "verify-report", "mode": mode, "dim": dim, "mu": mu, "p": p,
             "q": q, **fields}
@@ -251,11 +237,9 @@ def _do_verify(res):
     return body, table, "\n".join(rows) + "\n"
 
 
-def _do_riesz(res):
-    dim = res.i("dim", 3)
-    alpha = res.f("alpha", required=True)
-    exponent = res.f("exponent", required=True)
-    coefficient = res.f("coefficient", 1.0)
+def _do_riesz(v):
+    alpha, exponent = _required(v, "alpha", "exponent")
+    dim, coefficient = v.dim, v.coefficient
     term = riesz_power(alpha, exponent, dim).scaled(coefficient)
     body = {
         "kind": "riesz-power",
@@ -269,10 +253,8 @@ def _do_riesz(res):
         f"{term.coefficient:.12g} r^-{term.exponent:.12g}   (dim {dim})"
     ]
     table = None
-    if res.flag("numeric"):
-        radii = np.array(res.floats("radii", [0.5, 1.0, 2.0]))
-        cfg = _quad_config(res)
-        grid = _grid(res)
+    if v.numeric:
+        radii, cfg, grid = _quadrature(v)
         src = RadialProfile.from_power(PowerLawTerm(coefficient, exponent), grid)
         pot = riesz_radial(src, alpha, dim, cfg=cfg, at=radii)
         closed = term(radii)
@@ -293,34 +275,28 @@ def _do_riesz(res):
     return body, table, "\n".join(pretty_lines) + "\n"
 
 
-def _do_moving_plane(res):
-    dim = res.i("dim", 3)
-    num = res.i("num", 65)
-    extent = res.f("extent", 2.0)
-    decay = res.f("decay")
-    amplitude = res.f("amplitude")
-    mu = res.f("mu")
-    p = res.f("p")
-    q = res.f("q")
+def _do_moving_plane(v):
+    dim, decay, amplitude = v.dim, v.decay, v.amplitude
     if decay is None:
-        if mu is None or p is None or q is None:
+        if v.mu is None or v.p is None or v.q is None:
             raise _UsageError("need either --decay or the triple --mu --p --q")
         solve_dim = dim if dim >= 3 else 3
-        params = solve_params(solve_dim, mu, p, q)
+        params = solve_params(solve_dim, v.mu, v.p, v.q)
         decay = params.s
         amplitude = params.amplitude if amplitude is None else amplitude
     if amplitude is None:
         amplitude = 1.0
-    centers = res.points("centers", dim, default="0," + ",".join(["0"] * (dim - 1)))
-    excl = res.f("exclusion_radius")
-    tol = res.f("tol")
+    centers = [[0.0] * dim] if v.centers is None else v.centers
+    for pt in centers:
+        if len(pt) != dim:
+            raise _UsageError(f"--centers: point {pt} is not {dim}-dimensional")
     term = PowerLawTerm(amplitude, decay)
-    field = sample_field(term, centers, dim=dim, extent=extent, num=num,
-                         exclusion_radius=excl)
-    lambdas = res.floats("lambdas")
-    report = sweep_lambda0(field, None if lambdas is None else np.array(lambdas), tol=tol)
+    field = sample_field(term, centers, dim=dim, extent=v.extent, num=v.num,
+                         exclusion_radius=v.exclusion_radius)
+    lambdas = None if v.lambdas is None else np.array(v.lambdas)
+    report = sweep_lambda0(field, lambdas, tol=v.tol)
     fields, table = report_document(report, MOVING_PLANE_SCHEMA)
-    body = {"kind": "moving-plane-report", "dim": dim, "num": num, "extent": extent,
+    body = {"kind": "moving-plane-report", "dim": dim, "num": v.num, "extent": v.extent,
             "decay": decay, "amplitude": amplitude, "centers": centers, **fields}
     rows = [f"{'lambda':>10} {'sup w+':>14} {'reverse sup w+':>14}"]
     for i in range(report.lambdas.size):
@@ -336,11 +312,9 @@ def _do_moving_plane(res):
     return body, table, "\n".join(rows) + "\n"
 
 
-def _do_hls(res):
-    dim = res.i("dim", 3)
-    t = res.f("t", required=True)
-    mu = res.f("mu", required=True)
-    pair = hls_conjugate(t, mu, dim)
+def _do_hls(v):
+    t, mu = _required(v, "t", "mu")
+    pair = hls_conjugate(t, mu, v.dim)
     body = {"kind": "hls-conjugate", "dim": pair.dim, "mu": pair.mu,
             "t": pair.t, "r": pair.r}
     pretty = (f"1/t + 1/r + mu/N = 2 with t = {pair.t:.12g}, mu = {pair.mu:g}, "
@@ -348,92 +322,63 @@ def _do_hls(res):
     return body, None, pretty
 
 
-def _do_critical(res):
-    dim = res.i("dim", 3)
-    mu = res.f("mu", required=True)
-    lo, hi = critical_exponents(dim, mu)
-    body = {"kind": "critical-exponents", "dim": dim, "mu": mu,
+def _do_critical(v):
+    (mu,) = _required(v, "mu")
+    lo, hi = critical_exponents(v.dim, mu)
+    body = {"kind": "critical-exponents", "dim": v.dim, "mu": mu,
             "lower": lo, "upper": hi}
-    pretty = (f"admissible window for dim {dim}, mu = {mu:g}: "
+    pretty = (f"admissible window for dim {v.dim}, mu = {mu:g}: "
               f"((2N-mu)/N, (2N-mu)/(N-2)) = ({lo:.12g}, {hi:.12g})\n")
     return body, None, pretty
 
 
-_HANDLERS = {
-    "solve-params": _do_solve_params,
-    "verify": _do_verify,
-    "riesz": _do_riesz,
-    "moving-plane": _do_moving_plane,
-    "hls": _do_hls,
-    "critical-exponents": _do_critical,
+_QUAD = ("rel_tol", "abs_tol", "max_panels", "angular_nodes",
+         "grid_min", "grid_max", "grid_num")
+
+# flags every subcommand takes, with their help lines
+_COMMON = {
+    "format": "machine output format (default json)",
+    "output": "write the machine artifact here",
+    "pretty": "human-readable table on stdout",
+    "config": "JSON file with flag defaults",
 }
 
-
-def _add_common(sp):
-    sp.add_argument("--format", choices=("json", "csv"), default=None,
-                    help="machine output format (default json)")
-    sp.add_argument("--output", default=None, help="write the machine artifact here")
-    sp.add_argument("--pretty", action="store_true", default=None,
-                    help="human-readable table on stdout")
-    sp.add_argument("--config", default=None, help="JSON file with flag defaults")
-
-
-def _add_quad(sp):
-    sp.add_argument("--rel-tol", dest="rel_tol", default=None)
-    sp.add_argument("--abs-tol", dest="abs_tol", default=None)
-    sp.add_argument("--max-panels", dest="max_panels", default=None)
-    sp.add_argument("--angular-nodes", dest="angular_nodes", default=None)
-    sp.add_argument("--grid-min", dest="grid_min", default=None)
-    sp.add_argument("--grid-max", dest="grid_max", default=None)
-    sp.add_argument("--grid-num", dest="grid_num", default=None)
+# Every subcommand: name -> (handler, help line, flag names before _COMMON).
+_COMMANDS = {
+    "solve-params": (_do_solve_params, "derive (s, A) for (N, mu, p, q)",
+                     ("dim", "mu", "p", "q")),
+    "verify": (_do_verify, "residual check of the explicit solution",
+               ("dim", "mu", "p", "q", "radii", "decay", "amplitude",
+                "use_alternate_s", *_QUAD)),
+    "riesz": (_do_riesz, "Riesz potential of a power law",
+              ("dim", "alpha", "exponent", "coefficient", "radii", "numeric", *_QUAD)),
+    "moving-plane": (_do_moving_plane, "reflection sweep of a sampled field",
+                     ("dim", "num", "extent", "decay", "amplitude", "mu", "p", "q",
+                      "centers", "exclusion_radius", "lambdas", "tol")),
+    "hls": (_do_hls, "conjugate convolution-inequality exponent", ("dim", "t", "mu")),
+    "critical-exponents": (_do_critical, "admissible nonlinearity window", ("dim", "mu")),
+}
 
 
 def build_parser():
     parser = _Parser(prog="hartree-singular",
                      description="singular solutions of the nonlocal Hartree equation")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    sp = sub.add_parser("solve-params", help="derive (s, A) for (N, mu, p, q)")
-    for flag in ("--dim", "--mu", "--p", "--q"):
-        sp.add_argument(flag, default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser("verify", help="residual check of the explicit solution")
-    for flag in ("--dim", "--mu", "--p", "--q", "--radii", "--decay", "--amplitude"):
-        sp.add_argument(flag, default=None)
-    sp.add_argument("--use-alternate-s", dest="use_alternate_s",
-                    action="store_true", default=None)
-    _add_quad(sp)
-    _add_common(sp)
-
-    sp = sub.add_parser("riesz", help="Riesz potential of a power law")
-    for flag in ("--dim", "--alpha", "--exponent", "--coefficient", "--radii"):
-        sp.add_argument(flag, default=None)
-    sp.add_argument("--numeric", action="store_true", default=None)
-    _add_quad(sp)
-    _add_common(sp)
-
-    sp = sub.add_parser("moving-plane", help="reflection sweep of a sampled field")
-    for flag in ("--dim", "--num", "--extent", "--decay", "--amplitude", "--mu",
-                 "--p", "--q", "--centers", "--exclusion-radius", "--lambdas",
-                 "--tol"):
-        sp.add_argument(flag, dest=flag[2:].replace("-", "_"), default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser("hls", help="conjugate convolution-inequality exponent")
-    for flag in ("--dim", "--t", "--mu"):
-        sp.add_argument(flag, default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser("critical-exponents", help="admissible nonlinearity window")
-    for flag in ("--dim", "--mu"):
-        sp.add_argument(flag, default=None)
-    _add_common(sp)
-
+    for command, (_, help_line, names) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_line)
+        for name in (*names, *_COMMON):
+            kind, flag, flag_help = _FLAGS[name][0], _flag(name), _COMMON.get(name)
+            if kind is _switch:
+                sp.add_argument(flag, action="store_true", default=None, help=flag_help)
+            else:
+                # converting each occurrence rejects a bad value even when a
+                # later occurrence of the same flag would override it
+                sp.add_argument(flag, help=flag_help,
+                                type=lambda text, kind=kind, flag=flag: kind(flag, text))
     return parser
 
 
-def _load_config(path, args):
+def _load_config(path, names):
     if path is None:
         return {}
     try:
@@ -445,22 +390,31 @@ def _load_config(path, args):
         raise _UsageError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise _UsageError(f"config file {path} must hold a JSON object")
-    known = set(vars(args))
     for key in cfg:
-        if key not in known:
+        if key not in names:
             raise _UsageError(f"config key {key!r} is not a flag of this subcommand")
     return cfg
 
 
+def _resolve(args, names):
+    """Flag values: explicit flag > config value (JSON null counts as unset) > default."""
+    config = _load_config(args.config, names)
+    for name in names:
+        kind, default = _FLAGS[name]
+        if getattr(args, name) is None:
+            raw = config.get(name)
+            setattr(args, name, default if raw is None else kind(_flag(name), raw))
+    return args
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command is None:
             raise _UsageError("a subcommand is required (see --help)")
-        config = _load_config(args.config, args)
-        res = _Resolver(args, config)
-        body, table, pretty_text = _HANDLERS[args.command](res)
+        handler, _, names = _COMMANDS[args.command]
+        v = _resolve(args, (*names, *_COMMON))
+        body, table, pretty_text = handler(v)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 64
@@ -480,26 +434,20 @@ def main(argv=None):
         print(f"computation failed: {exc}", file=sys.stderr)
         return 2
 
-    out_format = args.format if args.format is not None else config.get("format", "json")
-    if out_format not in ("json", "csv"):
-        print(f"unknown format {out_format!r}", file=sys.stderr)
-        return 64
-    if out_format == "json":
+    if v.format == "json":
         machine = dumps(body) + "\n"
     else:
         machine = kv_csv(body) if table is None else table_csv(table)
-    pretty = res.flag("pretty")
-    output = args.output if args.output is not None else config.get("output")
-    if output:
+    if v.output:
         try:
-            with open(output, "w", encoding="utf-8") as fh:
+            with open(v.output, "w", encoding="utf-8") as fh:
                 fh.write(machine)
         except OSError as exc:
-            print(f"cannot write output file {output}: {exc}", file=sys.stderr)
+            print(f"cannot write output file {v.output}: {exc}", file=sys.stderr)
             return 64
-    if pretty:
+    if v.pretty:
         sys.stdout.write(pretty_text)
-    elif not output:
+    elif not v.output:
         sys.stdout.write(machine)
     return 0
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .special_fn import _check_count
 
 _HYPERPLANE_TOL = 1e-12
 _COMMENSURATE_TOL = 1e-9
@@ -33,9 +34,9 @@ class CartesianField:
     """
 
     def __init__(self, dim, h, extent, values, gamma_set=(), mask=None, check_gamma=True):
-        n = int(dim)
-        if n not in (2, 3):
+        if dim not in (2, 3):
             raise DomainError(f"field dimension must be 2 or 3, got {dim}")
+        n = int(dim)
         h = float(h)
         extent = float(extent)
         if not (h > 0.0 and extent > 0.0):
@@ -103,12 +104,10 @@ def sample_field(profile, centers, dim=3, extent=2.0, num=65, exclusion_radius=N
     of radius exclusion_radius (default: one grid cell), inside which nodes
     are masked and the stored value is NaN.
     """
-    n = int(dim)
-    if n not in (2, 3):
+    if dim not in (2, 3):
         raise DomainError(f"field dimension must be 2 or 3, got {dim}")
-    num = int(num)
-    if num < 3:
-        raise DomainError("need at least 3 nodes per axis")
+    n = int(dim)
+    num = _check_count("num", num, 3)
     extent = float(extent)
     h = 2.0 * extent / (num - 1)
     excl = h if exclusion_radius is None else float(exclusion_radius)

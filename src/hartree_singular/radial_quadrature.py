@@ -13,8 +13,8 @@ spherical average when mu >= N-1), which is absorbed by the exponential
 substitution rho = r(1 +- e^(-t)) so the split-point panels stay analytic.
 """
 
+import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +23,7 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import ConvergenceError, DomainError
 from .power_law import PowerLawTerm, riesz_power
-from .special_fn import _check_dim, riesz_gamma, sphere_area
+from .special_fn import _check_count, _check_dim, riesz_gamma, sphere_area
 
 TAIL_CONTINUITY = 0.05  # tail descriptor must match the boundary sample to 5%
 
@@ -50,12 +50,6 @@ class QuadratureConfig:
         _check_count("angular_nodes", self.angular_nodes, 4)
 
 
-def _check_count(name, value, least):
-    """Node, panel and sample counts must be integers >= least (integral floats pass)."""
-    if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= least):
-        raise DomainError(f"{name} must be an integer >= {least}, got {value}")
-
-
 DEFAULT_CONFIG = QuadratureConfig()
 
 
@@ -63,8 +57,7 @@ def log_grid(r_min=1e-3, r_max=1e3, num=400):
     """Log-spaced radii, the default sampling for power-law profiles."""
     if not 0.0 < r_min < r_max < math.inf:
         raise DomainError(f"need 0 < r_min < r_max < inf, got {r_min}, {r_max}")
-    _check_count("num", num, 2)
-    return np.geomspace(r_min, r_max, int(num))
+    return np.geomspace(r_min, r_max, _check_count("num", num, 2))
 
 
 class RadialProfile:
@@ -133,7 +126,8 @@ class RadialProfile:
                 raise DomainError(
                     f"query at r={r[below].min()} below the sampled window and no inner tail"
                 )
-            out[below] = self.tail_inner(r[below])
+            with np.errstate(divide="ignore"):  # r = 0 gives inf for a decaying tail
+                out[below] = self.tail_inner(r[below])
         if above.any():
             if self.tail_outer is None:
                 raise DomainError(
@@ -222,34 +216,27 @@ def _mix_tails(t1, t2, w1, w2, r_edge, v_edge, inner):
 
 
 # ---------------------------------------------------------------------------
-# Gauss rule caches
-
-_gl_cache = {}
-_jac_cache = {}
+# Gauss rules, cached on their exact arguments so that a result never depends
+# on which rules earlier calls happened to build
 
 
+@functools.cache
 def _gauss_legendre(n):
-    if n not in _gl_cache:
-        x, w = roots_legendre(n)
-        _gl_cache[n] = (x, w)
-    return _gl_cache[n]
+    return roots_legendre(n)
 
 
+@functools.cache
 def _jacobi_unit(n, g):
     """Nodes X and weights W with sum W_i h(X_i) ~ int_0^1 x^g h(x) dx."""
-    key = (n, round(float(g), 12))
-    if key not in _jac_cache:
-        x, w = roots_jacobi(n, 0.0, float(g))
-        _jac_cache[key] = ((1.0 + x) / 2.0, w * 2.0 ** (-(float(g) + 1.0)))
-    return _jac_cache[key]
+    g = float(g)
+    x, w = roots_jacobi(n, 0.0, g)
+    return (1.0 + x) / 2.0, w * 2.0 ** (-(g + 1.0))
 
 
+@functools.cache
 def _jacobi_sym(n, b):
     """Rule for int_-1^1 (1-u^2)^b q(u) du."""
-    key = ("sym", n, round(float(b), 12))
-    if key not in _jac_cache:
-        _jac_cache[key] = roots_jacobi(n, float(b), float(b))
-    return _jac_cache[key]
+    return roots_jacobi(n, float(b), float(b))
 
 
 # ---------------------------------------------------------------------------
@@ -504,21 +491,23 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
             f"quadrature exceeded {cfg.max_panels} panels (worst radius {float(at[worst])})",
             worst_radius=float(at[worst]), errors=rel, panels=panels,
         )
-    tail_in = _map_tail(f.tail_inner, alpha, n, at[0], values[0], first=True)
-    tail_out = _map_tail(f.tail_outer, alpha, n, at[-1], values[-1], first=False)
+    tail_in = _map_tail(f.tail_inner, alpha, n, at[0], values[0])
+    tail_out = _map_tail(f.tail_outer, alpha, n, at[-1], values[-1])
     ti = _fit_or(tail_in, at[:2], values[:2])
     to = _fit_or(tail_out, at[-2:], values[-2:])
     return RadialProfile(at, values, ti, to, point_errors=errors)
 
 
-def _map_tail(term, alpha, n, r_edge, v_edge, first):
+def _map_tail(term, alpha, n, r_edge, v_edge):
     """Closed-form image of a tail under I_alpha, when the window allows it."""
-    if term is None:
+    if term is None or not alpha < term.exponent < n:
         return None
-    a = term.exponent
-    if not alpha < a < n:
-        return None
-    mapped = riesz_power(alpha, a, n).scaled(term.coefficient)
+    return _unless_jumps(riesz_power(alpha, term.exponent, n).scaled(term.coefficient),
+                         r_edge, v_edge)
+
+
+def _unless_jumps(mapped, r_edge, v_edge):
+    """The mapped tail, or None when it misses the computed edge value."""
     return None if _tail_jumps(mapped(r_edge), v_edge) else mapped
 
 
@@ -813,13 +802,11 @@ def inverse_laplacian_radial(g, dim, cfg=None):
 
 
 def _map_inverse_tail(term, n, r_edge, v_edge):
-    if term is None:
+    if term is None or not 2.0 < term.exponent < n:
         return None
     a = term.exponent
-    if not 2.0 < a < n:
-        return None
-    mapped = PowerLawTerm(term.coefficient / ((a - 2.0) * (n - a)), a - 2.0)
-    return None if _tail_jumps(mapped(r_edge), v_edge) else mapped
+    return _unless_jumps(PowerLawTerm(term.coefficient / ((a - 2.0) * (n - a)), a - 2.0),
+                         r_edge, v_edge)
 
 
 # ---------------------------------------------------------------------------

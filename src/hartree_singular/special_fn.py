@@ -6,6 +6,7 @@ in particular gamma_riesz(2, 3) = 4 pi, the Newton-potential normalization in R^
 """
 
 import math
+import numbers
 
 from .errors import DomainError
 
@@ -46,7 +47,11 @@ def sphere_area(dim):
 
 
 def _check_dim(dim, minimum=3):
-    n = int(dim)
-    if n != dim or n < minimum:
-        raise DomainError(f"dimension must be an integer >= {minimum}, got {dim}")
-    return n
+    return _check_count("dimension", dim, minimum)
+
+
+def _check_count(name, value, least):
+    """Node, panel, sample and step counts must be integers >= least (integral floats pass)."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= least):
+        raise DomainError(f"{name} must be an integer >= {least}, got {value}")
+    return int(value)

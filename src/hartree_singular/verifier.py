@@ -27,7 +27,7 @@ from .radial_quadrature import (
     log_grid,
     riesz_radial,
 )
-from .special_fn import riesz_gamma
+from .special_fn import _check_count, riesz_gamma
 
 # a power-law tail is attached only when strictly inside its integrability
 # window; at the boundary the integral diverges and truncation is reported
@@ -131,9 +131,7 @@ def fixed_point_iterate(params, init=None, steps=5, damping=1.0, cfg=None,
     cfg = cfg or DEFAULT_CONFIG
     n = params.dim
     alpha = n - params.mu
-    steps = int(steps)
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
+    steps = _check_count("steps", steps, 0)
     damping = float(damping)
     if not 0.0 < damping <= 1.0:
         raise DomainError(f"damping must lie in (0, 1], got {damping}")

@@ -492,6 +492,59 @@ def test_config_can_set_format(capsys, tmp_path):
     assert any(line.startswith("s,") for line in out.splitlines())
 
 
+def test_bad_format_is_rejected_even_when_a_later_one_is_good(capsys):
+    code, out, err = run(capsys, "critical-exponents", "--mu", "2.5",
+                         "--format", "xml", "--format", "csv")
+    assert code == 64 and "--format" in err and "xml" in err
+    assert out == ""
+
+
+_RIESZ_NUMERIC = ("riesz", "--alpha", "1", "--exponent", "1.5", "--numeric")
+_PLANE = ("moving-plane", "--decay", "0.5", "--num", "9")
+_CRITICAL = ("critical-exponents", "--mu", "2.5")
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (_RIESZ_NUMERIC, "radii", 0.5),
+    (_RIESZ_NUMERIC, "radii", [True, 2]),
+    (_PLANE, "centers", 5),
+    (_PLANE, "centers", [["a", 0, 0]]),
+    (("riesz", "--alpha", "1", "--exponent", "1.5"), "numeric", "false"),
+    (_CRITICAL, "pretty", "no"),
+    (_CRITICAL, "output", True),
+    (_CRITICAL, "dim", True),
+])
+def test_config_value_of_wrong_type_is_usage_error(capfd, tmp_path, argv, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code = main([*argv, "--config", str(cfg)])
+    os.fstat(1)  # a value that reached open() as a file descriptor would close stdout
+    out, err = capfd.readouterr()
+    assert code == 64 and "--" + key in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, flag, text, value", [
+    (_PLANE, "extent", "1.5", 1.5),  # number
+    (_PLANE, "extent", "1.5", "1.5"),
+    (("moving-plane", "--decay", "0.5"), "num", "9", 9),  # integer
+    (("moving-plane", "--decay", "0.5"), "num", "9", "9.0"),
+    (_PLANE, "lambdas", "-1,-0.5", [-1, -0.5]),  # number list
+    (_PLANE, "lambdas", "-1,-0.5", "-1,-0.5"),
+    (_PLANE, "centers", "0,0.5,0;0,-0.5,0", [[0, 0.5, 0], [0, -0.5, 0]]),  # points
+    (_PLANE, "centers", "0,0.5,0;0,-0.5,0", "0,0.5,0;0,-0.5,0"),
+    (_PLANE, "pretty", None, True),  # switch
+    (_PLANE, "format", "csv", "csv"),  # text
+])
+def test_flag_kinds_read_argv_and_config_alike(capsys, tmp_path, argv, flag, text, value):
+    option = "--" + flag if text is None else f"--{flag}={text}"
+    code, out, err = run(capsys, *argv, option)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: value}))
+    assert (code, out, err) == run(capsys, *argv, "--config", str(cfg))
+    assert code == 0 and out != ""
+
+
 # ---------------------------------------------------------------------------
 # console-script entry point
 

@@ -91,6 +91,11 @@ def test_center_validation():
         sample_field(DECAY, [ORIGIN], num=2)
     with pytest.raises(DomainError):
         sample_field(DECAY, [ORIGIN], dim=4, num=9)
+    for num in (3.7, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            sample_field(DECAY, [ORIGIN], num=num)
+    with pytest.raises(DomainError):
+        sample_field(DECAY, [ORIGIN], dim=3.5, num=9)
 
 
 def test_cartesian_field_validation():
@@ -108,6 +113,8 @@ def test_cartesian_field_validation():
     with pytest.raises(DomainError):
         CartesianField(3, 0.5, 2.0, np.zeros((9, 9, 9)),
                        mask=np.zeros((5, 5, 5), dtype=bool))
+    with pytest.raises(DomainError):
+        CartesianField(3.5, 0.5, 2.0, np.zeros((9, 9, 9)))
 
 
 def test_flipped_is_exact_and_transports_gamma():

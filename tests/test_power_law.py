@@ -208,6 +208,9 @@ def test_solve_params_preconditions():
         solve_params(3, 2.5, 0.5, 2)  # p < 1
     with pytest.raises(DomainError):
         solve_params(2, 1.5, 2, 2)  # dimension below 3
+    for dim in (3.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            solve_params(dim, 2.5, 2, 2)
 
 
 def test_symmetry_window_flag():

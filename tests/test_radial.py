@@ -1,6 +1,8 @@
 """Radial quadrature: angular kernel, Riesz potential, inverse Laplacian."""
 
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -170,6 +172,10 @@ def test_profile_rejects_negative_and_nan_queries():
     with np.errstate(divide="ignore"):
         assert tailed[0](0.0) == math.inf
         assert tailed[0](np.array([0.0, 1.0]))[1] == pytest.approx(1.0, rel=1e-14)
+    # ... and answers it without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tailed[1](0.0) == math.inf
 
 
 def test_profile_algebra_and_tails():
@@ -560,6 +566,30 @@ def test_riesz_radius_blocks_match_pairwise_calls(n, alpha, a):
     errors = np.concatenate([p.point_errors for p in pairs])
     assert np.max(np.abs(whole.values / values - 1.0)) <= 4.5e-16
     assert np.max(np.abs(whole.point_errors / errors - 1.0)) <= 1e-4
+
+
+_NEARBY_EXPONENT_SCRIPT = """
+import numpy as np
+from hartree_singular import PowerLawTerm, RadialProfile, log_grid, riesz_radial
+def potential(a):
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, a), log_grid())
+    return riesz_radial(prof, 1.0, 3, at=np.array([0.5, 1.0, 2.0])).values
+{before}
+print([v.hex() for v in potential(2.2 + 3e-13)])
+"""
+
+
+def test_riesz_result_does_not_depend_on_a_nearby_earlier_call():
+    # Gauss-Jacobi rules of the tails depend on the exponent; a rule built for
+    # 2.2 must not be reused for 2.2 + 3e-13, so each run starts a fresh process
+    def bits(before):
+        script = _NEARBY_EXPONENT_SCRIPT.format(before=before)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert bits("") == bits("potential(2.2)")
 
 
 def test_riesz_result_tails_are_mapped():

@@ -185,8 +185,9 @@ def test_fixed_point_entry_gates():
 
 
 def test_fixed_point_parameter_validation():
-    with pytest.raises(DomainError):
-        fixed_point_iterate(BASE, steps=-1)
+    for steps in (-1, 2.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            fixed_point_iterate(BASE, steps=steps)
     with pytest.raises(DomainError):
         fixed_point_iterate(BASE, steps=1, damping=0.0)
     with pytest.raises(DomainError):

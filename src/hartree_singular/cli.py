@@ -99,8 +99,8 @@ def _numbers(flag, v):
 
 def _points(flag, v):
     groups = [g.split(",") for g in v.split(";") if g.strip()] if isinstance(v, str) else v
-    if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
-        raise _UsageError(f"{flag} expects points like 0,0,0;0,0.5,0, got {v!r}")
+    if not isinstance(groups, list) or not groups or not all(isinstance(g, list) for g in groups):
+        raise _UsageError(f"{flag} expects one or more points like 0,0,0;0,0.5,0, got {v!r}")
     return [[_number(flag, c) for c in g] for g in groups]
 
 

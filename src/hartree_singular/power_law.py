@@ -153,8 +153,6 @@ def solve_params(dim, mu, p, q):
         raise DomainError(f"p must be >= 1, got {p}")
     if not (math.isfinite(q) and q >= 1.0):
         raise DomainError(f"q must be >= 1, got {q}")
-    if p + q <= 1.0:
-        raise DomainError(f"p + q must exceed 1, got {p + q}")
 
     s = decay_exponent(n, mu, p, q)
     sp = s * p

@@ -13,6 +13,7 @@ spherical average when mu >= N-1), which is absorbed by the exponential
 substitution rho = r(1 +- e^(-t)) so the split-point panels stay analytic.
 """
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -161,8 +162,8 @@ class RadialProfile:
         """Pointwise product; profiles must share the same grid."""
         if not np.array_equal(self.radii, other.radii):
             raise DomainError("profiles must share the same grid to multiply")
-        ti = _combine(self.tail_inner, other.tail_inner, lambda a, b: a.times(b))
-        to = _combine(self.tail_outer, other.tail_outer, lambda a, b: a.times(b))
+        pairs = ((self.tail_inner, other.tail_inner), (self.tail_outer, other.tail_outer))
+        ti, to = (None if a is None or b is None else a.times(b) for a, b in pairs)
         return RadialProfile(self.radii, self.values * other.values, ti, to)
 
     def mix(self, other, w_self, w_other):
@@ -194,12 +195,6 @@ def _check_tail_continuity(term, r_edge, v_edge, which):
             f"{which} tail descriptor discontinuous at r={r_edge}: "
             f"tail gives {tv}, sample is {v_edge}"
         )
-
-
-def _combine(t1, t2, op):
-    if t1 is None or t2 is None:
-        return None
-    return op(t1, t2)
 
 
 def _mix_tails(t1, t2, w1, w2, r_edge, v_edge, inner):
@@ -460,15 +455,7 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
     if not n * math.log(top) < _LOG_FLOAT_MAX:
         raise DomainError(f"rho^N overflows at N={n} for rho = {top:.6g}, the larger of half "
                           "the largest radius and the top of the grid")
-    if f.tail_inner is not None and not f.tail_inner.exponent < n:
-        raise DomainError(
-            f"inner tail exponent {f.tail_inner.exponent} >= N={n}: integral diverges at the origin"
-        )
-    if f.tail_outer is not None and not f.tail_outer.exponent > alpha:
-        raise DomainError(
-            f"outer tail exponent {f.tail_outer.exponent} <= alpha={alpha}: "
-            "integral diverges at infinity"
-        )
+    _check_tail_windows(f, alpha, n)
     if f.tail_inner is None and at[0] < f.radii[0]:
         raise DomainError("evaluation below the sampled window requires an inner tail")
     if f.tail_outer is None and at[-1] > f.radii[-1]:
@@ -491,36 +478,9 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
             f"quadrature exceeded {cfg.max_panels} panels (worst radius {float(at[worst])})",
             worst_radius=float(at[worst]), errors=rel, panels=panels,
         )
-    tail_in = _map_tail(f.tail_inner, alpha, n, at[0], values[0])
-    tail_out = _map_tail(f.tail_outer, alpha, n, at[-1], values[-1])
-    ti = _fit_or(tail_in, at[:2], values[:2])
-    to = _fit_or(tail_out, at[-2:], values[-2:])
-    return RadialProfile(at, values, ti, to, point_errors=errors)
-
-
-def _map_tail(term, alpha, n, r_edge, v_edge):
-    """Closed-form image of a tail under I_alpha, when the window allows it."""
-    if term is None or not alpha < term.exponent < n:
-        return None
-    return _unless_jumps(riesz_power(alpha, term.exponent, n).scaled(term.coefficient),
-                         r_edge, v_edge)
-
-
-def _unless_jumps(mapped, r_edge, v_edge):
-    """The mapped tail, or None when it misses the computed edge value."""
-    return None if _tail_jumps(mapped(r_edge), v_edge) else mapped
-
-
-def _fit_or(mapped, r2, v2):
-    """Use the mapped tail if it survived, else fit a power law through the edge pair."""
-    if mapped is not None:
-        return mapped
-    if v2[0] == 0.0 or v2[1] == 0.0 or v2[0] * v2[1] < 0.0:
-        return None
-    a = -math.log(abs(v2[1] / v2[0])) / math.log(r2[1] / r2[0])
-    if not math.isfinite(a):
-        return None
-    return PowerLawTerm(v2[-1] * r2[-1] ** a, a)
+    return _potential_profile(
+        f, at, values, errors, alpha, n,
+        lambda term: riesz_power(alpha, term.exponent, n).scaled(term.coefficient))
 
 
 def _profile_table(f, n):
@@ -583,7 +543,7 @@ def _riesz_block(f, r, n, mu, alpha, cfg, table):
         err += e
     else:
         hi = np.full(r.size, r1)
-        trunc += _trunc_outer_estimate(f, r, n, mu, alpha)
+        trunc += _trunc_outer_estimate(f, alpha, sphere_area(n), n - mu)
 
     # the region table, one group g = 4 i + k per radius i and row k
     a = np.column_stack([lo, np.maximum(lo, 0.5 * r), r, 2.0 * r]).ravel()
@@ -682,18 +642,53 @@ def _tail_piece(term, g, scale, kernel, nodes):
     return v, np.abs(v - rule(max(m // 2, 8)))
 
 
-def _edge_slope(radii, values, first):
-    i, j = (0, 1) if first else (-2, -1)
-    if values[i] == 0.0 or values[j] == 0.0 or values[i] * values[j] < 0.0:
+# ---------------------------------------------------------------------------
+# Tail rules shared by riesz_radial and inverse_laplacian_radial (alpha = 2)
+
+
+def _check_tail_windows(f, alpha, n):
+    """Reject tails whose integrals diverge: inner exponent >= N or outer <= alpha."""
+    if f.tail_inner is not None and not f.tail_inner.exponent < n:
+        raise DomainError(f"inner tail exponent {f.tail_inner.exponent} >= N={n}: "
+                          "integral diverges at the origin")
+    if f.tail_outer is not None and not f.tail_outer.exponent > alpha:
+        raise DomainError(f"outer tail exponent {f.tail_outer.exponent} <= alpha={alpha}: "
+                          "integral diverges at infinity")
+
+
+def _potential_profile(f, at, values, errors, alpha, n, image):
+    """The potential of f sampled at the radii at, with a tail at each end.
+
+    A tail of f with alpha < a < N maps to the closed form image(term),
+    unless that misses the edge value by more than TAIL_CONTINUITY or cannot
+    be formed (a DomainError, such as a gamma argument within GAMMA_MARGIN of
+    an endpoint). Otherwise a power law is fitted through the two edge
+    samples, anchored at the second; a zero or a sign change leaves no tail.
+    """
+    tails = []
+    for term, pair, edge in ((f.tail_inner, slice(2), 0), (f.tail_outer, slice(-2, None), 1)):
+        r2, v2 = at[pair], values[pair]
+        tail = None
+        if term is not None and alpha < term.exponent < n:
+            with contextlib.suppress(DomainError):
+                tail = image(term)
+        if tail is None or _tail_jumps(tail(r2[edge]), v2[edge]):
+            a = _edge_slope(r2, v2)
+            tail = None if a is None or not math.isfinite(a) else PowerLawTerm(v2[1] * r2[1] ** a, a)
+        tails.append(tail)
+    return RadialProfile(at, values, *tails, point_errors=errors)
+
+
+def _edge_slope(r2, v2):
+    """Decay exponent of the power law through two samples, None across a zero or sign change."""
+    if v2[0] == 0.0 or v2[1] == 0.0 or v2[0] * v2[1] < 0.0:
         return None
-    return -math.log(abs(values[j] / values[i])) / math.log(radii[j] / radii[i])
+    return -math.log(abs(v2[1] / v2[0])) / math.log(r2[1] / r2[0])
 
 
 def _inner_mass_bound(f, n):
     """Order-of-magnitude bound for int_0^r0 |f| rho^(N-1) drho, the mass below the grid."""
-    a_est = _edge_slope(f.radii, f.values, first=True)
-    if a_est is None:
-        a_est = 0.0
+    a_est = _edge_slope(f.radii[:2], f.values[:2]) or 0.0
     if a_est >= n:
         return math.inf
     return abs(f.values[0]) * f.radii[0] ** float(n) / (n - a_est)
@@ -710,14 +705,14 @@ def _trunc_inner_estimate(f, r, n, mu, nodes):
     return mass * _kernel_sep(np.maximum(r, r0), 0.5 * np.minimum(r, r0), n, mu, nodes)
 
 
-def _trunc_outer_estimate(f, r, n, mu, alpha):
+def _trunc_outer_estimate(f, alpha, scale, power):
+    """Order-of-magnitude bound |v| scale r1^power / (a - alpha) for the mass cut above the grid."""
     if f.values[-1] == 0.0:
         return 0.0  # data decays into the edge; nothing measurable is cut
-    r1 = float(f.radii[-1])
-    a_est = _edge_slope(f.radii, f.values, first=False)
+    a_est = _edge_slope(f.radii[-2:], f.values[-2:])
     if a_est is None or a_est <= alpha:
         return math.inf
-    return abs(f.values[-1]) * sphere_area(n) * r1 ** (n - mu) / (a_est - alpha)
+    return abs(f.values[-1]) * scale * float(f.radii[-1]) ** power / (a_est - alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -735,14 +730,7 @@ def inverse_laplacian_radial(g, dim, cfg=None):
     """
     n = _check_dim(dim)
     cfg = cfg or DEFAULT_CONFIG
-    if g.tail_inner is not None and not g.tail_inner.exponent < n:
-        raise DomainError(
-            f"inner tail exponent {g.tail_inner.exponent} >= N={n}: mass integral diverges"
-        )
-    if g.tail_outer is not None and not g.tail_outer.exponent > 2.0:
-        raise DomainError(
-            f"outer tail exponent {g.tail_outer.exponent} <= 2: outer moment diverges"
-        )
+    _check_tail_windows(g, 2.0, n)
     radii = g.radii
     x8, w8 = _gauss_legendre(8)
     x4, w4 = _gauss_legendre(4)
@@ -759,27 +747,16 @@ def inverse_laplacian_radial(g, dim, cfg=None):
     line8 = interval_integrals(x8, w8, 1.0)
     line4 = interval_integrals(x4, w4, 1.0)
 
-    trunc_in = 0.0
     if g.tail_inner is not None:
         c, a = g.tail_inner.coefficient, g.tail_inner.exponent
-        inner0 = c * radii[0] ** (n - a) / (n - a)
+        inner0, trunc_in = c * radii[0] ** (n - a) / (n - a), 0.0
     else:
-        inner0 = 0.0
-        trunc_in = _inner_mass_bound(g, n)
-
-    trunc_out = 0.0
+        inner0, trunc_in = 0.0, _inner_mass_bound(g, n)
     if g.tail_outer is not None:
         c, a = g.tail_outer.coefficient, g.tail_outer.exponent
-        outer_inf = c * radii[-1] ** (2.0 - a) / (a - 2.0)
+        outer_inf, trunc_out = c * radii[-1] ** (2.0 - a) / (a - 2.0), 0.0
     else:
-        outer_inf = 0.0
-        a_est = _edge_slope(radii, g.values, first=False)
-        if g.values[-1] == 0.0:
-            trunc_out = 0.0
-        elif a_est is None or a_est <= 2.0:
-            trunc_out = math.inf
-        else:
-            trunc_out = abs(g.values[-1]) * radii[-1] ** 2.0 / (a_est - 2.0)
+        outer_inf, trunc_out = 0.0, _trunc_outer_estimate(g, 2.0, 1.0, 2.0)
 
     mass_cum = inner0 + np.concatenate([[0.0], np.cumsum(mass8)])
     outer_cum = outer_inf + np.concatenate([np.cumsum(line8[::-1])[::-1], [0.0]])
@@ -794,19 +771,10 @@ def inverse_laplacian_radial(g, dim, cfg=None):
     errors = (err_abs + trunc_in * radii ** (2.0 - n) / (n - 2.0) + trunc_out / (n - 2.0))
     errors = errors / np.maximum(np.abs(u), 1e-300)
 
-    ti = _map_inverse_tail(g.tail_inner, n, radii[0], u[0])
-    to = _map_inverse_tail(g.tail_outer, n, radii[-1], u[-1])
-    ti = _fit_or(ti, radii[:2], u[:2])
-    to = _fit_or(to, radii[-2:], u[-2:])
-    return RadialProfile(radii, u, ti, to, point_errors=errors)
-
-
-def _map_inverse_tail(term, n, r_edge, v_edge):
-    if term is None or not 2.0 < term.exponent < n:
-        return None
-    a = term.exponent
-    return _unless_jumps(PowerLawTerm(term.coefficient / ((a - 2.0) * (n - a)), a - 2.0),
-                         r_edge, v_edge)
+    return _potential_profile(
+        g, radii, u, errors, 2.0, n,
+        lambda t: PowerLawTerm(t.coefficient / ((t.exponent - 2.0) * (n - t.exponent)),
+                               t.exponent - 2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .power_law import PowerLawTerm
 from .radial_quadrature import (
     DEFAULT_CONFIG,
     RadialProfile,
+    _check_tail_windows,
     inverse_laplacian_radial,
     log_grid,
     riesz_radial,
@@ -143,16 +144,7 @@ def fixed_point_iterate(params, init=None, steps=5, damping=1.0, cfg=None,
         raise DomainError("iteration needs power-law tails on both sides of the init")
     if not np.all(init.values > 0.0):
         raise DomainError("iteration needs a positive init")
-    a_in = init.tail_inner.exponent
-    a_out = init.tail_outer.exponent
-    if not params.p * a_in < n:
-        raise DomainError(
-            f"init inner tail exponent {a_in}: source p*a_in = {params.p * a_in} >= N"
-        )
-    if not params.p * a_out > alpha:
-        raise DomainError(
-            f"init outer tail exponent {a_out}: p*a_out = {params.p * a_out} <= N-mu"
-        )
+    _check_tail_windows(init.power(params.p), alpha, n)
 
     gam = riesz_gamma(alpha, n)
     sel = (init.radii >= window[0]) & (init.radii <= window[1])

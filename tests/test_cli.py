@@ -152,6 +152,17 @@ def test_verify_alternate_mode_fails_loudly(capsys):
     assert all(math.isinf(e) for e in doc["quadrature_error"])
 
 
+def test_verify_decay_within_gamma_margin_reports(capsys):
+    # s*p = 3 - 5e-10 sits within GAMMA_MARGIN of N; the inner tail of the
+    # potential is fitted instead of mapped, and the report comes out
+    code, out, err = run(capsys, "verify", "--mu", "2.5", "--p", "2", "--q", "2",
+                         "--decay", "1.49999999975")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["mode"] == "diagnostic"
+    assert all(math.isfinite(x) for x in doc["ratio"])
+
+
 def test_verify_rejects_bad_family(capsys):
     code, out, _ = run(capsys, "verify", "--mu", "0.5", "--p", "1", "--q", "1")
     assert code == 1
@@ -213,6 +224,18 @@ def test_moving_plane_direct_decay(capsys):
     # every plane passes, so the estimate is the last sampled plane
     assert doc["lambda0_estimate"] == doc["lambdas"][-1] == pytest.approx(-0.125)
     assert doc["monotonicity_min"] > 0.0
+
+
+def test_moving_plane_rejects_empty_center_list(capsys, tmp_path):
+    # no centers means no solution to sweep; a verdict about the zero field is not a result
+    code, out, err = run(capsys, *_PLANE, "--centers", "")
+    assert code == 64 and "--centers" in err
+    assert out == ""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"centers": []}')
+    code, out, err = run(capsys, *_PLANE, "--config", str(cfg))
+    assert code == 64 and "--centers" in err
+    assert out == ""
 
 
 def test_moving_plane_rejects_bad_tolerance(capsys):

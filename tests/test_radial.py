@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import hyp2f1
 
@@ -791,6 +793,88 @@ def test_inverse_laplacian_divergent_tails_rejected():
     with pytest.raises(DomainError):
         inverse_laplacian_radial(
             RadialProfile.from_power(PowerLawTerm(1.0, 1.5), log_grid(0.1, 10, 50)), 3)
+
+
+# ---------------------------------------------------------------------------
+# Result tails, shared by both potentials: each end is mapped in closed form,
+# else fitted through its edge pair, else left off
+
+
+def _inverse_image(term, n=3):
+    a = term.exponent
+    return PowerLawTerm(term.coefficient / ((a - 2.0) * (n - a)), a - 2.0)
+
+
+# potential: (call on a profile, lower end of its mapping window, closed-form image)
+_POTENTIALS = {
+    "riesz": (lambda f: riesz_radial(f, 1.0, 3), 1.0,
+              lambda term: riesz_power(1.0, term.exponent, 3).scaled(term.coefficient)),
+    "inverse": (lambda f: inverse_laplacian_radial(f, 3), 2.0, _inverse_image),
+}
+
+
+def _edge_fit(r2, v2):
+    a = -math.log(abs(v2[1] / v2[0])) / math.log(r2[1] / r2[0])
+    return PowerLawTerm(v2[1] * r2[1] ** a, a)
+
+
+@pytest.mark.parametrize("potential", sorted(_POTENTIALS))
+@pytest.mark.parametrize("outcome", ["mapped", "outside", "jump", "sign"])
+def test_result_tail_outcome_at_each_end(potential, outcome):
+    call, low, image = _POTENTIALS[potential]
+    grid = log_grid(0.1, 10.0, 60)
+    term = PowerLawTerm(1.3, 2.5)  # inside (low, N) for both potentials
+    if outcome == "mapped":
+        out = call(RadialProfile.from_power(term, grid))
+        assert out.tail_inner == image(term) and out.tail_outer == image(term)
+        return
+    if outcome == "outside":  # an inner tail below the window, and no outer tail
+        term = PowerLawTerm(1.3, 0.8)
+        assert not low < term.exponent
+        f = RadialProfile(grid, term(grid), term, None)
+    elif outcome == "jump":  # a bump in the interior moves both edge values off the closed form
+        f = RadialProfile(grid, term(grid) * (1.0 + 50.0 * np.exp(-np.log(grid) ** 2 / 0.3)),
+                          term, term)
+    else:  # the two samples straddle zero, and so does the potential
+        out = call(RadialProfile([1.0, 3.0], [-1.0, 0.42]))
+        assert out.values[0] < 0.0 < out.values[1]
+        assert out.tail_inner is None and out.tail_outer is None
+        return
+    out = call(f)
+    for tail, edge, pair in ((out.tail_inner, 0, slice(None, 2)),
+                             (out.tail_outer, -1, slice(-2, None))):
+        if outcome == "jump":
+            assert abs(image(term)(out.radii[edge]) / out.values[edge] - 1.0) > 0.05
+        assert tail == _edge_fit(out.radii[pair], out.values[pair])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(n=st.sampled_from([3, 4, 5, 6]), share=st.floats(0.0, 1.0),
+       c=st.floats(0.2, 5.0))
+def test_inverse_laplacian_round_trip(n, share, c):
+    # g = c r^-a with 2.05 < a < N - 0.05: the Newton potential is the closed
+    # form c r^-(a-2)/((a-2)(N-a)), and -Lap of it gives g back
+    a = 2.05 + share * (n - 2.1)
+    g = PowerLawTerm(c, a)
+    u = inverse_laplacian_radial(RadialProfile.from_power(g, log_grid(0.1, 10.0, 81)), n)
+    closed = _inverse_image(g, n)
+    assert u.tail_inner == closed and u.tail_outer == closed
+    rel = np.abs(u.values / closed(u.radii) - 1.0)
+    assert np.all(rel <= u.point_errors + 4.0 * np.finfo(float).eps)
+    for r in u.radii[2:-2:7]:
+        value, err = laplacian_radial_fd(u, r, n)
+        assert abs(value - g(r)) <= err, (r, value, g(r), err)
+
+
+@pytest.mark.parametrize("a", [1.0 + 5e-10, 3.0 - 5e-10])
+def test_riesz_tail_within_gamma_margin_is_fitted(a):
+    # the closed-form image needs a gamma argument within GAMMA_MARGIN of an
+    # endpoint of (0, N); the quadrature result stands with fitted tails
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, a), log_grid(0.1, 10.0, 60))
+    out = riesz_radial(prof, 1.0, 3, at=[1.0, 2.0])
+    assert np.all(np.isfinite(out.values)) and np.all(out.values > 0.0)
+    assert out.tail_inner == _edge_fit(out.radii, out.values)
+    assert out.tail_outer == out.tail_inner
 
 
 # ---------------------------------------------------------------------------

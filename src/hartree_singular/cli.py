@@ -211,14 +211,13 @@ def _do_verify(v):
         raise _UsageError("--use-alternate-s and --decay are mutually exclusive")
     decay = alternate_decay_exponent(dim, mu, p, q) if v.use_alternate_s else v.decay
     amplitude = v.amplitude
+    mode = "family" if decay is None and amplitude is None else "diagnostic"
     if decay is not None:
         amplitude = 1.0 if amplitude is None else amplitude
         params = ModelParams(dim=dim, mu=mu, p=p, q=q, s=decay, amplitude=amplitude,
                              symmetry_window=(dim - 2.0 < mu < dim))
-        mode = "diagnostic"
     else:
         params = solve_params(dim, mu, p, q)
-        mode = "family"
     report = verify_solution(params, radii, cfg, decay=decay, amplitude=amplitude,
                              grid=grid)
     fields, table = report_document(report, RESIDUAL_SCHEMA)

@@ -24,6 +24,15 @@ _HYPERPLANE_TOL = 1e-12
 _COMMENSURATE_TOL = 1e-9
 
 
+def _finite(name, x, positive):
+    """float(x), which must be finite and positive (non-negative if not positive)."""
+    x = float(x)
+    if not (0.0 < x < math.inf if positive else 0.0 <= x < math.inf):
+        sign = "positive" if positive else "non-negative"
+        raise DomainError(f"{name} must be finite and {sign}, got {x}")
+    return x
+
+
 class CartesianField:
     """Scalar field on a uniform grid over [-L, L]^N with masked singular points.
 
@@ -37,10 +46,9 @@ class CartesianField:
         if dim not in (2, 3):
             raise DomainError(f"field dimension must be 2 or 3, got {dim}")
         n = int(dim)
-        h = float(h)
-        extent = float(extent)
-        if not (h > 0.0 and extent > 0.0):
-            raise DomainError("spacing and extent must be positive")
+        h, extent = _finite("spacing", h, True), _finite("extent", extent, True)
+        gamma_set = [(np.asarray(p, dtype=float), _finite("exclusion radius", rad, False))
+                     for p, rad in gamma_set]
         steps = 2.0 * extent / h
         if abs(steps - round(steps)) > _COMMENSURATE_TOL:
             raise DomainError(f"extent {extent} is not a whole number of cells of size {h}")
@@ -53,7 +61,7 @@ class CartesianField:
         self.extent = extent
         self.shape = (m,) * n
         self.axis = -extent + h * np.arange(m)
-        self.gamma_set = [(np.asarray(p, dtype=float), float(rad)) for p, rad in gamma_set]
+        self.gamma_set = gamma_set
         if check_gamma:
             for p, _ in self.gamma_set:
                 if p.shape != (n,):
@@ -108,9 +116,9 @@ def sample_field(profile, centers, dim=3, extent=2.0, num=65, exclusion_radius=N
         raise DomainError(f"field dimension must be 2 or 3, got {dim}")
     n = int(dim)
     num = _check_count("num", num, 3)
-    extent = float(extent)
-    h = 2.0 * extent / (num - 1)
-    excl = h if exclusion_radius is None else float(exclusion_radius)
+    extent = _finite("extent", extent, True)
+    h = _finite("spacing", 2.0 * extent / (num - 1), True)
+    excl = h if exclusion_radius is None else _finite("exclusion radius", exclusion_radius, False)
     centers = [np.asarray(c, dtype=float) for c in centers]
     for c in centers:
         if c.shape != (n,):
@@ -175,10 +183,7 @@ def _resolve_tol(field, tol):
     """tol, defaulting to 1e-12 of the largest unmasked magnitude; finite and >= 0."""
     if tol is None:
         return 1e-12 * field.unmasked_max()
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise DomainError(f"tol must be finite and non-negative, got {tol}")
-    return tol
+    return _finite("tol", tol, False)
 
 
 def w_plus_sup(field, lam, tol=None):

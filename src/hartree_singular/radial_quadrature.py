@@ -28,10 +28,6 @@ from .special_fn import _check_count, _check_dim, riesz_gamma, sphere_area
 
 TAIL_CONTINUITY = 0.05  # tail descriptor must match the boundary sample to 5%
 
-# kernel arguments with min/max ratio below this go through the well-separated
-# fast path; above it the near-diagonal reduction takes over
-_SEP_RATIO = 0.8
-
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
@@ -268,7 +264,7 @@ def angular_kernel(r, rho, dim, mu, nodes=64):
     if r == rho:
         return _kernel_diagonal(r, n, mu)
     lo, hi = min(r, rho), max(r, rho)
-    if lo / hi <= _SEP_RATIO:
+    if lo <= 0.5 * hi:  # the far/near split of the Riesz region table
         return float(_kernel_sep(hi, np.array([lo]), n, mu, nodes)[0])
     delta = hi - lo
     return float(_kernel_near(hi, np.array([delta]), -1, n, mu, nodes)[0])
@@ -282,7 +278,7 @@ def _kernel_diagonal(r, n, mu):
 
 
 def _kernel_sep(r, rho, n, mu, nodes):
-    """K(r, rho) for broadcastable arrays r, rho with min/max ratio <= _SEP_RATIO."""
+    """K(r, rho) for broadcastable arrays r, rho with min/max ratio <= 1/2."""
     rho = np.asarray(rho, dtype=float)
     if n == 3:
         return _k3(r, rho, np.abs(r - rho), mu)
@@ -300,7 +296,7 @@ def _kernel_near(r, delta, side, n, mu, nodes):
     is computed from the separation delta itself; only the smooth factors use
     the (possibly rounded) rho. Requires eps = delta^2/(2 r rho) <= 1/4, which
     every caller guarantees (delta <= r/2 below the diagonal, delta <= r above
-    it, delta < hi/5 in angular_kernel).
+    it, delta < hi/2 in angular_kernel).
     """
     delta = np.asarray(delta, dtype=float)
     rho = r + side * delta
@@ -719,33 +715,37 @@ def _trunc_outer_estimate(f, alpha, scale, power):
 # Radial inverse Laplacian (Newton potential, alpha = 2 specialization)
 
 
-def inverse_laplacian_radial(g, dim, cfg=None):
+def inverse_laplacian_radial(g, dim):
     """Solve -Lap u = g radially:
 
         u(r) = (1/(N-2)) [ r^(2-N) int_0^r g rho^(N-1) drho + int_r^inf g rho drho ].
 
-    Requires inner tail exponent < N and outer tail exponent > 2 when tails
-    are attached; a missing tail truncates and its estimate is reported in
-    point_errors. Returns u on g's grid.
+    Each grid interval is integrated by fixed 8- and 4-point Gauss rules;
+    their difference is the quadrature part of point_errors. Requires inner
+    tail exponent < N and outer tail exponent > 2 when tails are attached; a
+    missing tail truncates and its estimate is reported in point_errors.
+    Returns u on g's grid.
     """
     n = _check_dim(dim)
-    cfg = cfg or DEFAULT_CONFIG
     _check_tail_windows(g, 2.0, n)
     radii = g.radii
-    x8, w8 = _gauss_legendre(8)
-    x4, w4 = _gauss_legendre(4)
     mid = 0.5 * (radii[1:] + radii[:-1])
     half = 0.5 * (radii[1:] - radii[:-1])
 
-    def interval_integrals(xs, ws, power):
+    def moments(order):
+        """(int g rho^(N-1), int g rho) over each grid interval, one pass of g per rule."""
+        xs, ws = _gauss_legendre(order)
         nodes = mid[:, None] + half[:, None] * xs[None, :]
-        vals = g(nodes.ravel()).reshape(nodes.shape) * nodes ** power
-        return (vals @ ws) * half
+        vals = g(nodes.ravel()).reshape(nodes.shape)
+        return [((vals * nodes ** power) @ ws) * half for power in (n - 1.0, 1.0)]
 
-    mass8 = interval_integrals(x8, w8, n - 1.0)
-    mass4 = interval_integrals(x4, w4, n - 1.0)
-    line8 = interval_integrals(x8, w8, 1.0)
-    line4 = interval_integrals(x4, w4, 1.0)
+    def potential(inner, mass, outer, line):
+        """(1/(N-2)) [r^(2-N) (inner + cumsum mass) + outer + reverse cumsum line] on the grid."""
+        return ((inner + np.concatenate([[0.0], np.cumsum(mass)])) * radii ** (2.0 - n)
+                + (outer + np.concatenate([np.cumsum(line[::-1])[::-1], [0.0]]))) / (n - 2.0)
+
+    mass8, line8 = moments(8)
+    mass4, line4 = moments(4)
 
     if g.tail_inner is not None:
         c, a = g.tail_inner.coefficient, g.tail_inner.exponent
@@ -758,17 +758,9 @@ def inverse_laplacian_radial(g, dim, cfg=None):
     else:
         outer_inf, trunc_out = 0.0, _trunc_outer_estimate(g, 2.0, 1.0, 2.0)
 
-    mass_cum = inner0 + np.concatenate([[0.0], np.cumsum(mass8)])
-    outer_cum = outer_inf + np.concatenate([np.cumsum(line8[::-1])[::-1], [0.0]])
-    u = (mass_cum * radii ** (2.0 - n) + outer_cum) / (n - 2.0)
-
-    e_mass = np.abs(mass8 - mass4)
-    e_line = np.abs(line8 - line4)
-    err_abs = (
-        np.concatenate([[0.0], np.cumsum(e_mass)]) * radii ** (2.0 - n)
-        + np.concatenate([np.cumsum(e_line[::-1])[::-1], [0.0]])
-    ) / (n - 2.0)
-    errors = (err_abs + trunc_in * radii ** (2.0 - n) / (n - 2.0) + trunc_out / (n - 2.0))
+    u = potential(inner0, mass8, outer_inf, line8)
+    errors = (potential(0.0, np.abs(mass8 - mass4), 0.0, np.abs(line8 - line4))
+              + trunc_in * radii ** (2.0 - n) / (n - 2.0) + trunc_out / (n - 2.0))
     errors = errors / np.maximum(np.abs(u), 1e-300)
 
     return _potential_profile(

@@ -111,16 +111,6 @@ def kv_csv(body):
             items.append((k, v))
     lines = ["key,value"]
     for k, v in items:
-        if isinstance(v, (list, tuple, np.ndarray, dict)):
-            continue
-        if isinstance(v, bool):
-            lines.append(f"{k},{str(v).lower()}")
-        elif v is None:
-            lines.append(f"{k},")
-        elif isinstance(v, (int, np.integer)):
-            lines.append(f"{k},{int(v)}")
-        elif isinstance(v, (float, np.floating)):
-            lines.append(f"{k},{fmt(v)}")
-        else:
-            lines.append(f"{k},{v}")
+        if not isinstance(v, (list, tuple, np.ndarray, dict)):
+            lines.append(f"{k},{'' if v is None else v if isinstance(v, str) else dumps(v)}")
     return "\n".join(lines) + "\n"

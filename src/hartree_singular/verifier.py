@@ -21,7 +21,6 @@ import numpy as np
 from .errors import DomainError, IterationError
 from .power_law import PowerLawTerm
 from .radial_quadrature import (
-    DEFAULT_CONFIG,
     RadialProfile,
     _check_tail_windows,
     inverse_laplacian_radial,
@@ -87,7 +86,6 @@ def verify_solution(params, radii=(0.5, 1.0, 2.0), cfg=None, *, decay=None,
     the point of the diagnostic mode is to watch an off-family pair fail).
     Radii must be strictly increasing and strictly inside the working grid.
     """
-    cfg = cfg or DEFAULT_CONFIG
     n = params.dim
     mu = params.mu
     alpha = n - mu
@@ -127,9 +125,10 @@ def fixed_point_iterate(params, init=None, steps=5, damping=1.0, cfg=None,
     both sides passing the entry gates p*a_in < N and p*a_out > N - mu; any
     divergence deeper in the pipeline (for instance the source outer moment
     reaching exponent <= 2) surfaces as an IterationError carrying the step.
+    cfg governs the Riesz step only; the Newton step uses fixed 8- and
+    4-point Gauss rules per grid interval.
     Returns (final profile, per-step relative sup changes on the window).
     """
-    cfg = cfg or DEFAULT_CONFIG
     n = params.dim
     alpha = n - params.mu
     steps = _check_count("steps", steps, 0)
@@ -158,7 +157,7 @@ def fixed_point_iterate(params, init=None, steps=5, damping=1.0, cfg=None,
         try:
             src = riesz_radial(u.power(params.p), alpha, n, cfg=cfg)
             src = src.scale(gam).multiply(u.power(params.q))
-            v = inverse_laplacian_radial(src, n, cfg=cfg)
+            v = inverse_laplacian_radial(src, n)
         except DomainError as exc:
             raise IterationError(str(exc), k) from exc
         if not np.all(np.isfinite(v.values)):

@@ -163,6 +163,17 @@ def test_verify_decay_within_gamma_margin_reports(capsys):
     assert all(math.isfinite(x) for x in doc["ratio"])
 
 
+def test_verify_amplitude_override_is_diagnostic(capsys):
+    # an amplitude off the family is not the family solution, whatever the decay
+    code, out, _ = run(capsys, "verify", "--mu", "2.5", "--p", "2", "--q", "2",
+                       "--amplitude", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["mode"] == "diagnostic"
+    assert doc["amplitude"] == 2.0
+    assert doc["decay"] == pytest.approx(5.0 / 6.0, rel=1e-14)
+
+
 def test_verify_rejects_bad_family(capsys):
     code, out, _ = run(capsys, "verify", "--mu", "0.5", "--p", "1", "--q", "1")
     assert code == 1
@@ -240,6 +251,13 @@ def test_moving_plane_rejects_empty_center_list(capsys, tmp_path):
 
 def test_moving_plane_rejects_bad_tolerance(capsys):
     for bad in ("--tol=nan", "--tol=-1", "--tol=inf"):
+        code, out, err = run(capsys, "moving-plane", "--decay", "0.5", "--num", "17", bad)
+        assert code == 1 and "domain error" in err, bad
+        assert out == ""
+
+
+def test_moving_plane_rejects_bad_field_inputs(capsys):
+    for bad in ("--exclusion-radius=inf", "--exclusion-radius=-1", "--extent=inf"):
         code, out, err = run(capsys, "moving-plane", "--decay", "0.5", "--num", "17", bad)
         assert code == 1 and "domain error" in err, bad
         assert out == ""

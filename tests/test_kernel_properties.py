@@ -10,10 +10,10 @@ DIMS = st.sampled_from([4, 5, 6])
 MU_SHARE = st.floats(0.05, 0.95)  # mu = share * N covers mu < N-1 and N-1 <= mu < N
 LOG_R = st.floats(-3.0, 3.0)
 LOG_SCALE = st.floats(-3.0, 3.0)
-# rho/r = 1 - gap: gaps below 0.2 take the near-diagonal path, above it the
+# rho/r = 1 - gap: gaps below 0.5 take the near-diagonal path, from 0.5 on the
 # separated path; the smallest gap keeps rounding of the scaled pair below 1e-12
-NEAR_GAP = st.floats(1e-4, 0.2, exclude_max=True)
-SEP_GAP = st.floats(0.2, 0.99)
+NEAR_GAP = st.floats(1e-4, 0.5, exclude_max=True)
+SEP_GAP = st.floats(0.5, 0.99)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 

@@ -96,6 +96,11 @@ def test_center_validation():
             sample_field(DECAY, [ORIGIN], num=num)
     with pytest.raises(DomainError):
         sample_field(DECAY, [ORIGIN], dim=3.5, num=9)
+    for rad in (-1.0, math.inf):
+        with pytest.raises(DomainError):
+            sample_field(DECAY, [ORIGIN], num=9, exclusion_radius=rad)
+    with pytest.raises(DomainError):
+        sample_field(DECAY, [ORIGIN], num=9, extent=math.inf)
 
 
 def test_cartesian_field_validation():
@@ -115,6 +120,13 @@ def test_cartesian_field_validation():
                        mask=np.zeros((5, 5, 5), dtype=bool))
     with pytest.raises(DomainError):
         CartesianField(3.5, 0.5, 2.0, np.zeros((9, 9, 9)))
+    with pytest.raises(DomainError):
+        CartesianField(3, 0.5, math.inf, np.zeros((9, 9, 9)))
+    with pytest.raises(DomainError):
+        CartesianField(3, math.inf, 2.0, np.zeros((1, 1, 1)))
+    with pytest.raises(DomainError):
+        CartesianField(3, 0.5, 2.0, np.zeros((9, 9, 9)),
+                       gamma_set=[((0.0, 0.0, 0.0), -0.5)])  # negative exclusion radius
 
 
 def test_flipped_is_exact_and_transports_gamma():

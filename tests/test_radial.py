@@ -1,5 +1,6 @@
 """Radial quadrature: angular kernel, Riesz potential, inverse Laplacian."""
 
+import itertools
 import math
 import subprocess
 import sys
@@ -244,6 +245,19 @@ def test_kernel_near_diagonal_against_oracle():
         got = angular_kernel(1.0, 1.0 - delta, 4, 2.7)
         want = kernel_oracle(1.0, 1.0 - delta, 4, 2.7)
         assert got == pytest.approx(want, rel=1e-11), delta
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_kernel_between_half_and_diagonal_against_quad(n):
+    # rho/r in (1/2, 1) is near-diagonal territory, as in the Riesz region
+    # table; the separated rule loses up to ~1e-10 there at mu close to N
+    for ratio, mu in itertools.product((0.7, 0.8), (0.6 * n, n - 1.2, 0.8 * n, 0.95 * n)):
+        def integrand(t):
+            return (1.0 + ratio ** 2 - 2.0 * ratio * math.cos(t)) ** (-mu / 2.0) * math.sin(t) ** (n - 2)
+
+        want = sphere_area(n - 1) * quad(integrand, 0.0, math.pi, epsabs=0.0, epsrel=1e-13,
+                                         limit=200)[0]
+        assert angular_kernel(1.0, ratio, n, mu) == pytest.approx(want, rel=1e-13), (ratio, mu)
 
 
 def _k_general_delta(r, delta, rho, n, mu, nodes):

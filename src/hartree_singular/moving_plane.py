@@ -33,6 +33,23 @@ def _finite(name, x, positive):
     return x
 
 
+def _check_reach(name, p, lo, hi):
+    """Reject a point with a non-finite coordinate or an overflowing squared distance.
+
+    The node farthest from p sits at lo or hi on every axis, so its squared
+    distance bounds them all; it is summed in Python floats, which overflow
+    to inf without numpy's warning.
+    """
+    d2 = 0.0
+    for x in p.tolist():
+        if not math.isfinite(x):
+            raise DomainError(f"{name} {p} must have finite coordinates")
+        far = max(abs(lo - x), abs(hi - x))
+        d2 += far * far
+    if not math.isfinite(d2):
+        raise DomainError(f"squared distances from the grid to {name} {p} overflow")
+
+
 class CartesianField:
     """Scalar field on a uniform grid over [-L, L]^N with masked singular points.
 
@@ -71,6 +88,8 @@ class CartesianField:
                         f"singular point {p} must lie on the hyperplane x1 = 0"
                     )
         if mask is None:
+            for p, _ in self.gamma_set:
+                _check_reach("singular point", p, float(self.axis[0]), float(self.axis[-1]))
             mask = np.zeros(self.shape, dtype=bool)
             if self.gamma_set:
                 grids = np.meshgrid(*([self.axis] * n), indexing="ij", sparse=True)
@@ -82,24 +101,12 @@ class CartesianField:
             if mask.shape != self.shape:
                 raise DomainError("mask shape does not match grid shape")
         self.mask = mask
-        if not np.all(np.isfinite(values[~mask])):
+        if not np.all(np.isfinite(values) | mask):
             raise DomainError("field values must be finite outside the exclusion balls")
         self.values = values
 
     def unmasked_max(self):
-        live = self.values[~self.mask]
-        return float(np.max(np.abs(live))) if live.size else 0.0
-
-    def flipped(self):
-        """The field x1 -> -x1, an exact index reversal."""
-        return CartesianField(
-            self.dim, self.h, self.extent,
-            np.flip(self.values, axis=0),
-            gamma_set=[(p * np.array([-1.0] + [1.0] * (self.dim - 1)), rad)
-                       for p, rad in self.gamma_set],
-            mask=np.flip(self.mask, axis=0),
-            check_gamma=False,
-        )
+        return float(np.max(np.abs(self.values), where=~self.mask, initial=0.0))
 
 
 def sample_field(profile, centers, dim=3, extent=2.0, num=65, exclusion_radius=None,
@@ -125,6 +132,7 @@ def sample_field(profile, centers, dim=3, extent=2.0, num=65, exclusion_radius=N
             raise DomainError(f"center {c} has wrong dimension")
         if check_centers and abs(c[0]) > _HYPERPLANE_TOL:
             raise DomainError(f"center {c} must lie on the hyperplane x1 = 0")
+        _check_reach("center", c, -extent, -extent + h * (num - 1))
     axis = -extent + h * np.arange(num)
     grids = np.meshgrid(*([axis] * n), indexing="ij", sparse=True)
     values = np.zeros((num,) * n)
@@ -189,22 +197,28 @@ def _resolve_tol(field, tol):
 def w_plus_sup(field, lam, tol=None):
     """sup over {x1 < lambda} of max(u - u_lambda, 0), masked nodes skipped.
 
-    Row i pairs with its mirror row j = k + m-1 - i (k = 2 lambda / h); only
-    rows with i < j and the partner inside the box are compared. Both sides
-    are views into field.values (the partner rows read in reverse), so no
-    reflected field is built. A supremum within tol of zero (tol >= 0,
-    default 1e-12 times the largest unmasked field magnitude) counts as zero.
+    A supremum within tol of zero (tol >= 0, default 1e-12 times the largest
+    unmasked field magnitude) counts as zero. No reflected field is built.
     """
     tol = _resolve_tol(field, tol)
-    k = _plane_index_shift(field, lam)
-    m = field.shape[0]
+    return _row_pair_sup(field.values, field.mask, _plane_index_shift(field, lam), tol)
+
+
+def _row_pair_sup(values, mask, k, tol):
+    """w_plus_sup on the rows of (values, mask) for the plane of k half-cells.
+
+    Row i pairs with its mirror row j = k + m-1 - i; only rows with i < j and
+    the partner inside the box are compared. Both sides are views into
+    values (the partner rows read in reverse).
+    """
+    m = values.shape[0]
     c = k + m - 1
     lo, hi = max(0, k), min(m, (c + 1) // 2)
     if lo >= hi:
         return 0.0
     part = slice(c - hi + 1, c - lo + 1)
-    w = field.values[lo:hi] - field.values[part][::-1]
-    w[field.mask[lo:hi] | field.mask[part][::-1]] = -np.inf
+    w = values[lo:hi] - values[part][::-1]
+    w[mask[lo:hi] | mask[part][::-1]] = -np.inf
     sup = float(np.max(w))
     return sup if sup > tol else 0.0
 
@@ -215,10 +229,11 @@ class MovingPlaneReport:
 
     lambda0_estimate is the largest sampled lambda such that sup w_t^+ stays
     at zero for every sampled t <= lambda; None when even the first plane
-    fails. The reverse fields repeat the sweep on the x1-flipped field (the
-    sweep run from the opposite side). monotonicity_min is the minimum
-    forward x1-difference over nodes with x1 < -h. dim_in_scope is False for
-    2-d smoke-test fields, which the symmetry statements do not cover.
+    fails. The reverse fields repeat the sweep from the opposite side, reading
+    the same rows of the field in reverse order. monotonicity_min is the
+    minimum forward x1-difference over nodes with x1 < -h. dim_in_scope is
+    False for 2-d smoke-test fields, which the symmetry statements do not
+    cover.
     """
 
     lambdas: np.ndarray
@@ -232,21 +247,28 @@ class MovingPlaneReport:
 
 
 def default_lambda_grid(field):
-    """Planes {-L, -L+0.1, ...} up to -h, snapped to multiples of h/2."""
+    """Planes {-L, -L+0.1, ...} up to -h, snapped to multiples of h/2.
+
+    Reads only field.h and field.extent. When h/2 >= 0.2, planes 0.1 apart hit
+    every multiple of h/2 in [-L, -h/2], so those multiples are built directly;
+    otherwise fewer than 2 num raw planes are snapped. Either way the work
+    follows num, not the extent.
+    """
     half = field.h / 2.0
-    raw = np.arange(-field.extent, 0.0, 0.1)
-    raw = np.append(raw, -field.h)
-    snapped = np.round(raw / half) * half
-    snapped = np.unique(snapped[snapped < 0.0])
-    return snapped
+    if half >= 0.2:
+        snapped = np.arange(np.round(-field.extent / half), 0.0) * half
+    else:
+        raw = np.append(np.arange(-field.extent, 0.0, 0.1), -field.h)
+        snapped = np.round(raw / half) * half
+    return np.unique(snapped[snapped < 0.0])
 
 
 def sweep_lambda0(field, lambda_grid=None, tol=None):
     """Sweep the reflection plane and estimate the critical lambda0.
 
-    Runs the sweep in both directions (the reverse direction acts on the
-    x1-flipped field) and reports both estimates. Each plane is one serial
-    w_plus_sup call, which compares row slices of the field in place.
+    Runs the sweep in both directions and reports both estimates. The reverse
+    pass reads the same rows of the field in reverse order, so each plane
+    compares row slices of one array in place and no second field is built.
     Requires a strictly increasing grid of negative, h/2-commensurate planes.
     """
     if lambda_grid is None:
@@ -256,13 +278,11 @@ def sweep_lambda0(field, lambda_grid=None, tol=None):
         raise DomainError("no admissible reflection planes in the grid")
     if not np.all(np.diff(lambda_grid) > 0.0) or not np.all(lambda_grid < 0.0):
         raise DomainError("lambda grid must be strictly increasing and negative")
-    for lam in lambda_grid:
-        _plane_index_shift(field, lam)
+    shifts = [_plane_index_shift(field, lam) for lam in lambda_grid]
     tol = _resolve_tol(field, tol)
-
-    flipped = field.flipped()
-    sup_fwd = np.array([w_plus_sup(field, lam, tol=tol) for lam in lambda_grid])
-    sup_rev = np.array([w_plus_sup(flipped, lam, tol=tol) for lam in lambda_grid])
+    values, mask = field.values, field.mask
+    sup_fwd = np.array([_row_pair_sup(values, mask, k, tol) for k in shifts])
+    sup_rev = np.array([_row_pair_sup(values[::-1], mask[::-1], k, tol) for k in shifts])
 
     return MovingPlaneReport(
         lambdas=lambda_grid,
@@ -288,13 +308,7 @@ def _largest_passing(lambdas, sups, tol):
 
 def _monotonicity_min(field):
     """Minimum forward x1-difference over unmasked node pairs with x1 < -h."""
-    sel = field.axis < -field.h
-    idx = np.nonzero(sel)[0]
-    idx = idx[idx + 1 < field.shape[0]]
-    if idx.size == 0:
-        return math.inf
-    d = field.values[idx + 1] - field.values[idx]
-    live = ~(field.mask[idx + 1] | field.mask[idx])
-    if not live.any():
-        return math.inf
-    return float(np.min(d[live]))
+    k = min(int(np.count_nonzero(field.axis < -field.h)), field.shape[0] - 1)
+    values, mask = field.values, field.mask
+    return float(np.min(values[1:k + 1] - values[:k], where=~(mask[1:k + 1] | mask[:k]),
+                        initial=math.inf))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,24 @@ def test_moving_plane_rejects_bad_field_inputs(capsys):
         code, out, err = run(capsys, "moving-plane", "--decay", "0.5", "--num", "17", bad)
         assert code == 1 and "domain error" in err, bad
         assert out == ""
+
+
+def test_moving_plane_rejects_unreachable_centres_and_extents(capsys):
+    # a non-finite centre or overflowing squared distances must end in one
+    # domain error line, not a quiet verdict or a numpy warning and a traceback
+    for bad in ("--centers=0,inf,0", "--extent=1e200"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "moving-plane", "--decay", "0.5", "--num", "9", bad)
+        assert code == 1 and out == "", bad
+        assert err.startswith("domain error") and err.count("\n") == 1, bad
+
+
+def test_moving_plane_huge_extent_gets_num_planes(capsys):
+    code, out, _ = run(capsys, "moving-plane", "--decay", "0.5", "--num", "9",
+                       "--extent", "1e20")
+    assert code == 0
+    assert len(json.loads(out)["lambdas"]) == 8
 
 
 def test_threads_is_not_an_option(capsys, tmp_path):

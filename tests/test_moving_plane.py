@@ -1,6 +1,7 @@
 """Discrete moving-plane machinery: fields, reflections, sweeps."""
 
 import math
+import types
 from collections import defaultdict
 
 import numpy as np
@@ -101,6 +102,13 @@ def test_center_validation():
             sample_field(DECAY, [ORIGIN], num=9, exclusion_radius=rad)
     with pytest.raises(DomainError):
         sample_field(DECAY, [ORIGIN], num=9, extent=math.inf)
+    for center in ((0.0, math.inf, 0.0), (0.0, 0.0, -math.inf)):
+        with pytest.raises(DomainError):
+            sample_field(DECAY, [center], num=9)  # not a silent all-zero field
+    with pytest.raises(DomainError):
+        sample_field(DECAY, [ORIGIN], num=9, extent=1e200)  # squared distances overflow
+    with pytest.raises(DomainError):
+        sample_field(DECAY, [(0.0, 1e200, 0.0)], num=9)
 
 
 def test_cartesian_field_validation():
@@ -127,17 +135,11 @@ def test_cartesian_field_validation():
     with pytest.raises(DomainError):
         CartesianField(3, 0.5, 2.0, np.zeros((9, 9, 9)),
                        gamma_set=[((0.0, 0.0, 0.0), -0.5)])  # negative exclusion radius
-
-
-def test_flipped_is_exact_and_transports_gamma():
-    f = sample_field(DECAY, [(0.0, 0.5, 0.0)], num=17)
-    g = f.flipped()
-    # flipping in x1 is a symmetry of this field
-    assert np.array_equal(f.values, g.values, equal_nan=True)
-    shifted = sample_field(DECAY, [(0.5, 0.0, 0.0)], num=17, check_centers=False)
-    h = shifted.flipped()
-    assert h.gamma_set[0][0][0] == -0.5
-    assert np.array_equal(h.values, np.flip(shifted.values, axis=0), equal_nan=True)
+    for point in ((0.0, math.inf, 0.0), (0.0, 1e200, 0.0)):  # non-finite, overflowing
+        with pytest.raises(DomainError):
+            CartesianField(3, 0.5, 2.0, np.zeros((9, 9, 9)), gamma_set=[(point, 0.5)])
+    with pytest.raises(DomainError):
+        CartesianField(3, 2.5e199, 1e200, np.zeros((9, 9, 9)), gamma_set=[(ORIGIN, 0.5)])
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +270,7 @@ def fields_and_planes(draw):
     f = sample_field(PowerLawTerm(1.0, decay), centers, dim=dim, extent=2.0, num=num,
                      check_centers=False)
     if draw(st.booleans()):
-        f = f.flipped()
+        f = CartesianField(f.dim, f.h, f.extent, f.values[::-1], mask=f.mask[::-1])
     # planes k h/2 from past -L (partners leave the box) to past +L; odd k are half-cell planes
     k = draw(st.integers(-num - 1, num + 1))
     return f, k * f.h / 2.0
@@ -279,6 +281,25 @@ def fields_and_planes(draw):
 def test_w_plus_matches_reflection_reference_bit_for_bit(case, tol):
     f, lam = case
     assert w_plus_sup(f, lam, tol=tol) == _w_plus_sup_by_reflection(f, lam, tol=tol)
+
+
+@st.composite
+def fields_and_grids(draw):
+    f, _ = draw(fields_and_planes())
+    m = f.shape[0]
+    ks = draw(st.lists(st.integers(-m - 1, -1), min_size=1, max_size=8, unique=True))
+    return f, np.sort(ks) * f.h / 2.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(case=fields_and_grids(), tol=st.sampled_from([0.0, None]))
+def test_sweep_reverse_pass_matches_the_mirrored_field_bit_for_bit(case, tol):
+    f, grid = case
+    mirror = CartesianField(f.dim, f.h, f.extent, f.values[::-1], mask=f.mask[::-1])
+    report = sweep_lambda0(f, lambda_grid=grid, tol=tol)
+    for i, lam in enumerate(grid):
+        assert report.sup_w_plus[i] == w_plus_sup(f, lam, tol=tol)
+        assert report.reverse_sup_w_plus[i] == w_plus_sup(mirror, lam, tol=tol)
 
 
 def test_w_plus_rejects_bad_tolerance():
@@ -303,6 +324,32 @@ def test_default_lambda_grid_properties():
     assert np.max(np.abs(grid / half - np.round(grid / half))) < 1e-9
     assert grid[-1] == pytest.approx(-f.h)
     assert grid[0] >= -f.extent
+
+
+def _default_grid_by_arange(field):
+    """The default plane grid as first written, from planes 0.1 apart: its reference."""
+    half = field.h / 2.0
+    raw = np.append(np.arange(-field.extent, 0.0, 0.1), -field.h)
+    snapped = np.round(raw / half) * half
+    return np.unique(snapped[snapped < 0.0])
+
+
+def test_default_lambda_grid_matches_arange_reference():
+    extents = (0.01, 0.1, 0.35, 1.0, 2.0, 2.5, 7.3, 40.0, 1e3)
+    pairs = [(num, extent) for num in (3, 4, 5, 9, 11, 17, 21, 33, 65, 129, 257)
+             for extent in extents]
+    # h/2 at and next to 0.2, where the grid switches between its two constructions
+    pairs += [(num, 0.2 * (num - 1) * (1.0 + eps)) for num in (3, 6, 11, 101)
+              for eps in (0.0, 1e-12, -1e-12, 1e-9, -1e-9)]
+    for num, extent in pairs:
+        f = types.SimpleNamespace(h=2.0 * extent / (num - 1), extent=extent)
+        grid, ref = default_lambda_grid(f), _default_grid_by_arange(f)
+        assert grid.dtype == ref.dtype and np.array_equal(grid, ref), (num, extent)
+
+
+def test_default_lambda_grid_size_follows_num_not_extent():
+    f = types.SimpleNamespace(h=2e20 / 8, extent=1e20)  # num = 9
+    assert np.array_equal(default_lambda_grid(f), np.arange(-8.0, 0.0) * 1.25e19)
 
 
 def test_sweep_centered_field_passes_every_plane():

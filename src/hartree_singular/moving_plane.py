@@ -247,19 +247,16 @@ class MovingPlaneReport:
 
 
 def default_lambda_grid(field):
-    """Planes {-L, -L+0.1, ...} up to -h, snapped to multiples of h/2.
+    """Planes from -L up to -h, snapped to multiples of h/2.
 
-    Reads only field.h and field.extent. When h/2 >= 0.2, planes 0.1 apart hit
-    every multiple of h/2 in [-L, -h/2], so those multiples are built directly;
-    otherwise fewer than 2 num raw planes are snapped. Either way the work
-    follows num, not the extent.
+    Reads only field.h and field.extent. The raw planes start at -L,
+    max(0.1, h/4) apart, and -h is appended. Where h/4 > 0.1 they hit every
+    multiple of h/2 that planes 0.1 apart would, so the grid is the same while
+    its size follows num, not the extent.
     """
     half = field.h / 2.0
-    if half >= 0.2:
-        snapped = np.arange(np.round(-field.extent / half), 0.0) * half
-    else:
-        raw = np.append(np.arange(-field.extent, 0.0, 0.1), -field.h)
-        snapped = np.round(raw / half) * half
+    raw = np.append(np.arange(-field.extent, 0.0, max(0.1, half / 2.0)), -field.h)
+    snapped = np.round(raw / half) * half
     return np.unique(snapped[snapped < 0.0])
 
 

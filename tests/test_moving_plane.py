@@ -336,9 +336,9 @@ def _default_grid_by_arange(field):
 
 def test_default_lambda_grid_matches_arange_reference():
     extents = (0.01, 0.1, 0.35, 1.0, 2.0, 2.5, 7.3, 40.0, 1e3)
-    pairs = [(num, extent) for num in (3, 4, 5, 9, 11, 17, 21, 33, 65, 129, 257)
+    pairs = [(num, extent) for num in (2, 3, 4, 5, 9, 11, 17, 21, 33, 65, 129, 257)
              for extent in extents]
-    # h/2 at and next to 0.2, where the grid switches between its two constructions
+    # h/2 at and next to 0.2, where the raw plane step leaves 0.1 for h/4
     pairs += [(num, 0.2 * (num - 1) * (1.0 + eps)) for num in (3, 6, 11, 101)
               for eps in (0.0, 1e-12, -1e-12, 1e-9, -1e-9)]
     for num, extent in pairs:

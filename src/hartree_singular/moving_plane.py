@@ -55,8 +55,9 @@ class CartesianField:
 
     Axis 0 is the reflection direction x1. `gamma_set` is a list of
     (point, exclusion_radius) pairs; nodes inside any exclusion ball are
-    masked and skipped by every comparison. The node set is closed under
-    every coordinate sign flip by construction of the uniform symmetric grid.
+    masked and skipped by every comparison; balls that cover every node
+    raise DomainError. The node set is closed under every coordinate sign
+    flip by construction of the uniform symmetric grid.
     """
 
     def __init__(self, dim, h, extent, values, gamma_set=(), mask=None, check_gamma=True):
@@ -96,6 +97,8 @@ class CartesianField:
                 for p, rad in self.gamma_set:
                     d2 = sum((g - c) ** 2 for g, c in zip(grids, p))
                     mask |= d2 <= rad * rad
+                if mask.all():
+                    raise DomainError("exclusion balls cover every grid node: no data to compare")
         else:
             mask = np.asarray(mask, dtype=bool)
             if mask.shape != self.shape:
@@ -117,7 +120,8 @@ def sample_field(profile, centers, dim=3, extent=2.0, num=65, exclusion_radius=N
     {x1 = 0}; check_centers=False skips that requirement so negative tests can
     construct deliberately off-axis fields. Each center gets an exclusion ball
     of radius exclusion_radius (default: one grid cell), inside which nodes
-    are masked and the stored value is NaN.
+    are masked and the stored value is NaN; balls that cover every node
+    raise DomainError.
     """
     if dim not in (2, 3):
         raise DomainError(f"field dimension must be 2 or 3, got {dim}")
@@ -144,6 +148,8 @@ def sample_field(profile, centers, dim=3, extent=2.0, num=65, exclusion_radius=N
             term = np.asarray(profile(np.sqrt(d2)), dtype=float)
         term[~np.isfinite(term)] = np.nan
         values += term
+    if mask.all():
+        raise DomainError("exclusion balls cover every grid node: no data to compare")
     values[mask] = np.nan
     return CartesianField(
         n, h, extent, values,

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import ConvergenceError, DomainError
 from .power_law import PowerLawTerm, riesz_power
@@ -102,10 +100,10 @@ class RadialProfile:
         if self._interp is None:
             x = np.log(self.radii)
             if self._positive:
-                base = PchipInterpolator(x, np.log(self.values), extrapolate=False)
+                base = _pchip(x, np.log(self.values))
                 self._interp = lambda lr: np.exp(base(lr))
             else:
-                self._interp = PchipInterpolator(x, self.values, extrapolate=False)
+                self._interp = _pchip(x, self.values)
         return self._interp
 
     def __call__(self, r):
@@ -179,6 +177,52 @@ class RadialProfile:
         return RadialProfile(self.radii, values, ti, to)
 
 
+def _pchip(x, y):
+    """Monotone cubic (PCHIP) interpolant of y(x) for queries in [x[0], x[-1]].
+
+    Interior slopes are the weighted harmonic mean of Fritsch & Carlson (SIAM
+    J. Numer. Anal. 17 (1980) 238), zero at a local extremum; end slopes use
+    the shape-preserving three-point rule of Moler's pchiptx. Coefficients and
+    power-form evaluation repeat scipy's PCHIP step by step, so the values are
+    bit-identical to it.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if x.size == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        same = np.sign(m[1:]) * np.sign(m[:-1]) > 0.0  # no extremum or flat run
+        d = np.zeros_like(y)
+        with np.errstate(divide="ignore", invalid="ignore"):  # masked out by `same`
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d[1:-1] = np.where(same, 1.0 / whmean, 0.0)
+        d[0] = _pchip_end(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+    inner = x[1:-1]
+
+    def evaluate(q):
+        i = np.searchsorted(inner, q, side="right")
+        s = q - x.take(i)
+        s2 = s * s
+        return c3.take(i) + c2.take(i) * s + c1.take(i) * s2 + c0.take(i) * (s2 * s)
+
+    return evaluate
+
+
+def _pchip_end(h0, h1, m0, m1):
+    """One-sided three-point end slope, clipped to keep the data's shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
 def _tail_jumps(tv, v_edge):
     """True when a tail value misses its boundary sample by more than TAIL_CONTINUITY."""
     return abs(tv - v_edge) > TAIL_CONTINUITY * max(abs(v_edge), abs(tv), 1e-300)
@@ -208,17 +252,22 @@ def _mix_tails(t1, t2, w1, w2, r_edge, v_edge, inner):
 
 # ---------------------------------------------------------------------------
 # Gauss rules, cached on their exact arguments so that a result never depends
-# on which rules earlier calls happened to build
+# on which rules earlier calls happened to build. scipy.special is imported in
+# the first rule built, so the CLI paths without quadrature never load scipy.
 
 
 @functools.cache
 def _gauss_legendre(n):
+    from scipy.special import roots_legendre
+
     return roots_legendre(n)
 
 
 @functools.cache
 def _jacobi_unit(n, g):
     """Nodes X and weights W with sum W_i h(X_i) ~ int_0^1 x^g h(x) dx."""
+    from scipy.special import roots_jacobi
+
     g = float(g)
     x, w = roots_jacobi(n, 0.0, g)
     return (1.0 + x) / 2.0, w * 2.0 ** (-(g + 1.0))
@@ -227,6 +276,8 @@ def _jacobi_unit(n, g):
 @functools.cache
 def _jacobi_sym(n, b):
     """Rule for int_-1^1 (1-u^2)^b q(u) du."""
+    from scipy.special import roots_jacobi
+
     return roots_jacobi(n, float(b), float(b))
 
 

@@ -275,6 +275,13 @@ def test_moving_plane_rejects_unreachable_centres_and_extents(capsys):
         assert err.startswith("domain error") and err.count("\n") == 1, bad
 
 
+def test_moving_plane_rejects_exclusion_balls_covering_the_grid(capsys):
+    code, out, err = run(capsys, "moving-plane", "--decay", "0.5", "--num", "9",
+                         "--exclusion-radius", "10")
+    assert code == 1 and out == ""
+    assert err.startswith("domain error") and "exclusion ball" in err
+
+
 def test_moving_plane_huge_extent_gets_num_planes(capsys):
     code, out, _ = run(capsys, "moving-plane", "--decay", "0.5", "--num", "9",
                        "--extent", "1e20")
@@ -648,3 +655,37 @@ def test_module_invocation_runs():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["upper"] == pytest.approx(4.0)
+
+
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+import hartree_singular.cli
+loaded = sorted(k for k in sys.modules if k.partition(".")[0] == "scipy")
+sys.modules["scipy"] = None  # from here on any scipy import raises ImportError
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = hartree_singular.cli.main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"loaded": loaded, "runs": runs}))
+"""
+
+_LIGHT_COMMANDS = (
+    ["critical-exponents", "--mu", "2.5"],
+    ["hls", "--t", "1.5", "--mu", "2"],
+    ["solve-params", "--mu", "2.5", "--p", "2", "--q", "2"],
+    ["moving-plane", "--decay", "0.5", "--num", "17"],
+)
+
+
+def test_light_subcommands_run_without_scipy(capsys):
+    # the algebra subcommands and moving-plane need no quadrature, so neither
+    # importing the package nor running them may touch scipy
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(_LIGHT_COMMANDS)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["loaded"] == []
+    for argv, got in zip(_LIGHT_COMMANDS, doc["runs"]):
+        assert got == [0, *run(capsys, *argv)[1:]], argv

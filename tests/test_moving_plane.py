@@ -142,6 +142,19 @@ def test_cartesian_field_validation():
         CartesianField(3, 2.5e199, 1e200, np.zeros((9, 9, 9)), gamma_set=[(ORIGIN, 0.5)])
 
 
+def test_exclusion_balls_covering_every_node_are_rejected():
+    # no node left to compare: a sweep would report a symmetry verdict about no data
+    with pytest.raises(DomainError, match="exclusion balls cover every grid node"):
+        sample_field(DECAY, [ORIGIN], num=9, exclusion_radius=10.0)
+    with pytest.raises(DomainError, match="exclusion balls cover every grid node"):
+        CartesianField(3, 0.5, 2.0, np.zeros((9, 9, 9)), gamma_set=[(ORIGIN, 4.0)])
+    # one node outside the balls is enough: the corners sit at distance 2*sqrt(3)
+    f = CartesianField(3, 0.5, 2.0, np.zeros((9, 9, 9)), gamma_set=[(ORIGIN, 3.4)])
+    assert int((~f.mask).sum()) == 8
+    # a reflection whose partners all leave the box is an explicit mask, and stays valid
+    assert reflect(small_field(), -3.0).mask.all()
+
+
 # ---------------------------------------------------------------------------
 # Reflection
 

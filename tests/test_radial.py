@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 from scipy.special import hyp2f1
 
 from hartree_singular import (
@@ -36,6 +37,7 @@ from hartree_singular.radial_quadrature import (
     _k3,
     _k_jacobi,
     _kernel_near,
+    _pchip,
     _profile_table,
     _region_integrand,
 )
@@ -213,6 +215,37 @@ def test_profile_fractional_power_needs_positive():
     prof = RadialProfile(g, np.array([1.0, -1.0, 1.0]))
     with pytest.raises(DomainError):
         prof.power(0.5)
+
+
+@st.composite
+def pchip_data(draw):
+    """Log-grid abscissae with monotone, flat-run, sign-changing or non-positive data."""
+    n = draw(st.integers(2, 400))
+    lo, hi = draw(st.floats(-4.0, -1.0)), draw(st.floats(1.0, 4.0))
+    x = np.log(np.geomspace(10.0 ** lo, 10.0 ** hi, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["monotone", "flat runs", "slope sign changes", "non-positive"]))
+    if kind == "monotone":
+        y = -np.cumsum(rng.exponential(size=n))
+    elif kind == "flat runs":
+        y = np.repeat(rng.normal(size=n), rng.integers(1, 5, size=n))[:n]
+    elif kind == "slope sign changes":
+        y = np.sin(x * rng.uniform(0.5, 20.0)) + 1e-3 * rng.normal(size=n)
+    else:
+        y = np.minimum(rng.normal(size=n), 0.0)
+    q = np.concatenate([x, x[[0, -1]], rng.uniform(x[0], x[-1], 500)])
+    return x, y, q
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(data=pchip_data())
+def test_pchip_is_bit_identical_to_scipy(data):
+    # the interpolant behind every off-grid profile query must reproduce scipy's
+    # PchipInterpolator exactly: at every node, at both ends and in between
+    x, y, q = data
+    got = _pchip(x, y)(q)
+    want = PchipInterpolator(x, y, extrapolate=False)(q)
+    assert np.all(got == want)
 
 
 # ---------------------------------------------------------------------------

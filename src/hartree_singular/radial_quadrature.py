@@ -329,14 +329,31 @@ def _kernel_diagonal(r, n, mu):
 
 
 def _kernel_sep(r, rho, n, mu, nodes):
-    """K(r, rho) for broadcastable arrays r, rho with min/max ratio <= 1/2."""
+    """K(r, rho) for broadcastable arrays r, rho with min/max ratio <= 1/2.
+
+    At N = 3, (r + rho)^e - |r - rho|^e with e = 2 - mu cancels as rho/r -> 0,
+    so it is built from s = lo/hi alone: hi^e ((1 + s)^e - (1 - s)^e), with
+    the difference of powers written as 2 exp(e(l+ + l-)/2) sinh(e(l+ - l-)/2)
+    and l+- = log1p(+-s); at mu = 2 the log form is l+ - l-.
+    """
     rho = np.asarray(rho, dtype=float)
     if n == 3:
-        return _k3(r, rho, np.abs(r - rho), mu)
+        lo, hi = np.minimum(r, rho), np.maximum(r, rho)
+        s = lo / hi
+        lp, lm = np.log1p(s), np.log1p(-s)
+        if mu == 2.0:
+            return (lp - lm) / (r * rho) * (2.0 * math.pi)
+        e = 2.0 - mu
+        return (hi ** e * 2.0 * np.exp(e * (lp + lm) / 2.0) * np.sinh(e * (lp - lm) / 2.0)
+                / (e * r * rho) * (2.0 * math.pi))
     b = (n - 3.0) / 2.0
     u, w = _jacobi_sym(nodes, b)
     r, rho = np.asarray(r, dtype=float)[..., None], rho[..., None]
-    q = (r * r + rho ** 2 - 2.0 * r * rho * u) ** (-mu / 2.0)
+    # one (..., nodes) array, updated in place: the same values as
+    # (r r + rho^2 - 2 r rho u)^(-mu/2), without three such temporaries
+    q = 2.0 * r * rho * u
+    np.subtract(r * r + rho ** 2, q, out=q)
+    np.power(q, -mu / 2.0, out=q)
     return sphere_area(n - 1) * (q @ w)
 
 
@@ -405,8 +422,21 @@ def _k_jacobi(r, rho, delta, n, mu, nodes):
 _GL_ORDER = 12
 _RADIUS_BLOCK = 32  # radii per _adaptive_gl run, which bounds the live panel arrays
 # panels per integrand call at N = 3; at N >= 4 each point also carries a row
-# of angular_nodes kernel terms, so a call takes 8 * _CHUNK_PANELS // nodes
-_CHUNK_PANELS = 512
+# of angular_nodes kernel terms, so a call takes 8 * _CHUNK_PANELS // nodes.
+# With the grid-interval panels summed densely, N = 3 calls hold mostly
+# near-diagonal panels: at 512 of them the traced peak of a 400-radius call
+# rose from 2.5 to 3.4 MB, at no gain in time. At N >= 4, 32 panels keep the
+# (panels x 36 x nodes) kernel terms in cache, and a far kernel block cost
+# about half as much per panel as at 64.
+_CHUNK_PANELS = 256
+# rounding floor of an error bound, per unit of sum |integrand * weight|: an
+# integrand value passes through about eight rounded steps (the node, exp,
+# the interpolant, rho^p, the kernel), each good to a unit in the last place
+_ROUNDOFF = 8.0 * np.finfo(float).eps
+# grid radii read kernel rows per grid offset when no log(grid radius) is
+# further than this from the uniform lattice; a row then misplaces the kernel
+# by at most this much in log(rho), and log_grid(1e-3, 1e3, 400) is within 16 eps
+_LOG_UNIFORM = 32 * np.finfo(float).eps
 
 
 def _gauss_points(segs):
@@ -417,32 +447,49 @@ def _gauss_points(segs):
     return mid[:, None] + half[:, None] * x
 
 
-def _adaptive_gl(fun, segs, tag, length, rel_tol, abs_tol, max_panels, chunk):
+def _rule_sums(v):
+    """(12-point sum, 24-point sum, 24-point sum of |v|) of each row of v at _gauss_points.
+
+    The sums leave out the panel's half-width. einsum's row sums, unlike BLAS
+    gemv, do not depend on a panel's place in the batch.
+    """
+    w1, w2 = _gauss_legendre(_GL_ORDER)[1], _gauss_legendre(2 * _GL_ORDER)[1]
+    fine = v[:, _GL_ORDER:]
+    return (np.einsum("ij,j->i", v[:, :_GL_ORDER], w1), np.einsum("ij,j->i", fine, w2),
+            np.einsum("ij,j->i", np.abs(fine), w2))
+
+
+def _adaptive_gl(fun, segs, tag, length, rel_tol, abs_tol, max_panels, chunk, given=None):
     """Globally adaptive Gauss-Legendre quadrature of many integrals at once.
 
     Integral g has length length[g] and initial panels segs[tag == g];
     fun(segs, tag) gives the integrand at _gauss_points(segs), chunk panels
-    at a time. Each integral keeps the rules of a run of its own: a panel
-    whose 12/24-point difference (never a NaN) exceeds its length share of
-    max(abs_tol, rel_tol |estimate|) is bisected, and after max_panels the
-    open panels are added as they are and the integral is not converged.
-    Rule sums use einsum, whose row sums (unlike BLAS gemv) do not depend on
-    a panel's place in the batch. Returns per-integral (value, error_bound,
-    panels_used, converged).
+    at a time. given = (index, sums), when passed, holds the _rule_sums of
+    the initial panels segs[index], which fun then never sees. Each integral
+    keeps the rules of a run of its own: a panel whose 12/24-point difference
+    (never a NaN) exceeds its length share of max(abs_tol, rel_tol |estimate|)
+    is bisected, and after max_panels the open panels are added as they are
+    and the integral is not converged. A panel's error bound is that
+    difference plus _ROUNDOFF times its sum of |integrand * weight|. Returns
+    per-integral (value, error_bound, panels_used, converged).
     """
-    w1, w2 = _gauss_legendre(_GL_ORDER)[1], _gauss_legendre(2 * _GL_ORDER)[1]
     groups = length.size
     val, err = np.zeros(groups), np.zeros(groups)
     used, ok = np.zeros(groups, dtype=np.int64), np.ones(groups, dtype=bool)
     while tag.size:
         half = 0.5 * (segs[:, 1] - segs[:, 0])
-        coarse, fine = np.empty(tag.size), np.empty(tag.size)
-        for s in range(0, tag.size, chunk):
-            v = fun(segs[s:s + chunk], tag[s:s + chunk])
-            coarse[s:s + chunk] = np.einsum("ij,j->i", v[:, :_GL_ORDER], w1)
-            fine[s:s + chunk] = np.einsum("ij,j->i", v[:, _GL_ORDER:], w2)
-        coarse *= half
-        fine *= half
+        sums = np.empty((3, tag.size))
+        todo = np.ones(tag.size, dtype=bool)
+        if given is not None:
+            sums[:, given[0]] = given[1]
+            todo[given[0]] = False
+            given = None
+        todo = np.flatnonzero(todo)
+        for s in range(0, todo.size, chunk):
+            p = todo[s:s + chunk]
+            sums[:, p] = _rule_sums(fun(segs[p], tag[p]))
+        sums *= half
+        coarse, fine, size = sums
         e = np.abs(fine - coarse)
         used += np.bincount(tag, minlength=groups)
         scale = np.abs(val + np.bincount(tag, fine, groups))
@@ -451,7 +498,7 @@ def _adaptive_gl(fun, segs, tag, length, rel_tol, abs_tol, max_panels, chunk):
         ok &= ~over
         take = done | over[tag]
         val += np.bincount(tag[take], fine[take], groups)
-        err += np.bincount(tag[take], e[take], groups)
+        err += np.bincount(tag[take], e[take] + _ROUNDOFF * size[take], groups)
         rest, tag = segs[~take], tag[~take]
         mids = 0.5 * (rest[:, 0] + rest[:, 1])
         segs = np.concatenate([np.column_stack([rest[:, 0], mids]),
@@ -510,7 +557,10 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
 
     gam = riesz_gamma(alpha, n)
     table = _profile_table(f, n)
-    blocks = [_riesz_block(f, at[i:i + _RADIUS_BLOCK], n, mu, alpha, cfg, table)
+    chunk = _CHUNK_PANELS if n == 3 else max(1, 8 * _CHUNK_PANELS // cfg.angular_nodes)
+    grid = _FarIntervals(f.radii, at, table, n, mu, cfg.angular_nodes, chunk)
+    blocks = [_riesz_block(f, at[i:i + _RADIUS_BLOCK], grid.index[i:i + _RADIUS_BLOCK],
+                           n, mu, alpha, cfg, grid)
               for i in range(0, at.size, _RADIUS_BLOCK)]
     raw, abs_err, trunc, ok, panels = (np.concatenate(part) for part in zip(*blocks))
     values = raw / gam
@@ -541,13 +591,85 @@ def _profile_table(f, n):
     return logr, rho, f(rho) * rho ** float(n)
 
 
+class _FarIntervals:
+    """Rule sums of far panels that are exactly one grid interval, as dense products.
+
+    Every such panel of radius r reads f(rho) rho^N from the profile table,
+    so its sums are products of table rows with a kernel block K(r, rho) at
+    the table's nodes. On a log-uniform grid of step h the grid radius r_i
+    sees interval j over log(rho/r_i) in [(j - i) h, (j - i + 1) h], so
+    K(r_i, rho) = r_i^-mu K(1, rho/r_i) is r_i^-mu times one row per offset
+    j - i. Row j - i is stored at j - i + J for J intervals, so radius i reads
+    the view [J - i, 2J - i), and a row is built from _kernel_sep when a far
+    panel first needs it; rows no panel needs stay zero. Any other radius, or
+    any radius of a grid that is not log-uniform, evaluates its kernel block
+    directly, chunk intervals at a time, with the products of
+    _region_integrand, so its sums equal the per-panel ones bit for bit.
+    """
+
+    def __init__(self, radii, at, table, n, mu, nodes, chunk):
+        self.logr, self.rho, self.fr = table
+        logr = self.logr
+        self.kernel = lambda r, rho: _kernel_sep(r, rho, n, mu, nodes)
+        self.mu, self.chunk, self.intervals = mu, chunk, logr.size - 1
+        self.h = (logr[-1] - logr[0]) / self.intervals
+        self.index = np.full(at.size, -1)
+        if np.max(np.abs(logr - (logr[0] + np.arange(logr.size) * self.h))) <= _LOG_UNIFORM:
+            k = np.minimum(np.searchsorted(radii, at), radii.size - 1)
+            self.index = np.where(radii[k] == at, k, -1)
+        if np.any(self.index >= 0):
+            w = np.concatenate([_gauss_legendre(_GL_ORDER)[1], _gauss_legendre(2 * _GL_ORDER)[1]])
+            self.weighted = self.fr * w
+            self.size = np.abs(self.weighted[:, _GL_ORDER:])
+            self.rows = np.zeros((2 * self.intervals, w.size))
+            self.built = np.zeros(2 * self.intervals, dtype=bool)
+
+    def hits(self, segs, far):
+        """Positions p of the far panels that are exactly a grid interval, and those intervals."""
+        logr = self.logr
+        j = np.minimum(np.searchsorted(logr, segs[:, 0]), logr.size - 2)
+        hit = np.flatnonzero(far & (logr[j] == segs[:, 0]) & (logr[j + 1] == segs[:, 1]))
+        return hit, j[hit]
+
+    def sums(self, r, index, owner, j):
+        """_rule_sums of the panels (radius r[owner[p]], interval j[p]), owner ascending.
+
+        index[i] is the grid index of r[i] when it reads rows, else -1.
+        """
+        out = np.empty((3, owner.size))
+        bounds = np.searchsorted(owner, np.arange(r.size + 1))
+        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if index[i] >= 0:
+                out[:, lo:hi] = self.offset_sums(index[i], j[lo:hi]) * r[i] ** -self.mu
+                continue
+            for s in range(lo, hi, self.chunk):
+                q = j[s:min(s + self.chunk, hi)]
+                out[:, s:s + q.size] = _rule_sums(self.fr[q] * self.kernel(r[i], self.rho[q]))
+        return out
+
+    def offset_sums(self, i, j):
+        """Sums of intervals j against K(1, rho/r_i): rows j - i, built where missing."""
+        k = j - i + self.intervals
+        new = k[~self.built[k]]
+        for s in range(0, new.size, self.chunk):
+            d = (new[s:s + self.chunk] - self.intervals) * self.h
+            self.rows[new[s:s + self.chunk]] = self.kernel(
+                1.0, np.exp(_gauss_points(np.column_stack([d, d + self.h]))))
+        self.built[new] = True
+        rows = self.rows[self.intervals - i:2 * self.intervals - i]  # row j: offset j - i
+        coarse, fine = rows[:, :_GL_ORDER], rows[:, _GL_ORDER:]
+        return np.array([np.einsum("jk,jk->j", self.weighted[:, :_GL_ORDER], coarse)[j],
+                         np.einsum("jk,jk->j", self.weighted[:, _GL_ORDER:], fine)[j],
+                         np.einsum("jk,jk->j", self.size, fine)[j]])
+
+
 def _runs(counts):
     """Owner and position of each item when owner g holds counts[g] consecutive items."""
     owner = np.repeat(np.arange(counts.size), counts)
     return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
 
 
-def _riesz_block(f, r, n, mu, alpha, cfg, table):
+def _riesz_block(f, r, index, n, mu, alpha, cfg, grid):
     """Raw integrals int f rho^(N-1) K drho (no 1/gamma) at the radii r, all run together.
 
     The tails cover [0, lo] and [hi, inf), analytically or by a truncation
@@ -562,8 +684,11 @@ def _riesz_block(f, r, n, mu, alpha, cfg, table):
     A side 0 row is a smooth far region integrated over [log a, log b]. A
     side -+1 row is a near-diagonal piece, where delta = r e^(-t) is exact
     and t runs from the far edge, log(r/|rho - r|), out to t_cap. Every
-    non-empty (radius, row) pair is one integral of one _adaptive_gl run.
-    Returns (raw, abs_err, trunc, converged, panels) aligned with r.
+    non-empty (radius, row) pair is one integral of one _adaptive_gl run,
+    whose far panels that are exactly one grid interval start from the
+    dense sums of grid (a _FarIntervals; index holds the grid index of each
+    radius that reads its rows, else -1). Returns (raw, abs_err, trunc,
+    converged, panels) aligned with r.
     """
     r0, r1 = float(f.radii[0]), float(f.radii[-1])
     nodes = cfg.angular_nodes
@@ -602,11 +727,13 @@ def _riesz_block(f, r, n, mu, alpha, cfg, table):
     yb = np.where(far, np.log(bl), max(40.0, 46.0 / alpha))  # t_cap on the near side
     length = np.zeros(a.size)
     length[live] = yb - ya
-    segs, tag = _initial_panels(f.radii, table[0], al, bl, ya, yb, rl, far)
+    segs, tag = _initial_panels(f.radii, grid.logr, al, bl, ya, yb, rl, far)
+    hit, j = grid.hits(segs, far[tag])  # far panels that are one grid interval: dense sums
+    tag = live[tag]
     val, e, used, ok = _adaptive_gl(
-        _region_integrand(f, n, mu, nodes, rg, side, table), segs, live[tag], length,
-        cfg.rel_tol, cfg.abs_tol, max(cfg.max_panels // 4, 4),
-        _CHUNK_PANELS if n == 3 else max(1, 8 * _CHUNK_PANELS // nodes))
+        _region_integrand(f, n, mu, nodes, rg, side), segs, tag, length,
+        cfg.rel_tol, cfg.abs_tol, max(cfg.max_panels // 4, 4), grid.chunk,
+        (hit, grid.sums(r, index, tag[hit] // 4, j)))
     for k in range(4):  # summed row by row, in table order
         raw += val[k::4]
         err += e[k::4]
@@ -640,23 +767,16 @@ def _initial_panels(radii, logr, a, b, ya, yb, r, far):
     return np.column_stack([y[:-1][pair], y[1:][pair]]), g[:-1][pair]
 
 
-def _region_integrand(f, n, mu, nodes, r, side, table):
+def _region_integrand(f, n, mu, nodes, r, side):
     """fun(segs, tag) of _adaptive_gl: (f rho^p) K jacobian for group g at r[g], side[g].
 
-    Far panels are in x = log(rho) with p = N, and one that is exactly a grid
-    interval reads rho and f rho^N from the table. Near-diagonal panels are
-    in t, with delta = r e^(-t) exact, p = N-1 and jacobian delta.
+    Far panels are in x = log(rho) with p = N. Near-diagonal panels are in
+    t, with delta = r e^(-t) exact, p = N-1 and jacobian delta.
     """
-    logr, t_rho, t_fr = table
-
     def fun(segs, tag):
-        out = np.empty((tag.size, t_rho.shape[1]))
+        out = np.empty((tag.size, 3 * _GL_ORDER))
         rg, sg = r[tag], side[tag]
-        i = np.minimum(np.searchsorted(logr, segs[:, 0]), logr.size - 2)
-        hit = (sg == 0.0) & (logr[i] == segs[:, 0]) & (logr[i + 1] == segs[:, 1])
-        h = np.flatnonzero(hit)
-        out[h] = t_fr[i[h]] * _kernel_sep(rg[h, None], t_rho[i[h]], n, mu, nodes)
-        far = np.flatnonzero(~hit & (sg == 0.0))
+        far = np.flatnonzero(sg == 0.0)
         if far.size:
             rho = np.exp(_gauss_points(segs[far]))
             out[far] = f(rho) * rho ** float(n) * _kernel_sep(rg[far, None], rho, n, mu, nodes)
@@ -678,7 +798,9 @@ def _tail_piece(term, g, scale, kernel, nodes):
     The rule runs at m = min(nodes, 32) and at max(m // 2, 8) nodes; kernel(X,
     2m) gives the (radii x nodes) kernel at the rule's nodes X with 2m
     angular nodes, and scale is one factor per radius. Returns (value at m,
-    |difference|) per radius, summed by einsum as in _adaptive_gl.
+    error bound) per radius, summed by einsum as in _adaptive_gl. The bound
+    is the |difference| plus the rounding floor of _adaptive_gl; kernel and
+    weights are positive, so |value| is the sum of |integrand * weight|.
     """
     def rule(m):
         X, W = _jacobi_unit(m, g)
@@ -686,7 +808,7 @@ def _tail_piece(term, g, scale, kernel, nodes):
 
     m = min(nodes, 32)
     v = rule(m)
-    return v, np.abs(v - rule(max(m // 2, 8)))
+    return v, np.abs(v - rule(max(m // 2, 8))) + _ROUNDOFF * np.abs(v)
 
 
 # ---------------------------------------------------------------------------
@@ -784,19 +906,20 @@ def inverse_laplacian_radial(g, dim):
     half = 0.5 * (radii[1:] - radii[:-1])
 
     def moments(order):
-        """(int g rho^(N-1), int g rho) over each grid interval, one pass of g per rule."""
+        """(int g rho^(N-1), int g rho, and both of |g|) over each grid interval, one pass of g."""
         xs, ws = _gauss_legendre(order)
         nodes = mid[:, None] + half[:, None] * xs[None, :]
         vals = g(nodes.ravel()).reshape(nodes.shape)
-        return [((vals * nodes ** power) @ ws) * half for power in (n - 1.0, 1.0)]
+        return [((v * nodes ** power) @ ws) * half
+                for v in (vals, np.abs(vals)) for power in (n - 1.0, 1.0)]
 
     def potential(inner, mass, outer, line):
         """(1/(N-2)) [r^(2-N) (inner + cumsum mass) + outer + reverse cumsum line] on the grid."""
         return ((inner + np.concatenate([[0.0], np.cumsum(mass)])) * radii ** (2.0 - n)
                 + (outer + np.concatenate([np.cumsum(line[::-1])[::-1], [0.0]]))) / (n - 2.0)
 
-    mass8, line8 = moments(8)
-    mass4, line4 = moments(4)
+    mass8, line8, size_mass, size_line = moments(8)
+    mass4, line4, _, _ = moments(4)
 
     if g.tail_inner is not None:
         c, a = g.tail_inner.coefficient, g.tail_inner.exponent
@@ -810,7 +933,9 @@ def inverse_laplacian_radial(g, dim):
         outer_inf, trunc_out = 0.0, _trunc_outer_estimate(g, 2.0, 1.0, 2.0)
 
     u = potential(inner0, mass8, outer_inf, line8)
-    errors = (potential(0.0, np.abs(mass8 - mass4), 0.0, np.abs(line8 - line4))
+    # the 8/4-point differences, floored by the rounding of every summed term
+    errors = (potential(_ROUNDOFF * abs(inner0), np.abs(mass8 - mass4) + _ROUNDOFF * size_mass,
+                        _ROUNDOFF * abs(outer_inf), np.abs(line8 - line4) + _ROUNDOFF * size_line)
               + trunc_in * radii ** (2.0 - n) / (n - 2.0) + trunc_out / (n - 2.0))
     errors = errors / np.maximum(np.abs(u), 1e-300)
 

@@ -679,6 +679,19 @@ _LIGHT_COMMANDS = (
 )
 
 
+def test_moving_plane_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use, about 15 ms of a cold CLI run
+    script = ("import contextlib, io, sys\nimport hartree_singular.cli\n"
+              "argv = ['moving-plane', '--decay', '0.5', '--num', '17']\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = hartree_singular.cli.main(argv)\n"
+              "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
 def test_light_subcommands_run_without_scipy(capsys):
     # the algebra subcommands and moving-plane need no quadrature, so neither
     # importing the package nor running them may touch scipy

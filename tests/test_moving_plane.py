@@ -347,6 +347,22 @@ def _default_grid_by_arange(field):
     return np.unique(snapped[snapped < 0.0])
 
 
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(num=st.integers(2, 300), log_extent=st.floats(-2.0, 5.0),
+       nudge=st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9]))
+def test_default_lambda_grid_is_bit_identical_to_np_unique(num, log_extent, nudge):
+    # the grid deduplicates by sort and neighbour comparison; np.unique of the
+    # same snapped planes is its reference, in value and dtype
+    extent = 10.0 ** log_extent
+    f = types.SimpleNamespace(h=2.0 * extent / (num - 1) * (1.0 + nudge), extent=extent)
+    half = f.h / 2.0
+    raw = np.append(np.arange(-f.extent, 0.0, max(0.1, half / 2.0)), -f.h)
+    snapped = np.round(raw / half) * half
+    ref = np.unique(snapped[snapped < 0.0])
+    grid = default_lambda_grid(f)
+    assert grid.dtype == ref.dtype and np.array_equal(grid, ref)
+
+
 def test_default_lambda_grid_matches_arange_reference():
     extents = (0.01, 0.1, 0.35, 1.0, 2.0, 2.5, 7.3, 40.0, 1e3)
     pairs = [(num, extent) for num in (2, 3, 4, 5, 9, 11, 17, 21, 33, 65, 129, 257)

@@ -40,6 +40,7 @@ from hartree_singular.radial_quadrature import (
     _pchip,
     _profile_table,
     _region_integrand,
+    _rule_sums,
 )
 
 # Frozen oracle values.
@@ -273,6 +274,36 @@ def test_kernel_log_case_mu_two_dim_three():
     assert got == pytest.approx(want, rel=1e-13)
 
 
+def _k3_series(s, mu):
+    """K(1, s) at N = 3 for s <= 1/2, from the odd binomial series, summed by math.fsum.
+
+    (1 + s)^e - (1 - s)^e = 2 sum_{k odd} C(e, k) s^k with e = 2 - mu; with
+    c_k = C(e, k)/e the series stays finite at e = 0 (mu = 2, the log case),
+    and K(1, s) = 2 pi ((1 + s)^e - (1 - s)^e)/(e s) = 4 pi sum c_k s^(k-1).
+    """
+    e = 2.0 - mu
+    terms, c, k = [], 1.0, 1
+    while not terms or abs(terms[-1]) > 1e-20 * abs(terms[0]):
+        terms.append(c * s ** (k - 1))
+        c *= (e - k) * (e - k - 1.0) / ((k + 1.0) * (k + 2.0))
+        k += 2
+    return 4.0 * math.pi * math.fsum(terms)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(mu=st.one_of(st.floats(0.01, 2.99), st.just(2.0), st.floats(1.999999, 2.000001)),
+       log_s=st.floats(-8.0, math.log10(0.5)), log_r=st.floats(-2.0, 2.0),
+       swap=st.booleans())
+def test_far_kernel_dim3_against_binomial_series(mu, log_s, log_r, swap):
+    # the separated N = 3 kernel must not cancel as rho/r -> 0: the old form
+    # (r + rho)^e - |r - rho|^e lost 1.9e-12 relative at s = 1e-4
+    hi = 10.0 ** log_r
+    lo = hi * min(10.0 ** log_s, 0.5)
+    want = hi ** -mu * _k3_series(lo / hi, mu)
+    got = angular_kernel(lo, hi, 3, mu) if swap else angular_kernel(hi, lo, 3, mu)
+    assert got == pytest.approx(want, rel=1e-14), (mu, lo, hi)
+
+
 def test_kernel_near_diagonal_against_oracle():
     for delta in (1e-3, 1e-6, 1e-9):
         got = angular_kernel(1.0, 1.0 - delta, 4, 2.7)
@@ -446,6 +477,16 @@ def test_riesz_power_law_oracle_higher_dim():
         assert np.max(np.abs(got.values / closed(at) - 1.0)) < 1e-6, (n, alpha, a)
 
 
+@pytest.mark.parametrize("alpha, a", [(1.2, 2.2), (1.5, 2.6), (0.5, 1.2)])
+def test_riesz_full_grid_dim3_at_round_off(alpha, a):
+    # every radius of the default 400-point grid, mu = 1.8, 1.5 and 2.5: with a
+    # far kernel free of cancellation the whole grid is good to round-off
+    grid = log_grid()
+    got = riesz_radial(RadialProfile.from_power(PowerLawTerm(1.0, a), grid), alpha, 3)
+    closed = riesz_power(alpha, a, 3)(grid)
+    assert np.max(np.abs(got.values / closed - 1.0)) <= 1e-14
+
+
 def _initial_edges(a, b, presplit, breaks):
     """Initial panel edges of the replaced one-integral quadrature."""
     edges = np.linspace(a, b, max(1, int(presplit)) + 1)
@@ -477,17 +518,18 @@ def _adaptive_gl_scalar(fun, a, b, rel_tol, abs_tol, max_panels, presplit=1):
         coarse = (f1 @ w1) * half
         fine = (f2 @ w2) * half
         err = np.abs(fine - coarse)
+        floor = radial_quadrature._ROUNDOFF * (np.abs(f2) @ w2) * half
         panels += segs.shape[0]
         scale = abs(acc_val + fine.sum())
         tol = np.maximum(abs_tol, rel_tol * scale) * (2.0 * half / total_len)
         done = err <= tol
         acc_val += fine[done].sum()
-        acc_err += err[done].sum()
+        acc_err += (err + floor)[done].sum()
         rest = segs[~done]
         if rest.size == 0:
             return acc_val, acc_err, panels, True
         if panels >= max_panels:
-            return acc_val + fine[~done].sum(), acc_err + err[~done].sum(), panels, False
+            return acc_val + fine[~done].sum(), acc_err + (err + floor)[~done].sum(), panels, False
         mids = 0.5 * (rest[:, 0] + rest[:, 1])
         segs = np.vstack([
             np.column_stack([rest[:, 0], mids]),
@@ -533,6 +575,21 @@ def test_tagged_quadrature_matches_scalar_reference_per_integral():
             assert val[g] == pytest.approx(v, rel=1e-13, abs=1e-300), g
             # rule sums run in another order: estimates agree to round-off of the value
             assert err[g] == pytest.approx(e, rel=0.0, abs=16 * np.finfo(float).eps * abs(v)), g
+    # rule sums of initial panels handed in, as the dense far sums are, leave
+    # every result bit for bit as it was, and fun never sees those panels
+    index = np.array([0, 2, 4, 5])
+    sums = np.array(radial_quadrature._rule_sums(fun(segs[index], tag[index])))
+    seen = []
+
+    def spy(s, t):
+        seen.append(s)
+        return fun(s, t)
+
+    given = radial_quadrature._adaptive_gl(
+        spy, segs, tag, length, rel_tol, abs_tol, budget, 7, (index, sums))
+    for got, want in zip(given, (val, err, used, ok)):
+        np.testing.assert_array_equal(got, want)
+    assert sum(s.shape[0] for s in seen) == used.sum() - index.size
 
 
 def test_initial_panels_match_linspace_and_node_breaks():
@@ -595,26 +652,64 @@ def test_profile_table_matches_direct_evaluation_bit_for_bit():
         direct = np.exp(_gauss_points(segs))
         np.testing.assert_array_equal(rho[::-1], direct)
         np.testing.assert_array_equal(fr[::-1], prof(direct) * direct ** float(n))
-        # through the integrand: shifted nodes match no panel, so nothing reads the table
-        r, side, tag = np.array([1e-3, 5e2]), np.zeros(2), np.arange(segs.shape[0]) % 2
-        hit = _region_integrand(prof, n, n - 1.5, 64, r, side, (logr, rho, fr))(segs, tag)
-        miss = _region_integrand(prof, n, n - 1.5, 64, r, side, (logr + 1e-3, rho, fr))(segs, tag)
-        np.testing.assert_array_equal(hit, miss)
+        # through the dense sums: radii off the grid multiply table rows with a
+        # directly evaluated kernel block, 7 intervals at a time, and their rule
+        # sums equal those of the integrand's own far panels
+        r, side = np.array([1e-3, 5e2]), np.zeros(2)
+        owner, j = np.repeat([0, 1], segs.shape[0]), np.tile(np.arange(segs.shape[0]), 2)
+        far = radial_quadrature._FarIntervals(prof.radii, r, (logr, rho, fr), n, n - 1.5, 64, 7)
+        assert np.all(far.index == -1)
+        dense = far.sums(r, far.index, owner, j)
+        panels = np.column_stack([logr[:-1], logr[1:]])[j]
+        integrand = _region_integrand(prof, n, n - 1.5, 64, r, side)(panels, owner)
+        np.testing.assert_array_equal(dense, _rule_sums(integrand))
 
 
 @pytest.mark.parametrize("n, alpha, a", [(3, 1.2, 2.1), (4, 1.5, 2.9), (5, 2.2, 3.4)])
 def test_riesz_radius_blocks_match_pairwise_calls(n, alpha, a):
     # 40 radii cross a block of _RADIUS_BLOCK radii; taken two at a time they must
-    # give the same values, and error bars equal up to round-off in the estimates
-    at = np.geomspace(0.05, 20.0, 40)
-    assert radial_quadrature._RADIUS_BLOCK < at.size
-    prof = RadialProfile.from_power(PowerLawTerm(1.0, a), log_grid(1e-2, 1e2, 100))
-    whole = riesz_radial(prof, alpha, n, at=at)
-    pairs = [riesz_radial(prof, alpha, n, at=at[i:i + 2]) for i in range(0, at.size, 2)]
-    values = np.concatenate([p.values for p in pairs])
-    errors = np.concatenate([p.point_errors for p in pairs])
-    assert np.max(np.abs(whole.values / values - 1.0)) <= 4.5e-16
-    assert np.max(np.abs(whole.point_errors / errors - 1.0)) <= 1e-4
+    # give the same values, and error bars equal up to round-off in the estimates.
+    # Grid radii read kernel rows per grid offset, whichever radii share the call:
+    # the whole grid in one call against pairs of its radii.
+    grid = log_grid(1e-2, 1e2, 100)
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, a), grid)
+    on_grid = riesz_radial(prof, alpha, n)
+    for at, whole in ((np.geomspace(0.05, 20.0, 40), None), (grid[20:60], on_grid)):
+        assert radial_quadrature._RADIUS_BLOCK < at.size
+        if whole is None:
+            whole = riesz_radial(prof, alpha, n, at=at)
+        else:
+            whole = RadialProfile(at, whole.values[20:60], point_errors=whole.point_errors[20:60])
+        pairs = [riesz_radial(prof, alpha, n, at=at[i:i + 2]) for i in range(0, at.size, 2)]
+        values = np.concatenate([p.values for p in pairs])
+        errors = np.concatenate([p.point_errors for p in pairs])
+        assert np.max(np.abs(whole.values / values - 1.0)) <= 4.5e-16
+        assert np.max(np.abs(whole.point_errors / errors - 1.0)) <= 1e-4
+
+
+@pytest.mark.parametrize("n, alpha, a", [(3, 1.2, 2.1), (4, 1.5, 2.9)])
+def test_grid_radii_read_offset_rows_only_on_a_log_uniform_grid(monkeypatch, n, alpha, a):
+    # on a log grid the rows move values by round-off only; one node moved by
+    # 1e-12 relative breaks the lattice, and every radius then takes the
+    # direct kernel block, bit for bit as with rows switched off
+    grid = log_grid(1e-2, 1e2, 100)
+    bent = grid.copy()
+    bent[50] *= 1.0 + 1e-12
+    term, pick = PowerLawTerm(1.0, a), [10, 30, 50, 70]
+
+    def run(radii):
+        prof = RadialProfile.from_power(term, radii)
+        table = _profile_table(prof, n)
+        far = radial_quadrature._FarIntervals(radii, radii[pick], table, n, n - alpha, 64, 64)
+        return far.index, riesz_radial(prof, alpha, n, at=radii[pick])
+
+    (rows_index, rows), (bent_index, bent_out) = run(grid), run(bent)
+    assert np.array_equal(rows_index, pick) and np.all(bent_index == -1)
+    monkeypatch.setattr(radial_quadrature, "_LOG_UNIFORM", -1.0)  # no grid is log-uniform
+    direct, bent_direct = run(grid)[1], run(bent)[1]
+    assert np.max(np.abs(rows.values / direct.values - 1.0)) <= 2e-15
+    np.testing.assert_array_equal(bent_out.values, bent_direct.values)
+    np.testing.assert_array_equal(bent_out.point_errors, bent_direct.point_errors)
 
 
 _NEARBY_EXPONENT_SCRIPT = """
@@ -907,10 +1002,46 @@ def test_inverse_laplacian_round_trip(n, share, c):
     closed = _inverse_image(g, n)
     assert u.tail_inner == closed and u.tail_outer == closed
     rel = np.abs(u.values / closed(u.radii) - 1.0)
-    assert np.all(rel <= u.point_errors + 4.0 * np.finfo(float).eps)
+    assert np.all(rel <= u.point_errors)
     for r in u.radii[2:-2:7]:
         value, err = laplacian_radial_fd(u, r, n)
         assert abs(value - g(r)) <= err, (r, value, g(r), err)
+
+
+def _riesz_power_reference(alpha, a, n):
+    """riesz_power's coefficient with each gamma argument formed directly.
+
+    riesz_power takes gamma((a - alpha)/2) through riesz_gamma(N - a + alpha),
+    whose argument N - (N - a + alpha) is rounded after the sum and loses
+    ulp(N)/(a - alpha) relative, 4.6e-15 at a - alpha = 0.088; here a - alpha
+    is exact whenever a < 2 alpha.
+    """
+    return (2.0 ** -alpha * math.gamma((n - a) / 2.0) * math.gamma((a - alpha) / 2.0)
+            / (math.gamma(a / 2.0) * math.gamma((n - a + alpha) / 2.0)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(potential=st.sampled_from(["riesz", "inverse"]), n=st.sampled_from([3, 4, 5, 6]),
+       alpha_share=st.floats(0.0, 1.0), a_share=st.floats(0.01, 0.99))
+def test_point_errors_bound_the_true_error(potential, n, alpha_share, a_share):
+    # r^-a inside the window (alpha, N): the reported bar must cover the error
+    # against the closed form, also where quadrature leaves only round-off;
+    # the Riesz radii are two grid radii and one between grid radii
+    if potential == "riesz":
+        # below about alpha = 0.3 at N >= 4 the near-diagonal kernel overflows, an open defect
+        alpha = 0.5 + alpha_share * (n - 1.0)
+        a = alpha + a_share * (n - alpha)
+        grid = log_grid(1e-2, 1e2, 60)
+        at = np.array([grid[17], 1.2345, grid[40]])
+        out = riesz_radial(RadialProfile.from_power(PowerLawTerm(1.0, a), grid), alpha, n, at=at)
+        closed = _riesz_power_reference(alpha, a, n) * at ** (alpha - a)
+    else:
+        a = 2.0 + a_share * (n - 2.0)
+        out = inverse_laplacian_radial(
+            RadialProfile.from_power(PowerLawTerm(1.0, a), log_grid(0.1, 10.0, 81)), n)
+        closed = _inverse_image(PowerLawTerm(1.0, a), n)(out.radii)
+    rel = np.abs(out.values / closed - 1.0)
+    assert np.all(rel <= out.point_errors), (rel / out.point_errors).max()
 
 
 @pytest.mark.parametrize("a", [1.0 + 5e-10, 3.0 - 5e-10])

@@ -134,7 +134,6 @@ _FLAGS = {
     "rel_tol": (_number, DEFAULT_CONFIG.rel_tol),
     "abs_tol": (_number, DEFAULT_CONFIG.abs_tol),
     "max_panels": (_integer, DEFAULT_CONFIG.max_panels),
-    "angular_nodes": (_integer, DEFAULT_CONFIG.angular_nodes),
     "grid_min": (_number, 1e-3),
     "grid_max": (_number, 1e3),
     "grid_num": (_integer, 400),
@@ -160,7 +159,7 @@ def _required(v, *names):
 def _quadrature(v):
     """(radii, config, grid) of the numeric Riesz pass shared by verify and riesz."""
     return (np.array(v.radii),
-            QuadratureConfig(v.rel_tol, v.abs_tol, v.max_panels, v.angular_nodes),
+            QuadratureConfig(v.rel_tol, v.abs_tol, v.max_panels),
             log_grid(v.grid_min, v.grid_max, v.grid_num))
 
 
@@ -331,8 +330,7 @@ def _do_critical(v):
     return body, None, pretty
 
 
-_QUAD = ("rel_tol", "abs_tol", "max_panels", "angular_nodes",
-         "grid_min", "grid_max", "grid_num")
+_QUAD = ("rel_tol", "abs_tol", "max_panels", "grid_min", "grid_max", "grid_num")
 
 # flags every subcommand takes, with their help lines
 _COMMON = {

@@ -36,13 +36,11 @@ class QuadratureConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_panels: int = 2000
-    angular_nodes: int = 64
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
             raise DomainError("quadrature tolerances must be positive and finite")
         _check_count("max_panels", self.max_panels, 16)
-        _check_count("angular_nodes", self.angular_nodes, 4)
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -284,8 +282,12 @@ def _jacobi_sym(n, b):
 # ---------------------------------------------------------------------------
 # Angular kernel
 
+# polar-angle nodes of the far kernel at N >= 4; the near-diagonal pieces use
+# 48 and the tails 32 and 16. point_errors carries no angular term, so the
+# rules are fixed where they reach round-off instead of being an option
+_ANGULAR_NODES = 64
 
-def angular_kernel(r, rho, dim, mu, nodes=64):
+def angular_kernel(r, rho, dim, mu):
     """Spherical average K(r, rho) of |r e1 - rho w|^(-mu) over w in S^(N-1).
 
     Symmetric in (r, rho) and homogeneous of degree -mu. For N = 3 closed
@@ -294,11 +296,9 @@ def angular_kernel(r, rho, dim, mu, nodes=64):
     is finite for mu < N-1 (a Beta-function closed form) and diverges for
     mu in [N-1, N), where a signaled infinity is returned; that infinity is
     only ever consumed inside integrals, where the substitution absorbs it.
-    Non-finite or negative radii and a node count that is not an integer
-    >= 4 raise DomainError.
+    Non-finite or negative radii raise DomainError.
     """
     n = _check_dim(dim)
-    _check_count("angular_nodes", nodes, 4)
     mu = float(mu)
     if not 0.0 < mu < n:
         raise DomainError(f"angular kernel requires 0 < mu < N={n}, got {mu}")
@@ -316,9 +316,9 @@ def angular_kernel(r, rho, dim, mu, nodes=64):
         return _kernel_diagonal(r, n, mu)
     lo, hi = min(r, rho), max(r, rho)
     if lo <= 0.5 * hi:  # the far/near split of the Riesz region table
-        return float(_kernel_sep(hi, np.array([lo]), n, mu, nodes)[0])
+        return float(_kernel_sep(hi, np.array([lo]), n, mu)[0])
     delta = hi - lo
-    return float(_kernel_near(hi, np.array([delta]), -1, n, mu, nodes)[0])
+    return float(_kernel_near(hi, np.array([delta]), -1, n, mu)[0])
 
 
 def _kernel_diagonal(r, n, mu):
@@ -328,7 +328,7 @@ def _kernel_diagonal(r, n, mu):
     return sphere_area(n - 1) * r ** (-mu) * 2.0 ** (n - 2.0 - mu) * bfun
 
 
-def _kernel_sep(r, rho, n, mu, nodes):
+def _kernel_sep(r, rho, n, mu, nodes=_ANGULAR_NODES):
     """K(r, rho) for broadcastable arrays r, rho with min/max ratio <= 1/2.
 
     At N = 3, (r + rho)^e - |r - rho|^e with e = 2 - mu cancels as rho/r -> 0,
@@ -357,7 +357,7 @@ def _kernel_sep(r, rho, n, mu, nodes):
     return sphere_area(n - 1) * (q @ w)
 
 
-def _kernel_near(r, delta, side, n, mu, nodes):
+def _kernel_near(r, delta, side, n, mu):
     """K(r, rho) with rho = r + side*delta, delta passed exactly.
 
     Near the diagonal rho collapses onto r in floating point, so the kernel
@@ -370,7 +370,7 @@ def _kernel_near(r, delta, side, n, mu, nodes):
     rho = r + side * delta
     if n == 3:
         return _k3(r, rho, delta, mu)
-    return _k_jacobi(r, rho, delta, n, mu, nodes)
+    return _k_jacobi(r, rho, delta, n, mu)
 
 
 def _k3(r, rho, delta, mu):
@@ -380,7 +380,7 @@ def _k3(r, rho, delta, mu):
     return 2.0 * math.pi * ((r + rho) ** (2.0 - mu) - delta ** (2.0 - mu)) / ((2.0 - mu) * r * rho)
 
 
-def _k_jacobi(r, rho, delta, n, mu, nodes):
+def _k_jacobi(r, rho, delta, n, mu):
     """Near-diagonal K for any N >= 3, batched over the delta array (r scalar or aligned).
 
     Each delta keeps the rules and summation order of a scalar evaluation:
@@ -393,7 +393,7 @@ def _k_jacobi(r, rho, delta, n, mu, nodes):
     b = (n - 3.0) / 2.0
     eps = delta * delta / (2.0 * r * rho)
     e = eps[:, None]
-    X, W = _jacobi_unit(min(nodes, 48), b)
+    X, W = _jacobi_unit(48, b)
     # piece [1, 2] via v = 2 - w: integrand v^b (2-v)^b (eps + 2 - v)^(-mu/2)
     j2 = ((2.0 - X) ** b * (e + 2.0 - X) ** (-mu / 2.0)) @ W
     # piece [0, eps]: scaled Jacobi rule; the factor (eps + w) varies by at most 2x
@@ -422,12 +422,12 @@ def _k_jacobi(r, rho, delta, n, mu, nodes):
 _GL_ORDER = 12
 _RADIUS_BLOCK = 32  # radii per _adaptive_gl run, which bounds the live panel arrays
 # panels per integrand call at N = 3; at N >= 4 each point also carries a row
-# of angular_nodes kernel terms, so a call takes 8 * _CHUNK_PANELS // nodes.
+# of _ANGULAR_NODES kernel terms, so a call takes _CHUNK_PANELS // 8.
 # With the grid-interval panels summed densely, N = 3 calls hold mostly
 # near-diagonal panels: at 512 of them the traced peak of a 400-radius call
 # rose from 2.5 to 3.4 MB, at no gain in time. At N >= 4, 32 panels keep the
-# (panels x 36 x nodes) kernel terms in cache, and a far kernel block cost
-# about half as much per panel as at 64.
+# (panels x 36 x 64) kernel terms in cache, and a far kernel block cost
+# about half as much per panel as at 64 panels.
 _CHUNK_PANELS = 256
 # rounding floor of an error bound, per unit of sum |integrand * weight|: an
 # integrand value passes through about eight rounded steps (the node, exp,
@@ -557,8 +557,7 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
 
     gam = riesz_gamma(alpha, n)
     table = _profile_table(f, n)
-    chunk = _CHUNK_PANELS if n == 3 else max(1, 8 * _CHUNK_PANELS // cfg.angular_nodes)
-    grid = _FarIntervals(f.radii, at, table, n, mu, cfg.angular_nodes, chunk)
+    grid = _FarIntervals(f.radii, at, table, n, mu, _CHUNK_PANELS if n == 3 else _CHUNK_PANELS // 8)
     blocks = [_riesz_block(f, at[i:i + _RADIUS_BLOCK], grid.index[i:i + _RADIUS_BLOCK],
                            n, mu, alpha, cfg, grid)
               for i in range(0, at.size, _RADIUS_BLOCK)]
@@ -607,10 +606,10 @@ class _FarIntervals:
     _region_integrand, so its sums equal the per-panel ones bit for bit.
     """
 
-    def __init__(self, radii, at, table, n, mu, nodes, chunk):
+    def __init__(self, radii, at, table, n, mu, chunk):
         self.logr, self.rho, self.fr = table
         logr = self.logr
-        self.kernel = lambda r, rho: _kernel_sep(r, rho, n, mu, nodes)
+        self.kernel = lambda r, rho: _kernel_sep(r, rho, n, mu)
         self.mu, self.chunk, self.intervals = mu, chunk, logr.size - 1
         self.h = (logr[-1] - logr[0]) / self.intervals
         self.index = np.full(at.size, -1)
@@ -691,26 +690,24 @@ def _riesz_block(f, r, index, n, mu, alpha, cfg, grid):
     converged, panels) aligned with r.
     """
     r0, r1 = float(f.radii[0]), float(f.radii[-1])
-    nodes = cfg.angular_nodes
     raw, err, trunc = np.zeros(r.size), np.zeros(r.size), np.zeros(r.size)
 
     if f.tail_inner is not None:  # analytic inner piece [0, lo]
         lo = np.minimum(r0, 0.5 * r)
         g = n - 1.0 - f.tail_inner.exponent  # > -1 by the tail precondition
         v, e = _tail_piece(f.tail_inner, g, lo ** (g + 1.0),
-                           lambda X, m: _kernel_sep(r[:, None], lo[:, None] * X, n, mu, m), nodes)
+                           lambda X, m: _kernel_sep(r[:, None], lo[:, None] * X, n, mu, m))
         raw += v
         err += e
     else:
         lo = np.full(r.size, r0)
-        trunc += _trunc_inner_estimate(f, r, n, mu, nodes)
+        trunc += _trunc_inner_estimate(f, r, n, mu)
 
     if f.tail_outer is not None:  # analytic outer piece [hi, inf) via x = hi/rho
         hi = np.maximum(r1, 2.0 * r)
         g = f.tail_outer.exponent - alpha - 1.0  # > -1 by the tail precondition
         v, e = _tail_piece(f.tail_outer, g, hi ** (alpha - f.tail_outer.exponent),
-                           lambda X, m: _kernel_sep(1.0, r[:, None] * X / hi[:, None], n, mu, m),
-                           nodes)
+                           lambda X, m: _kernel_sep(1.0, r[:, None] * X / hi[:, None], n, mu, m))
         raw += v
         err += e
     else:
@@ -731,7 +728,7 @@ def _riesz_block(f, r, index, n, mu, alpha, cfg, grid):
     hit, j = grid.hits(segs, far[tag])  # far panels that are one grid interval: dense sums
     tag = live[tag]
     val, e, used, ok = _adaptive_gl(
-        _region_integrand(f, n, mu, nodes, rg, side), segs, tag, length,
+        _region_integrand(f, n, mu, rg, side), segs, tag, length,
         cfg.rel_tol, cfg.abs_tol, max(cfg.max_panels // 4, 4), grid.chunk,
         (hit, grid.sums(r, index, tag[hit] // 4, j)))
     for k in range(4):  # summed row by row, in table order
@@ -767,7 +764,7 @@ def _initial_panels(radii, logr, a, b, ya, yb, r, far):
     return np.column_stack([y[:-1][pair], y[1:][pair]]), g[:-1][pair]
 
 
-def _region_integrand(f, n, mu, nodes, r, side):
+def _region_integrand(f, n, mu, r, side):
     """fun(segs, tag) of _adaptive_gl: (f rho^p) K jacobian for group g at r[g], side[g].
 
     Far panels are in x = log(rho) with p = N. Near-diagonal panels are in
@@ -779,36 +776,35 @@ def _region_integrand(f, n, mu, nodes, r, side):
         far = np.flatnonzero(sg == 0.0)
         if far.size:
             rho = np.exp(_gauss_points(segs[far]))
-            out[far] = f(rho) * rho ** float(n) * _kernel_sep(rg[far, None], rho, n, mu, nodes)
+            out[far] = f(rho) * rho ** float(n) * _kernel_sep(rg[far, None], rho, n, mu)
         near = np.flatnonzero(sg != 0.0)
         if near.size:
             rn, sn = np.repeat(rg[near], out.shape[1]), np.repeat(sg[near], out.shape[1])
             d = rn * np.exp(-_gauss_points(segs[near]).ravel())
             rho = rn + sn * d
-            k = _kernel_near(rn, d, sn, n, mu, nodes)
+            k = _kernel_near(rn, d, sn, n, mu)
             out[near] = (f(rho) * rho ** (n - 1.0) * k * d).reshape(near.size, -1)
         return out
 
     return fun
 
 
-def _tail_piece(term, g, scale, kernel, nodes):
+def _tail_piece(term, g, scale, kernel):
     """c * scale * int_0^1 x^g kernel(x) dx over a tail, by Gauss-Jacobi in x, per radius.
 
-    The rule runs at m = min(nodes, 32) and at max(m // 2, 8) nodes; kernel(X,
-    2m) gives the (radii x nodes) kernel at the rule's nodes X with 2m
-    angular nodes, and scale is one factor per radius. Returns (value at m,
-    error bound) per radius, summed by einsum as in _adaptive_gl. The bound
-    is the |difference| plus the rounding floor of _adaptive_gl; kernel and
-    weights are positive, so |value| is the sum of |integrand * weight|.
+    The rule runs at m = 32 and at 16 nodes; kernel(X, 2m) gives the
+    (radii x m) kernel at the rule's nodes X with 2m angular nodes, and
+    scale is one factor per radius. Returns (value at 32, error bound) per
+    radius, summed by einsum as in _adaptive_gl. The bound is the
+    |difference| plus the rounding floor of _adaptive_gl; kernel and weights
+    are positive, so |value| is the sum of |integrand * weight|.
     """
     def rule(m):
         X, W = _jacobi_unit(m, g)
         return term.coefficient * scale * np.einsum("ij,j->i", kernel(X, m * 2), W)
 
-    m = min(nodes, 32)
-    v = rule(m)
-    return v, np.abs(v - rule(max(m // 2, 8))) + _ROUNDOFF * np.abs(v)
+    v = rule(32)
+    return v, np.abs(v - rule(16)) + _ROUNDOFF * np.abs(v)
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +859,7 @@ def _inner_mass_bound(f, n):
     return abs(f.values[0]) * f.radii[0] ** float(n) / (n - a_est)
 
 
-def _trunc_inner_estimate(f, r, n, mu, nodes):
+def _trunc_inner_estimate(f, r, n, mu):
     """Order-of-magnitude bound for the discarded mass below the grid, times the kernel."""
     if f.values[0] == 0.0:
         return 0.0  # data decays into the edge; nothing measurable is cut
@@ -871,7 +867,7 @@ def _trunc_inner_estimate(f, r, n, mu, nodes):
     if mass == math.inf:
         return mass
     r0 = float(f.radii[0])
-    return mass * _kernel_sep(np.maximum(r, r0), 0.5 * np.minimum(r, r0), n, mu, nodes)
+    return mass * _kernel_sep(np.maximum(r, r0), 0.5 * np.minimum(r, r0), n, mu)
 
 
 def _trunc_outer_estimate(f, alpha, scale, power):
@@ -989,5 +985,5 @@ def laplacian_radial_fd(f, at, dim):
     e2 = abs(d2h - d2hh) / 3.0
     r = float(f.radii[i])
     value = -(d2 + (n - 2.0) * d1) / (r * r)
-    error = (e2 + abs(n - 2.0) * e1) / (r * r) + 8.0 * np.finfo(float).eps * abs(v[i]) / (h * h * r * r)
+    error = (e2 + abs(n - 2.0) * e1) / (r * r) + _ROUNDOFF * abs(v[i]) / (h * h * r * r)
     return value, error

@@ -13,7 +13,9 @@ import pytest
 
 from hartree_singular import (
     PowerLawTerm,
+    QuadratureConfig,
     RadialProfile,
+    angular_kernel,
     alternate_decay_exponent,
     critical_exponents,
     hls_conjugate,
@@ -298,6 +300,24 @@ def test_threads_is_not_an_option(capsys, tmp_path):
     code, _, err = run(capsys, "moving-plane", "--decay", "0.5", "--num", "9",
                        "--config", str(cfg))
     assert code == 64 and "threads" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mu", "2.5", "--p", "2", "--q", "2"],
+    ["riesz", "--alpha", "1.5", "--exponent", "2.2", "--numeric"],
+])
+def test_angular_nodes_is_not_an_option(capsys, tmp_path, argv):
+    # the angular rule is fixed: point_errors has no angular term to report
+    code, _, err = run(capsys, *argv, "--angular-nodes", "8")
+    assert code == 64 and "--angular-nodes" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"angular_nodes": 8}')
+    code, _, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 64 and "angular_nodes" in err
+    with pytest.raises(TypeError):
+        QuadratureConfig(angular_nodes=64)
+    with pytest.raises(TypeError):
+        angular_kernel(1.0, 0.5, 4, 2.0, nodes=64)
 
 
 def test_moving_plane_family_triple(capsys):
@@ -675,6 +695,7 @@ _LIGHT_COMMANDS = (
     ["critical-exponents", "--mu", "2.5"],
     ["hls", "--t", "1.5", "--mu", "2"],
     ["solve-params", "--mu", "2.5", "--p", "2", "--q", "2"],
+    ["riesz", "--alpha", "1.5", "--exponent", "2.2"],
     ["moving-plane", "--decay", "0.5", "--num", "17"],
 )
 
@@ -693,8 +714,8 @@ def test_moving_plane_does_not_import_numpy_ma():
 
 
 def test_light_subcommands_run_without_scipy(capsys):
-    # the algebra subcommands and moving-plane need no quadrature, so neither
-    # importing the package nor running them may touch scipy
+    # the algebra subcommands, the riesz closed form and moving-plane need no
+    # quadrature, so neither importing the package nor running them may touch scipy
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(_LIGHT_COMMANDS)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -69,13 +69,6 @@ def test_config_validation():
         QuadratureConfig(abs_tol=-1.0)
     with pytest.raises(DomainError):
         QuadratureConfig(max_panels=4)
-    with pytest.raises(DomainError):
-        QuadratureConfig(angular_nodes=2)
-    with pytest.raises(DomainError):
-        QuadratureConfig(angular_nodes=10.5)
-    for nodes in (0, 10.5):
-        with pytest.raises(DomainError):
-            angular_kernel(1.0, 0.9, 4, 2.0, nodes=nodes)
 
 
 def test_non_finite_inputs_raise_domain_error():
@@ -324,11 +317,11 @@ def test_kernel_between_half_and_diagonal_against_quad(n):
         assert angular_kernel(1.0, ratio, n, mu) == pytest.approx(want, rel=1e-13), (ratio, mu)
 
 
-def _k_general_delta(r, delta, rho, n, mu, nodes):
+def _k_general_delta(r, delta, rho, n, mu):
     """The scalar per-delta kernel that the batched _k_jacobi replaced: its reference."""
     b = (n - 3.0) / 2.0
     eps = delta * delta / (2.0 * r * rho)
-    X, W = _jacobi_unit(min(nodes, 48), b)
+    X, W = _jacobi_unit(48, b)
     j2 = float(W @ ((2.0 - X) ** b * (eps + 2.0 - X) ** (-mu / 2.0)))
     if eps >= 1.0:
         j1 = float(W @ ((2.0 - X) ** b * (eps + X) ** (-mu / 2.0)))
@@ -362,8 +355,8 @@ def test_batched_near_kernel_matches_scalar_reference():
                 delta = _near_deltas(r, side, n - mu, 60)
                 rho = r + side * delta
                 assert np.max(delta * delta / (2.0 * r * rho)) == pytest.approx(0.25)
-                got = _kernel_near(r, delta, side, n, mu, 64)
-                want = np.array([_k_general_delta(r, d, p, n, mu, 64)
+                got = _kernel_near(r, delta, side, n, mu)
+                want = np.array([_k_general_delta(r, d, p, n, mu)
                                  for d, p in zip(delta, rho)])
                 assert np.all(np.isfinite(want))
                 assert np.max(np.abs(got / want - 1.0)) <= 1e-14, (n, mu, side)
@@ -374,7 +367,7 @@ def test_batched_near_kernel_underflowed_eps_is_nan_and_isolated():
     # levels would never reach 1, so it is left out rather than stalling the batch
     delta = np.array([1e-200, 1e-3, 0.1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        got = _kernel_near(1.0, delta, -1, 4, 2.0, 64)
+        got = _kernel_near(1.0, delta, -1, 4, 2.0)
     assert math.isnan(got[0])
     assert got[1:] == pytest.approx([kernel_oracle(1.0, 1.0 - d, 4, 2.0) for d in delta[1:]],
                                     rel=1e-11)
@@ -386,7 +379,7 @@ def test_jacobi_path_at_dim_three_matches_closed_form():
         for side in (-1, 1):
             delta = _near_deltas(r, side, 3.0 - mu, 80)
             rho = r + side * delta
-            got = _k_jacobi(r, rho, delta, 3, mu, 64)
+            got = _k_jacobi(r, rho, delta, 3, mu)
             want = _k3(r, rho, delta, mu)
             assert np.max(np.abs(got / want - 1.0)) <= 1e-13, (mu, side)
 
@@ -657,11 +650,11 @@ def test_profile_table_matches_direct_evaluation_bit_for_bit():
         # sums equal those of the integrand's own far panels
         r, side = np.array([1e-3, 5e2]), np.zeros(2)
         owner, j = np.repeat([0, 1], segs.shape[0]), np.tile(np.arange(segs.shape[0]), 2)
-        far = radial_quadrature._FarIntervals(prof.radii, r, (logr, rho, fr), n, n - 1.5, 64, 7)
+        far = radial_quadrature._FarIntervals(prof.radii, r, (logr, rho, fr), n, n - 1.5, 7)
         assert np.all(far.index == -1)
         dense = far.sums(r, far.index, owner, j)
         panels = np.column_stack([logr[:-1], logr[1:]])[j]
-        integrand = _region_integrand(prof, n, n - 1.5, 64, r, side)(panels, owner)
+        integrand = _region_integrand(prof, n, n - 1.5, r, side)(panels, owner)
         np.testing.assert_array_equal(dense, _rule_sums(integrand))
 
 
@@ -700,7 +693,7 @@ def test_grid_radii_read_offset_rows_only_on_a_log_uniform_grid(monkeypatch, n, 
     def run(radii):
         prof = RadialProfile.from_power(term, radii)
         table = _profile_table(prof, n)
-        far = radial_quadrature._FarIntervals(radii, radii[pick], table, n, n - alpha, 64, 64)
+        far = radial_quadrature._FarIntervals(radii, radii[pick], table, n, n - alpha, 64)
         return far.index, riesz_radial(prof, alpha, n, at=radii[pick])
 
     (rows_index, rows), (bent_index, bent_out) = run(grid), run(bent)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
-from .special_fn import _check_dim, riesz_gamma
+from .special_fn import _check_dim, gamma, riesz_gamma
 
 # gamma(arg) loses all relative accuracy within ~1e-9 of the endpoints of (0, N),
 # where it vanishes or blows up; quotients of such values are rejected outright.
@@ -77,9 +77,13 @@ def riesz_power(alpha, a, dim):
         raise DomainError(
             f"riesz_power requires a < N (integral diverges at the origin), got a={a}, N={n}"
         )
-    num = _guarded_gamma(n - a, n)
-    den = _guarded_gamma(n - a + alpha, n)
-    return PowerLawTerm(num / den, a - alpha)
+    _check_gamma_margin(n - a, n)
+    _check_gamma_margin(n - a + alpha, n)
+    # the powers of 2 and pi cancel; Gamma((a - alpha)/2) is taken from a - alpha
+    # itself, since N - (N - a + alpha) after rounding loses ulp(N)/(a - alpha)
+    coefficient = (2.0 ** -alpha * gamma((n - a) / 2.0) * gamma((a - alpha) / 2.0)
+                   / (gamma(a / 2.0) * gamma((n - a + alpha) / 2.0)))
+    return PowerLawTerm(coefficient, a - alpha)
 
 
 @dataclass(frozen=True)
@@ -234,10 +238,9 @@ def _check_mu(mu, n):
         raise DomainError(f"kernel exponent must satisfy 0 < mu < N={n}, got {mu}")
 
 
-def _guarded_gamma(arg, dim):
+def _check_gamma_margin(arg, dim):
     if not GAMMA_MARGIN <= arg <= dim - GAMMA_MARGIN:
         raise DomainError(
             f"gamma argument {arg!r} within {GAMMA_MARGIN} of the endpoints of (0, {dim}); "
             "the quotient would lose all accuracy"
         )
-    return riesz_gamma(arg, dim)

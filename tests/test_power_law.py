@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartree_singular import (
     DomainError,
@@ -107,6 +109,18 @@ def test_riesz_power_inverts_laplacian_coefficient():
         inv = riesz_power(2.0, lap.exponent, n).scaled(lap.coefficient)
         assert inv.coefficient == pytest.approx(1.0, rel=1e-12)
         assert inv.exponent == pytest.approx(s, rel=1e-15)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(n=st.sampled_from([3, 4, 5, 6]), u=st.floats(-8.0, -1e-9))
+def test_riesz_power_times_laplacian_coefficient_is_one_as_a_nears_alpha(n, u):
+    # I_2 inverts -Lap: s(N-2-s) * gamma(N-a)/gamma(N-a+2) = 1 with s = a - 2,
+    # to round-off also as a -> 2, where a - alpha is down to 1e-8 (N - 2);
+    # u stops short of 0 so that N - a stays outside GAMMA_MARGIN
+    a = 2.0 + (n - 2.0) * 10.0 ** u
+    s = a - 2.0  # exact (Sterbenz)
+    product = laplacian_power(s, n).coefficient * riesz_power(2.0, a, n).coefficient
+    assert abs(product - 1.0) <= 1e-14, (n, a, product)
 
 
 def test_riesz_power_window_errors():

@@ -1002,12 +1002,11 @@ def test_inverse_laplacian_round_trip(n, share, c):
 
 
 def _riesz_power_reference(alpha, a, n):
-    """riesz_power's coefficient with each gamma argument formed directly.
+    """riesz_power's coefficient, written out here so the bar test does not rest on it.
 
-    riesz_power takes gamma((a - alpha)/2) through riesz_gamma(N - a + alpha),
-    whose argument N - (N - a + alpha) is rounded after the sum and loses
-    ulp(N)/(a - alpha) relative, 4.6e-15 at a - alpha = 0.088; here a - alpha
-    is exact whenever a < 2 alpha.
+    2^-alpha Gamma((N-a)/2) Gamma((a-alpha)/2) / (Gamma(a/2) Gamma((N-a+alpha)/2))
+    with each gamma argument formed directly; a - alpha is exact whenever
+    a < 2 alpha.
     """
     return (2.0 ** -alpha * math.gamma((n - a) / 2.0) * math.gamma((a - alpha) / 2.0)
             / (math.gamma(a / 2.0) * math.gamma((n - a + alpha) / 2.0)))

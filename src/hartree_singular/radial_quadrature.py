@@ -287,6 +287,7 @@ def _jacobi_sym(n, b):
 # rules are fixed where they reach round-off instead of being an option
 _ANGULAR_NODES = 64
 
+
 def angular_kernel(r, rho, dim, mu):
     """Spherical average K(r, rho) of |r e1 - rho w|^(-mu) over w in S^(N-1).
 
@@ -557,7 +558,8 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
 
     gam = riesz_gamma(alpha, n)
     table = _profile_table(f, n)
-    grid = _FarIntervals(f.radii, at, table, n, mu, _CHUNK_PANELS if n == 3 else _CHUNK_PANELS // 8)
+    chunk = _CHUNK_PANELS if n == 3 else _CHUNK_PANELS // 8
+    grid = _FarIntervals(f.radii, at, table, n, mu, chunk)
     blocks = [_riesz_block(f, at[i:i + _RADIUS_BLOCK], grid.index[i:i + _RADIUS_BLOCK],
                            n, mu, alpha, cfg, grid)
               for i in range(0, at.size, _RADIUS_BLOCK)]

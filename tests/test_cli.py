@@ -15,8 +15,8 @@ from hartree_singular import (
     PowerLawTerm,
     QuadratureConfig,
     RadialProfile,
-    angular_kernel,
     alternate_decay_exponent,
+    angular_kernel,
     critical_exponents,
     hls_conjugate,
     log_grid,
@@ -302,18 +302,16 @@ def test_threads_is_not_an_option(capsys, tmp_path):
     assert code == 64 and "threads" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--mu", "2.5", "--p", "2", "--q", "2"],
-    ["riesz", "--alpha", "1.5", "--exponent", "2.2", "--numeric"],
-])
-def test_angular_nodes_is_not_an_option(capsys, tmp_path, argv):
+def test_angular_nodes_is_not_an_option(capsys, tmp_path):
     # the angular rule is fixed: point_errors has no angular term to report
-    code, _, err = run(capsys, *argv, "--angular-nodes", "8")
-    assert code == 64 and "--angular-nodes" in err
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"angular_nodes": 8}')
-    code, _, err = run(capsys, *argv, "--config", str(cfg))
-    assert code == 64 and "angular_nodes" in err
+    for argv in (["verify", "--mu", "2.5", "--p", "2", "--q", "2"],
+                 ["riesz", "--alpha", "1.5", "--exponent", "2.2", "--numeric"]):
+        code, _, err = run(capsys, *argv, "--angular-nodes", "8")
+        assert code == 64 and "--angular-nodes" in err
+        code, _, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 64 and "angular_nodes" in err
     with pytest.raises(TypeError):
         QuadratureConfig(angular_nodes=64)
     with pytest.raises(TypeError):

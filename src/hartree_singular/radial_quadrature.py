@@ -423,12 +423,11 @@ def _k_jacobi(r, rho, delta, n, mu):
 _GL_ORDER = 12
 _RADIUS_BLOCK = 32  # radii per _adaptive_gl run, which bounds the live panel arrays
 # panels per integrand call at N = 3; at N >= 4 each point also carries a row
-# of _ANGULAR_NODES kernel terms, so a call takes _CHUNK_PANELS // 8.
-# With the grid-interval panels summed densely, N = 3 calls hold mostly
-# near-diagonal panels: at 512 of them the traced peak of a 400-radius call
-# rose from 2.5 to 3.4 MB, at no gain in time. At N >= 4, 32 panels keep the
-# (panels x 36 x 64) kernel terms in cache, and a far kernel block cost
-# about half as much per panel as at 64 panels.
+# of _ANGULAR_NODES kernel terms, so a call takes _CHUNK_PANELS // 2. The
+# bound is memory: at N = 3, 512 panels raised the traced peak of a
+# 400-radius call from 2.5 to 3.4 MB at no gain in time, and at N >= 4 the
+# (panels x 36 x 64) kernel terms of 256 panels ran verify_solution about
+# 20% faster than 128 but raised its peak RSS by 9.5%.
 _CHUNK_PANELS = 256
 # rounding floor of an error bound, per unit of sum |integrand * weight|: an
 # integrand value passes through about eight rounded steps (the node, exp,
@@ -557,9 +556,7 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
         raise DomainError("evaluation above the sampled window requires an outer tail")
 
     gam = riesz_gamma(alpha, n)
-    table = _profile_table(f, n)
-    chunk = _CHUNK_PANELS if n == 3 else _CHUNK_PANELS // 8
-    grid = _FarIntervals(f.radii, at, table, n, mu, chunk)
+    grid = _FarIntervals(f, at, n, mu, _CHUNK_PANELS if n == 3 else _CHUNK_PANELS // 2)
     blocks = [_riesz_block(f, at[i:i + _RADIUS_BLOCK], grid.index[i:i + _RADIUS_BLOCK],
                            n, mu, alpha, cfg, grid)
               for i in range(0, at.size, _RADIUS_BLOCK)]
@@ -582,37 +579,35 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
 
 
 def _profile_table(f, n):
-    """(log f.radii, rho, f(rho) rho^N) at _gauss_points of every grid interval in log(rho).
+    """f(rho) rho^N at _gauss_points of every grid interval in log(rho).
 
     The nodes come from _gauss_points, as in _adaptive_gl, so an entry is
     bit-equal to a direct evaluation on a far panel that is one grid interval.
     """
     logr = np.log(f.radii)
     rho = np.exp(_gauss_points(np.column_stack([logr[:-1], logr[1:]])))
-    return logr, rho, f(rho) * rho ** float(n)
+    return f(rho) * rho ** float(n)
 
 
 class _FarIntervals:
-    """Rule sums of far panels that are exactly one grid interval, as dense products.
+    """Rule sums of the far panels of grid radii that are exactly one grid interval.
 
-    Every such panel of radius r reads f(rho) rho^N from the profile table,
-    so its sums are products of table rows with a kernel block K(r, rho) at
-    the table's nodes. On a log-uniform grid of step h the grid radius r_i
-    sees interval j over log(rho/r_i) in [(j - i) h, (j - i + 1) h], so
-    K(r_i, rho) = r_i^-mu K(1, rho/r_i) is r_i^-mu times one row per offset
-    j - i. Row j - i is stored at j - i + J for J intervals, so radius i reads
-    the view [J - i, 2J - i), and a row is built from _kernel_sep when a far
-    panel first needs it; rows no panel needs stay zero. Any other radius, or
-    any radius of a grid that is not log-uniform, evaluates its kernel block
-    directly, chunk intervals at a time, with the products of
-    _region_integrand, so its sums equal the per-panel ones bit for bit.
+    A grid radius is an evaluation radius bit-equal to a node of a log-uniform
+    grid of step h. Grid radius r_i sees interval j over log(rho/r_i) in
+    [(j - i) h, (j - i + 1) h], so K(r_i, rho) = r_i^-mu K(1, rho/r_i) is
+    r_i^-mu times one kernel row per offset j - i, and the panel's sums are
+    that row's products with the table of f(rho) rho^N. Row j - i is stored
+    at j - i + J for J intervals, so radius i reads the view [J - i, 2J - i),
+    and a row is built from _kernel_sep when a far panel first needs it; rows
+    no panel needs stay zero. The table and rows exist only when some radius
+    is a grid radius; every other radius leaves its far panels to
+    _region_integrand.
     """
 
-    def __init__(self, radii, at, table, n, mu, chunk):
-        self.logr, self.rho, self.fr = table
-        logr = self.logr
-        self.kernel = lambda r, rho: _kernel_sep(r, rho, n, mu)
-        self.mu, self.chunk, self.intervals = mu, chunk, logr.size - 1
+    def __init__(self, f, at, n, mu, chunk):
+        radii = f.radii
+        self.logr = logr = np.log(radii)
+        self.n, self.mu, self.chunk, self.intervals = n, mu, chunk, logr.size - 1
         self.h = (logr[-1] - logr[0]) / self.intervals
         self.index = np.full(at.size, -1)
         if np.max(np.abs(logr - (logr[0] + np.arange(logr.size) * self.h))) <= _LOG_UNIFORM:
@@ -620,7 +615,7 @@ class _FarIntervals:
             self.index = np.where(radii[k] == at, k, -1)
         if np.any(self.index >= 0):
             w = np.concatenate([_gauss_legendre(_GL_ORDER)[1], _gauss_legendre(2 * _GL_ORDER)[1]])
-            self.weighted = self.fr * w
+            self.weighted = _profile_table(f, n) * w
             self.size = np.abs(self.weighted[:, _GL_ORDER:])
             self.rows = np.zeros((2 * self.intervals, w.size))
             self.built = np.zeros(2 * self.intervals, dtype=bool)
@@ -635,17 +630,13 @@ class _FarIntervals:
     def sums(self, r, index, owner, j):
         """_rule_sums of the panels (radius r[owner[p]], interval j[p]), owner ascending.
 
-        index[i] is the grid index of r[i] when it reads rows, else -1.
+        index[i] is the grid index of r[i]; every owner is a grid radius.
         """
         out = np.empty((3, owner.size))
         bounds = np.searchsorted(owner, np.arange(r.size + 1))
-        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            if index[i] >= 0:
-                out[:, lo:hi] = self.offset_sums(index[i], j[lo:hi]) * r[i] ** -self.mu
-                continue
-            for s in range(lo, hi, self.chunk):
-                q = j[s:min(s + self.chunk, hi)]
-                out[:, s:s + q.size] = _rule_sums(self.fr[q] * self.kernel(r[i], self.rho[q]))
+        for i in np.unique(owner):
+            lo, hi = bounds[i], bounds[i + 1]
+            out[:, lo:hi] = self.offset_sums(index[i], j[lo:hi]) * r[i] ** -self.mu
         return out
 
     def offset_sums(self, i, j):
@@ -654,8 +645,8 @@ class _FarIntervals:
         new = k[~self.built[k]]
         for s in range(0, new.size, self.chunk):
             d = (new[s:s + self.chunk] - self.intervals) * self.h
-            self.rows[new[s:s + self.chunk]] = self.kernel(
-                1.0, np.exp(_gauss_points(np.column_stack([d, d + self.h]))))
+            self.rows[new[s:s + self.chunk]] = _kernel_sep(
+                1.0, np.exp(_gauss_points(np.column_stack([d, d + self.h]))), self.n, self.mu)
         self.built[new] = True
         rows = self.rows[self.intervals - i:2 * self.intervals - i]  # row j: offset j - i
         coarse, fine = rows[:, :_GL_ORDER], rows[:, _GL_ORDER:]
@@ -685,10 +676,10 @@ def _riesz_block(f, r, index, n, mu, alpha, cfg, grid):
     A side 0 row is a smooth far region integrated over [log a, log b]. A
     side -+1 row is a near-diagonal piece, where delta = r e^(-t) is exact
     and t runs from the far edge, log(r/|rho - r|), out to t_cap. Every
-    non-empty (radius, row) pair is one integral of one _adaptive_gl run,
-    whose far panels that are exactly one grid interval start from the
-    dense sums of grid (a _FarIntervals; index holds the grid index of each
-    radius that reads its rows, else -1). Returns (raw, abs_err, trunc,
+    non-empty (radius, row) pair is one integral of one _adaptive_gl run.
+    index holds the grid index of each grid radius, else -1; the far panels
+    of a grid radius that are exactly one grid interval start from the
+    offset-row sums of grid (a _FarIntervals). Returns (raw, abs_err, trunc,
     converged, panels) aligned with r.
     """
     r0, r1 = float(f.radii[0]), float(f.radii[-1])
@@ -727,8 +718,9 @@ def _riesz_block(f, r, index, n, mu, alpha, cfg, grid):
     length = np.zeros(a.size)
     length[live] = yb - ya
     segs, tag = _initial_panels(f.radii, grid.logr, al, bl, ya, yb, rl, far)
-    hit, j = grid.hits(segs, far[tag])  # far panels that are one grid interval: dense sums
     tag = live[tag]
+    # far panels of grid radii that are one grid interval: sums from offset rows
+    hit, j = grid.hits(segs, (side[tag] == 0.0) & (index[tag // 4] >= 0))
     val, e, used, ok = _adaptive_gl(
         _region_integrand(f, n, mu, rg, side), segs, tag, length,
         cfg.rel_tol, cfg.abs_tol, max(cfg.max_panels // 4, 4), grid.chunk,

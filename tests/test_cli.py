@@ -1,5 +1,6 @@
 """Command-line interface: parsing, artifacts, exit codes."""
 
+import functools
 import json
 import math
 import os
@@ -398,11 +399,11 @@ def _expected_solve_params():
     return doc, csv
 
 
-def _expected_verify():
-    prm = solve_params(3, 2.5, 2.0, 2.0)
+def _expected_verify(dim=3, mu=2.5):
+    prm = solve_params(dim, mu, 2.0, 2.0)
     rep = verify_solution(prm, np.array([0.5, 1.0, 2.0]), None,
                           grid=log_grid(1e-3, 1e3, 400))
-    doc = {"kind": "verify-report", "mode": "family", "dim": 3, "mu": 2.5,
+    doc = {"kind": "verify-report", "mode": "family", "dim": dim, "mu": mu,
            "p": 2.0, "q": 2.0, "decay": rep.decay, "amplitude": rep.amplitude,
            "radii": rep.radii, "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio,
            "quadrature_error": rep.quadrature_error,
@@ -423,14 +424,14 @@ def _expected_riesz():
     return doc, csv
 
 
-def _expected_riesz_numeric():
+def _expected_riesz_numeric(dim=3, alpha=2.0, exponent=2.5):
     radii = np.array([0.5, 1.0, 2.0])
-    term = riesz_power(2.0, 2.5, 3)
-    src = RadialProfile.from_power(PowerLawTerm(1.0, 2.5), log_grid(1e-3, 1e3, 400))
-    pot = riesz_radial(src, 2.0, 3, cfg=None, at=radii)
+    term = riesz_power(alpha, exponent, dim)
+    src = RadialProfile.from_power(PowerLawTerm(1.0, exponent), log_grid(1e-3, 1e3, 400))
+    pot = riesz_radial(src, alpha, dim, cfg=None, at=radii)
     closed = term(radii)
-    doc = {"kind": "riesz-power", "dim": 3, "alpha": 2.0,
-           "input": {"coefficient": 1.0, "exponent": 2.5},
+    doc = {"kind": "riesz-power", "dim": dim, "alpha": alpha,
+           "input": {"coefficient": 1.0, "exponent": exponent},
            "output": {"coefficient": term.coefficient, "exponent": term.exponent},
            "numeric": {"radii": radii, "values": pot.values,
                        "point_errors": pot.point_errors, "closed_form": closed}}
@@ -473,9 +474,14 @@ _BYTE_CASES = {
     "solve-params": (("solve-params", "--mu", "2.5", "--p", "2", "--q", "2"),
                      _expected_solve_params),
     "verify": (("verify", "--mu", "2.5", "--p", "2", "--q", "2"), _expected_verify),
+    "verify-n5": (("verify", "--dim", "5", "--mu", "3.5", "--p", "2", "--q", "2"),
+                  functools.partial(_expected_verify, 5, 3.5)),
     "riesz": (("riesz", "--alpha", "1.3", "--exponent", "2.1"), _expected_riesz),
     "riesz-numeric": (("riesz", "--alpha", "2", "--exponent", "2.5", "--numeric",
                        "--radii", "0.5,1,2"), _expected_riesz_numeric),
+    "riesz-numeric-n4": (("riesz", "--dim", "4", "--alpha", "1.5", "--exponent", "2.9",
+                          "--numeric", "--radii", "0.5,1,2"),
+                         functools.partial(_expected_riesz_numeric, 4, 1.5, 2.9)),
     "moving-plane": (("moving-plane", "--decay", "0.5", "--num", "17"),
                      _expected_moving_plane),
     "hls": (("hls", "--t", "1.5", "--mu", "2"), _expected_hls),

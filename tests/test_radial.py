@@ -39,8 +39,6 @@ from hartree_singular.radial_quadrature import (
     _kernel_near,
     _pchip,
     _profile_table,
-    _region_integrand,
-    _rule_sums,
 )
 
 # Frozen oracle values.
@@ -634,28 +632,45 @@ def test_riesz_region_selection(monkeypatch, n, alpha, a, tol, window, live):
 
 
 def test_profile_table_matches_direct_evaluation_bit_for_bit():
-    # far panels that are exactly one grid interval read f(rho) rho^N from the
-    # table; it must equal a direct evaluation at the same nodes, bit for bit
+    # far panels of grid radii that are exactly one grid interval read
+    # f(rho) rho^N from the table; it must equal a direct evaluation at the
+    # same nodes, bit for bit
     grid = log_grid(1e-2, 1e2, 60)
     positive = RadialProfile.from_power(PowerLawTerm(1.3, 2.2), grid)
     signed = RadialProfile(grid, np.cos(np.log(grid)))  # PCHIP on raw values
     for prof, n in ((positive, 3), (signed, 3), (positive, 5)):
-        logr, rho, fr = _profile_table(prof, n)
+        logr = np.log(prof.radii)
         segs = np.column_stack([logr[:-1], logr[1:]])[::-1]  # other batch positions
         direct = np.exp(_gauss_points(segs))
-        np.testing.assert_array_equal(rho[::-1], direct)
-        np.testing.assert_array_equal(fr[::-1], prof(direct) * direct ** float(n))
-        # through the dense sums: radii off the grid multiply table rows with a
-        # directly evaluated kernel block, 7 intervals at a time, and their rule
-        # sums equal those of the integrand's own far panels
-        r, side = np.array([1e-3, 5e2]), np.zeros(2)
-        owner, j = np.repeat([0, 1], segs.shape[0]), np.tile(np.arange(segs.shape[0]), 2)
-        far = radial_quadrature._FarIntervals(prof.radii, r, (logr, rho, fr), n, n - 1.5, 7)
-        assert np.all(far.index == -1)
-        dense = far.sums(r, far.index, owner, j)
-        panels = np.column_stack([logr[:-1], logr[1:]])[j]
-        integrand = _region_integrand(prof, n, n - 1.5, r, side)(panels, owner)
-        np.testing.assert_array_equal(dense, _rule_sums(integrand))
+        np.testing.assert_array_equal(_profile_table(prof, n)[::-1],
+                                      prof(direct) * direct ** float(n))
+
+
+@pytest.mark.parametrize("n, alpha, a", [(3, 1.2, 2.1), (5, 2.2, 3.4)])
+def test_off_grid_radii_build_no_profile_table(monkeypatch, n, alpha, a):
+    # radii off the grid take every far panel through the integrand; the
+    # table of f(rho) rho^N is built once per call, and only for grid radii
+    grid = log_grid(1e-2, 1e2, 100)
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, a), grid)
+    off = riesz_radial(prof, alpha, n, at=np.geomspace(0.05, 20.0, 5))
+    built = []
+    table = radial_quadrature._profile_table
+
+    def counted(f, dim):
+        built.append(dim)
+        return table(f, dim)
+
+    monkeypatch.setattr(radial_quadrature, "_profile_table", counted)
+    riesz_radial(prof, alpha, n, at=grid[[10, 30, 50]])
+    assert built == [n]
+
+    def refuse(f, dim):
+        raise AssertionError("profile table built for off-grid radii")
+
+    monkeypatch.setattr(radial_quadrature, "_profile_table", refuse)
+    again = riesz_radial(prof, alpha, n, at=np.geomspace(0.05, 20.0, 5))
+    np.testing.assert_array_equal(again.values, off.values)
+    np.testing.assert_array_equal(again.point_errors, off.point_errors)
 
 
 @pytest.mark.parametrize("n, alpha, a", [(3, 1.2, 2.1), (4, 1.5, 2.9), (5, 2.2, 3.4)])
@@ -683,8 +698,8 @@ def test_riesz_radius_blocks_match_pairwise_calls(n, alpha, a):
 @pytest.mark.parametrize("n, alpha, a", [(3, 1.2, 2.1), (4, 1.5, 2.9)])
 def test_grid_radii_read_offset_rows_only_on_a_log_uniform_grid(monkeypatch, n, alpha, a):
     # on a log grid the rows move values by round-off only; one node moved by
-    # 1e-12 relative breaks the lattice, and every radius then takes the
-    # direct kernel block, bit for bit as with rows switched off
+    # 1e-12 relative breaks the lattice, and every radius then leaves its far
+    # panels to the integrand, bit for bit as with rows switched off
     grid = log_grid(1e-2, 1e2, 100)
     bent = grid.copy()
     bent[50] *= 1.0 + 1e-12
@@ -692,8 +707,7 @@ def test_grid_radii_read_offset_rows_only_on_a_log_uniform_grid(monkeypatch, n, 
 
     def run(radii):
         prof = RadialProfile.from_power(term, radii)
-        table = _profile_table(prof, n)
-        far = radial_quadrature._FarIntervals(radii, radii[pick], table, n, n - alpha, 64)
+        far = radial_quadrature._FarIntervals(prof, radii[pick], n, n - alpha, 64)
         return far.index, riesz_radial(prof, alpha, n, at=radii[pick])
 
     (rows_index, rows), (bent_index, bent_out) = run(grid), run(bent)

@@ -161,9 +161,10 @@ class RadialProfile:
     def mix(self, other, w_self, w_other):
         """Weighted sum w_self*self + w_other*other on a shared grid.
 
-        Tails of equal exponent combine linearly; otherwise the slower-decaying
-        (dominant) exponent is kept with its coefficient refitted to the mixed
-        boundary sample, so the descriptor stays continuous.
+        A zero weight drops that profile, tail and all. Tails of equal
+        exponent combine linearly; otherwise the slower-decaying (dominant)
+        exponent is kept with its coefficient refitted to the mixed boundary
+        sample, so the descriptor stays continuous.
         """
         if not np.array_equal(self.radii, other.radii):
             raise DomainError("profiles must share the same grid to mix")
@@ -236,6 +237,9 @@ def _check_tail_continuity(term, r_edge, v_edge, which):
 
 
 def _mix_tails(t1, t2, w1, w2, r_edge, v_edge, inner):
+    if w1 == 0.0 or w2 == 0.0:  # a zero weight drops its profile, tail and all
+        t, w = (t2, w2) if w1 == 0.0 else (t1, w1)
+        return None if t is None else t.scaled(w)
     if t1 is None or t2 is None:
         return None
     if abs(t1.exponent - t2.exponent) <= 1e-12 * max(1.0, abs(t1.exponent)):

@@ -202,6 +202,21 @@ def test_profile_mix_tail_selection():
     assert both.tail_outer.exponent == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("w_self, w_other", [(0.0, 1.0), (0.0, 0.5), (1.0, 0.0)])
+def test_profile_mix_with_a_zero_weight_drops_that_profile(w_self, w_other):
+    # a full-damping Picard step mixes u with weight 0: the result must carry
+    # the new iterate's tails, not u's exponent refitted to the edge sample
+    g = log_grid(1e-2, 1e2, 50)
+    u = RadialProfile.from_power(PowerLawTerm(1.0, 1.0), g)
+    v = RadialProfile.from_power(PowerLawTerm(1.0, 1.5), g)
+    kept, w = (v, w_other) if w_self == 0.0 else (u, w_self)
+    mixed = u.mix(v, w_self, w_other)
+    assert mixed.tail_inner == kept.tail_inner.scaled(w)
+    assert mixed.tail_outer == kept.tail_outer.scaled(w)
+    np.testing.assert_array_equal(mixed.values, kept.values * w)
+    assert mixed(1e4) == w * kept.tail_outer(1e4)
+
+
 def test_profile_fractional_power_needs_positive():
     g = np.array([1.0, 2.0, 3.0])
     prof = RadialProfile(g, np.array([1.0, -1.0, 1.0]))

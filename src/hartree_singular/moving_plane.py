@@ -183,9 +183,8 @@ def reflect(field, lam):
     j = m_half + (m - 1) - i
     valid = (j >= 0) & (j < m)
     jc = np.clip(j, 0, m - 1)
-    values = field.values[jc]
+    values = field.values[jc]  # integer indexing copies: the field is left as it is
     mask = field.mask[jc] | ~valid.reshape((-1,) + (1,) * (field.dim - 1))
-    values = values.copy()
     values[mask] = np.nan
     lam = float(lam)
     gamma = [(np.concatenate([[2.0 * lam - p[0]], p[1:]]), rad) for p, rad in field.gamma_set]

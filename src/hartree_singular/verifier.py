@@ -108,7 +108,7 @@ def verify_solution(params, radii=(0.5, 1.0, 2.0), cfg=None, *, decay=None,
         lhs=lhs,
         rhs=rhs,
         ratio=lhs / rhs,
-        quadrature_error=pot.point_errors.copy(),
+        quadrature_error=pot.point_errors,
         decay=s,
         amplitude=amp,
     )

@@ -52,6 +52,10 @@ def test_solve_params_json(capsys):
     assert doc["symmetry_window"] is True
     assert doc["alternate_s"] == pytest.approx(2.5, rel=1e-14)
     assert "diagnostic" in doc["alternate_s_note"]
+    # p - q + 1 = 0: the variant decay is undefined and printed as null
+    code, out, err = run(capsys, "solve-params", "--mu", "2.5", "--p", "1.5", "--q", "2.5")
+    assert code == 0 and err == ""
+    assert json.loads(out)["alternate_s"] is None
 
 
 def test_solve_params_reruns_byte_identical(capsys):
@@ -250,6 +254,10 @@ def test_moving_plane_rejects_empty_center_list(capsys, tmp_path):
     cfg.write_text('{"centers": []}')
     code, out, err = run(capsys, *_PLANE, "--config", str(cfg))
     assert code == 64 and "--centers" in err
+    assert out == ""
+    # ... and a point of the wrong dimension is no center either
+    code, out, err = run(capsys, *_PLANE, "--centers", "0,0")
+    assert code == 64 and "not 3-dimensional" in err
     assert out == ""
 
 

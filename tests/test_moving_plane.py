@@ -123,6 +123,9 @@ def test_cartesian_field_validation():
     with pytest.raises(DomainError):
         CartesianField(3, 0.5, 2.0, np.zeros((9, 9, 9)),
                        gamma_set=[((0.5, 0.0, 0.0), 0.5)])  # point off x1 = 0
+    with pytest.raises(DomainError, match="wrong dimension"):
+        CartesianField(3, 0.5, 2.0, np.zeros((9, 9, 9)),
+                       gamma_set=[(np.zeros(2), 0.5)])  # a 2-d point in 3-d
     with pytest.raises(DomainError):
         CartesianField(3, 0.5, 2.0, np.zeros((9, 9, 9)),
                        mask=np.zeros((5, 5, 5), dtype=bool))

@@ -68,6 +68,9 @@ def test_laplacian_power_examples():
     # harmonic endpoints
     assert laplacian_power(0.0, 4).coefficient == 0.0
     assert laplacian_power(2.0, 4).coefficient == 0.0
+    for s in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            laplacian_power(s, 3)
 
 
 def test_laplacian_power_against_finite_differences():
@@ -140,6 +143,8 @@ def test_riesz_power_window_errors():
 def test_decay_exponent_base_case():
     s = decay_exponent(3, 2.5, 2, 2)
     assert s == pytest.approx(5.0 / 6.0, rel=1e-15)
+    with pytest.raises(DomainError):
+        decay_exponent(3, 2.5, 0.5, 0.4)  # p + q <= 1
 
 
 def test_decay_exponent_matching_identity():
@@ -211,6 +216,9 @@ def test_solve_params_collects_all_violations():
     joined = "; ".join(violations)
     assert "0 < s*p < N" in joined
     assert "0 < s < N-2" in joined
+    with pytest.raises(ValidationError) as exc:
+        solve_params(5, 0.5, 1, 10)  # s = 0.65, s(q-1) = 5.85 >= 2
+    assert any("2-N < s*(q-1) < 2" in v for v in exc.value.violations)
 
 
 def test_solve_params_preconditions():
@@ -220,6 +228,8 @@ def test_solve_params_preconditions():
         solve_params(3, 0.0, 2, 2)
     with pytest.raises(DomainError):
         solve_params(3, 2.5, 0.5, 2)  # p < 1
+    with pytest.raises(DomainError):
+        solve_params(3, 2.5, 2, 0.5)  # q < 1
     with pytest.raises(DomainError):
         solve_params(2, 1.5, 2, 2)  # dimension below 3
     for dim in (3.5, math.inf, math.nan):

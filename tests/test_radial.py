@@ -186,6 +186,11 @@ def test_profile_algebra_and_tails():
     prod = prof.multiply(sq)
     assert prod.tail_outer.exponent == pytest.approx(3.0)
     assert prod.values == pytest.approx(8.0 * prod.radii ** -3.0)
+    other = RadialProfile.from_power(term, log_grid(0.1, 10.0, 31))
+    with pytest.raises(DomainError, match="same grid to multiply"):
+        prof.multiply(other)
+    with pytest.raises(DomainError, match="same grid to mix"):
+        prof.mix(other, 0.5, 0.5)
 
 
 def test_profile_mix_tail_selection():

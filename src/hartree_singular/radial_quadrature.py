@@ -428,10 +428,10 @@ _GL_ORDER = 12
 _RADIUS_BLOCK = 32  # radii per _adaptive_gl run, which bounds the live panel arrays
 # panels per integrand call at N = 3; at N >= 4 each point also carries a row
 # of _ANGULAR_NODES kernel terms, so a call takes _CHUNK_PANELS // 2. The
-# bound is memory: at N = 3, 512 panels raised the traced peak of a
-# 400-radius call from 2.5 to 3.4 MB at no gain in time, and at N >= 4 the
-# (panels x 36 x 64) kernel terms of 256 panels ran verify_solution about
-# 20% faster than 128 but raised its peak RSS by 9.5%.
+# bound is memory, not time: at N = 3, 512 panels raised the traced peak of a
+# 400-radius call from 2.5 to 3.4 MB at no gain in time; at N >= 4, 256
+# panels ran verify_solution about 5% faster than 128 on a 2-core Xeon but
+# raised its peak RSS from 71.0 to 73.3 MB, where 32 panels gave 69.7 MB.
 _CHUNK_PANELS = 256
 # rounding floor of an error bound, per unit of sum |integrand * weight|: an
 # integrand value passes through about eight rounded steps (the node, exp,

@@ -33,13 +33,26 @@ def _finite(name, x, positive):
     return x
 
 
-def _check_reach(name, p, lo, hi):
-    """Reject a point with a non-finite coordinate or an overflowing squared distance.
+def _check_field_dim(dim):
+    """The field dimension, which must be 2 or 3."""
+    if dim not in (2, 3):
+        raise DomainError(f"field dimension must be 2 or 3, got {dim}")
+    return int(dim)
 
-    The node farthest from p sits at lo or hi on every axis, so its squared
-    distance bounds them all; it is summed in Python floats, which overflow
-    to inf without numpy's warning.
+
+def _check_point(name, p, n, lo, hi, on_plane):
+    """p as a float array of shape (n,), finite and in reach of the grid [lo, hi]^n.
+
+    on_plane also requires p to lie on {x1 = 0}. The node farthest from p
+    sits at lo or hi on every axis, so its squared distance bounds them all;
+    it is summed in Python floats, which overflow to inf without numpy's
+    warning.
     """
+    p = np.asarray(p, dtype=float)
+    if p.shape != (n,):
+        raise DomainError(f"{name} {p} has wrong dimension")
+    if on_plane and abs(p[0]) > _HYPERPLANE_TOL:
+        raise DomainError(f"{name} {p} must lie on the hyperplane x1 = 0")
     d2 = 0.0
     for x in p.tolist():
         if not math.isfinite(x):
@@ -48,6 +61,34 @@ def _check_reach(name, p, lo, hi):
         d2 += far * far
     if not math.isfinite(d2):
         raise DomainError(f"squared distances from the grid to {name} {p} overflow")
+    return p
+
+
+def _ball_mask(axis, n, balls, profile=None):
+    """(mask, values) on the grid axis^n for balls of (point, radius) pairs.
+
+    The mask holds the nodes inside any ball; balls that cover every node
+    raise DomainError. With a profile, values is the sum over balls of
+    profile(|x - point|), NaN where a term is not finite and on the mask;
+    without one it is None.
+    """
+    mask = np.zeros((axis.size,) * n, dtype=bool)
+    values = None if profile is None else np.zeros(mask.shape)
+    if balls:
+        grids = np.meshgrid(*([axis] * n), indexing="ij", sparse=True)
+        for p, rad in balls:
+            d2 = sum((g - c) ** 2 for g, c in zip(grids, p))
+            mask |= d2 <= rad * rad
+            if profile is not None:
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    term = np.asarray(profile(np.sqrt(d2)), dtype=float)
+                term[~np.isfinite(term)] = np.nan
+                values += term
+    if mask.all():
+        raise DomainError("exclusion balls cover every grid node: no data to compare")
+    if values is not None:
+        values[mask] = np.nan
+    return mask, values
 
 
 class CartesianField:
@@ -56,17 +97,16 @@ class CartesianField:
     Axis 0 is the reflection direction x1. `gamma_set` is a list of
     (point, exclusion_radius) pairs; nodes inside any exclusion ball are
     masked and skipped by every comparison; balls that cover every node
-    raise DomainError. The node set is closed under every coordinate sign
-    flip by construction of the uniform symmetric grid.
+    raise DomainError. Each point must have shape (N,), finite coordinates
+    and overflow-free squared distances to the grid; check_gamma=False waives
+    only the rule that it lie on {x1 = 0}. The node set is closed under every
+    coordinate sign flip by construction of the uniform symmetric grid.
     """
 
     def __init__(self, dim, h, extent, values, gamma_set=(), mask=None, check_gamma=True):
-        if dim not in (2, 3):
-            raise DomainError(f"field dimension must be 2 or 3, got {dim}")
-        n = int(dim)
+        n = _check_field_dim(dim)
         h, extent = _finite("spacing", h, True), _finite("extent", extent, True)
-        gamma_set = [(np.asarray(p, dtype=float), _finite("exclusion radius", rad, False))
-                     for p, rad in gamma_set]
+        gamma_set = [(p, _finite("exclusion radius", rad, False)) for p, rad in gamma_set]
         steps = 2.0 * extent / h
         if abs(steps - round(steps)) > _COMMENSURATE_TOL:
             raise DomainError(f"extent {extent} is not a whole number of cells of size {h}")
@@ -79,26 +119,11 @@ class CartesianField:
         self.extent = extent
         self.shape = (m,) * n
         self.axis = -extent + h * np.arange(m)
-        self.gamma_set = gamma_set
-        if check_gamma:
-            for p, _ in self.gamma_set:
-                if p.shape != (n,):
-                    raise DomainError(f"singular point {p} has wrong dimension")
-                if abs(p[0]) > _HYPERPLANE_TOL:
-                    raise DomainError(
-                        f"singular point {p} must lie on the hyperplane x1 = 0"
-                    )
+        lo, hi = float(self.axis[0]), float(self.axis[-1])
+        self.gamma_set = [(_check_point("singular point", p, n, lo, hi, check_gamma), rad)
+                          for p, rad in gamma_set]
         if mask is None:
-            for p, _ in self.gamma_set:
-                _check_reach("singular point", p, float(self.axis[0]), float(self.axis[-1]))
-            mask = np.zeros(self.shape, dtype=bool)
-            if self.gamma_set:
-                grids = np.meshgrid(*([self.axis] * n), indexing="ij", sparse=True)
-                for p, rad in self.gamma_set:
-                    d2 = sum((g - c) ** 2 for g, c in zip(grids, p))
-                    mask |= d2 <= rad * rad
-                if mask.all():
-                    raise DomainError("exclusion balls cover every grid node: no data to compare")
+            mask, _ = _ball_mask(self.axis, n, self.gamma_set)
         else:
             mask = np.asarray(mask, dtype=bool)
             if mask.shape != self.shape:
@@ -123,40 +148,17 @@ def sample_field(profile, centers, dim=3, extent=2.0, num=65, exclusion_radius=N
     are masked and the stored value is NaN; balls that cover every node
     raise DomainError.
     """
-    if dim not in (2, 3):
-        raise DomainError(f"field dimension must be 2 or 3, got {dim}")
-    n = int(dim)
+    n = _check_field_dim(dim)
     num = _check_count("num", num, 3)
     extent = _finite("extent", extent, True)
     h = _finite("spacing", 2.0 * extent / (num - 1), True)
     excl = h if exclusion_radius is None else _finite("exclusion radius", exclusion_radius, False)
-    centers = [np.asarray(c, dtype=float) for c in centers]
-    for c in centers:
-        if c.shape != (n,):
-            raise DomainError(f"center {c} has wrong dimension")
-        if check_centers and abs(c[0]) > _HYPERPLANE_TOL:
-            raise DomainError(f"center {c} must lie on the hyperplane x1 = 0")
-        _check_reach("center", c, -extent, -extent + h * (num - 1))
     axis = -extent + h * np.arange(num)
-    grids = np.meshgrid(*([axis] * n), indexing="ij", sparse=True)
-    values = np.zeros((num,) * n)
-    mask = np.zeros((num,) * n, dtype=bool)
-    for c in centers:
-        d2 = sum((g - ck) ** 2 for g, ck in zip(grids, c))
-        mask |= d2 <= excl * excl
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            term = np.asarray(profile(np.sqrt(d2)), dtype=float)
-        term[~np.isfinite(term)] = np.nan
-        values += term
-    if mask.all():
-        raise DomainError("exclusion balls cover every grid node: no data to compare")
-    values[mask] = np.nan
-    return CartesianField(
-        n, h, extent, values,
-        gamma_set=[(c, excl) for c in centers],
-        mask=mask,
-        check_gamma=False,
-    )
+    centers = [_check_point("center", c, n, -extent, -extent + h * (num - 1), check_centers)
+               for c in centers]
+    balls = [(c, excl) for c in centers]
+    mask, values = _ball_mask(axis, n, balls, profile)
+    return CartesianField(n, h, extent, values, gamma_set=balls, mask=mask, check_gamma=False)
 
 
 def _plane_index_shift(field, lam):

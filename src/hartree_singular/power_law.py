@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
-from .special_fn import _check_dim, gamma, riesz_gamma
+from .special_fn import _check_dim, _check_window, gamma, riesz_gamma
 
 # gamma(arg) loses all relative accuracy within ~1e-9 of the endpoints of (0, N),
 # where it vanishes or blows up; quotients of such values are rejected outright.
@@ -65,10 +65,8 @@ def riesz_power(alpha, a, dim):
     inside (0, N) and the result exponent a-alpha inside (0, N).
     """
     n = _check_dim(dim)
-    alpha = float(alpha)
+    alpha = _check_window("alpha", alpha, n)
     a = float(a)
-    if not 0.0 < alpha < n:
-        raise DomainError(f"riesz_power requires 0 < alpha < N={n}, got alpha={alpha}")
     if not alpha < a:
         raise DomainError(
             f"riesz_power requires a > alpha (integral diverges at infinity), got a={a}, alpha={alpha}"
@@ -149,10 +147,9 @@ def solve_params(dim, mu, p, q):
     single ValidationError rather than failing on the first one.
     """
     n = _check_dim(dim)
-    mu = float(mu)
+    mu = _check_window("mu", mu, n)
     p = float(p)
     q = float(q)
-    _check_mu(mu, n)
     if not (math.isfinite(p) and p >= 1.0):
         raise DomainError(f"p must be >= 1, got {p}")
     if not (math.isfinite(q) and q >= 1.0):
@@ -194,8 +191,7 @@ def solve_params(dim, mu, p, q):
 def critical_exponents(dim, mu):
     """The pair ((2N-mu)/N, (2N-mu)/(N-2)) bounding admissible nonlinearities."""
     n = _check_dim(dim)
-    mu = float(mu)
-    _check_mu(mu, n)
+    mu = _check_window("mu", mu, n)
     return (2.0 * n - mu) / n, (2.0 * n - mu) / (n - 2.0)
 
 
@@ -217,8 +213,7 @@ def hls_conjugate(t, mu, dim):
     """
     n = _check_dim(dim)
     t = float(t)
-    mu = float(mu)
-    _check_mu(mu, n)
+    mu = _check_window("mu", mu, n)
     if not (math.isfinite(t) and t > 1.0):
         raise DomainError(f"side condition 0 < 1 - 1/t fails: t = {t} must exceed 1")
     rest = 2.0 - 1.0 / t - mu / n
@@ -230,12 +225,6 @@ def hls_conjugate(t, mu, dim):
         )
     r = 1.0 / rest
     return HlsExponents(t=t, r=r, mu=mu, dim=n)
-
-
-def _check_mu(mu, n):
-    """The kernel window 0 < mu < N; NaN and +-inf fail the chained comparison."""
-    if not 0.0 < mu < n:
-        raise DomainError(f"kernel exponent must satisfy 0 < mu < N={n}, got {mu}")
 
 
 def _check_gamma_margin(arg, dim):

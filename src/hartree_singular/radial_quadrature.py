@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .power_law import PowerLawTerm, riesz_power
-from .special_fn import _check_count, _check_dim, riesz_gamma, sphere_area
+from .special_fn import _check_count, _check_dim, _check_window, riesz_gamma, sphere_area
 
 TAIL_CONTINUITY = 0.05  # tail descriptor must match the boundary sample to 5%
 
@@ -304,9 +304,7 @@ def angular_kernel(r, rho, dim, mu):
     Non-finite or negative radii raise DomainError.
     """
     n = _check_dim(dim)
-    mu = float(mu)
-    if not 0.0 < mu < n:
-        raise DomainError(f"angular kernel requires 0 < mu < N={n}, got {mu}")
+    mu = _check_window("mu", mu, n)
     r = float(r)
     rho = float(rho)
     if not (math.isfinite(r) and math.isfinite(rho)):
@@ -541,9 +539,7 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
     """
     n = _check_dim(dim)
     cfg = cfg or DEFAULT_CONFIG
-    alpha = float(alpha)
-    if not 0.0 < alpha < n:
-        raise DomainError(f"riesz_radial requires 0 < alpha < N={n}, got {alpha}")
+    alpha = _check_window("alpha", alpha, n)
     mu = n - alpha
     at = f.radii if at is None else np.asarray(at, dtype=float)
     if at.ndim != 1 or at.size < 2 or not (at[0] > 0.0 and np.all(np.diff(at) > 0.0)):

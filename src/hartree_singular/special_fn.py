@@ -34,9 +34,7 @@ def riesz_gamma(alpha, dim):
     it blows up as alpha -> 0+ (numerator pole) and vanishes as alpha -> N-.
     """
     n = _check_dim(dim)
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or not 0.0 < alpha < n:
-        raise DomainError(f"riesz_gamma requires 0 < alpha < N={n}, got alpha={alpha}")
+    alpha = _check_window("alpha", alpha, n)
     return 2.0 ** alpha * math.pi ** (n / 2.0) * gamma(alpha / 2.0) / gamma((n - alpha) / 2.0)
 
 
@@ -48,6 +46,14 @@ def sphere_area(dim):
 
 def _check_dim(dim, minimum=3):
     return _check_count("dimension", dim, minimum)
+
+
+def _check_window(name, x, n):
+    """float(x), which must satisfy 0 < x < N; NaN and +-inf fail the chained comparison."""
+    x = float(x)
+    if not 0.0 < x < n:
+        raise DomainError(f"{name} must satisfy 0 < {name} < N={n}, got {name}={x}")
+    return x
 
 
 def _check_count(name, value, least):

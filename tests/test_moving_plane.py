@@ -123,9 +123,10 @@ def test_cartesian_field_validation():
     with pytest.raises(DomainError):
         CartesianField(3, 0.5, 2.0, np.zeros((9, 9, 9)),
                        gamma_set=[((0.5, 0.0, 0.0), 0.5)])  # point off x1 = 0
-    with pytest.raises(DomainError, match="wrong dimension"):
-        CartesianField(3, 0.5, 2.0, np.zeros((9, 9, 9)),
-                       gamma_set=[(np.zeros(2), 0.5)])  # a 2-d point in 3-d
+    for check_gamma in (True, False):  # check_gamma waives only the x1 = 0 rule
+        with pytest.raises(DomainError, match="wrong dimension"):
+            CartesianField(3, 0.5, 2.0, np.zeros((9, 9, 9)),
+                           gamma_set=[(np.zeros(2), 0.5)], check_gamma=check_gamma)
     with pytest.raises(DomainError):
         CartesianField(3, 0.5, 2.0, np.zeros((9, 9, 9)),
                        mask=np.zeros((5, 5, 5), dtype=bool))
@@ -141,6 +142,9 @@ def test_cartesian_field_validation():
     for point in ((0.0, math.inf, 0.0), (0.0, 1e200, 0.0)):  # non-finite, overflowing
         with pytest.raises(DomainError):
             CartesianField(3, 0.5, 2.0, np.zeros((9, 9, 9)), gamma_set=[(point, 0.5)])
+        with pytest.raises(DomainError):  # also with an explicit mask and no x1 = 0 rule
+            CartesianField(3, 0.5, 2.0, np.zeros((9, 9, 9)), gamma_set=[(point, 0.5)],
+                           mask=np.zeros((9, 9, 9), dtype=bool), check_gamma=False)
     with pytest.raises(DomainError):
         CartesianField(3, 2.5e199, 1e200, np.zeros((9, 9, 9)), gamma_set=[(ORIGIN, 0.5)])
 

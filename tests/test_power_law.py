@@ -131,7 +131,7 @@ def test_riesz_power_window_errors():
         riesz_power(2.0, 1.5, 3)  # a <= alpha
     with pytest.raises(DomainError):
         riesz_power(2.0, 3.0, 3)  # a >= N
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"alpha must satisfy 0 < alpha < N=3, got alpha=0\.0"):
         riesz_power(0.0, 1.0, 3)
     with pytest.raises(DomainError):
         riesz_power(3.0, 2.0, 3)
@@ -222,7 +222,7 @@ def test_solve_params_collects_all_violations():
 
 
 def test_solve_params_preconditions():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"mu must satisfy 0 < mu < N=3, got mu=3\.5"):
         solve_params(3, 3.5, 2, 2)  # mu >= N
     with pytest.raises(DomainError):
         solve_params(3, 0.0, 2, 2)
@@ -250,7 +250,7 @@ def test_critical_exponents_values():
     assert hi == pytest.approx(3.5, rel=1e-15)
     with pytest.raises(DomainError):
         critical_exponents(3, 3.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"mu must satisfy 0 < mu < N=3, got mu=0\.0"):
         critical_exponents(3, 0.0)
 
 
@@ -291,5 +291,5 @@ def test_hls_side_condition_rejections():
     with pytest.raises(DomainError) as exc:
         hls_conjugate(100.0, 0.01, 3)  # forces r <= 1
     assert "must exceed 1" in str(exc.value)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"mu must satisfy 0 < mu < N=3, got mu=3\.0"):
         hls_conjugate(2.0, 3.0, 3)  # mu at the endpoint

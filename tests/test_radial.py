@@ -442,7 +442,7 @@ def test_kernel_zero_radius_and_errors():
         sphere_area(3) * 2.0 ** -2.5, rel=1e-14)
     with pytest.raises(DomainError):
         angular_kernel(0.0, 0.0, 3, 2.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"mu must satisfy 0 < mu < N=3, got mu=3\.5"):
         angular_kernel(1.0, 1.0, 3, 3.5)  # mu >= N
     with pytest.raises(DomainError):
         angular_kernel(1.0, 1.0, 3, 0.0)
@@ -868,7 +868,7 @@ def test_riesz_grid_refinement_convergence():
 
 def test_riesz_domain_errors():
     prof = RadialProfile.from_power(PowerLawTerm(1.0, 2.5), log_grid(0.1, 10.0, 50))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"alpha must satisfy 0 < alpha < N=3, got alpha=0\.0"):
         riesz_radial(prof, 0.0, 3)
     with pytest.raises(DomainError):
         riesz_radial(prof, 3.0, 3)

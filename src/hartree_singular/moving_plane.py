@@ -111,13 +111,10 @@ class CartesianField:
         if abs(steps - round(steps)) > _COMMENSURATE_TOL:
             raise DomainError(f"extent {extent} is not a whole number of cells of size {h}")
         m = int(round(steps)) + 1
+        self.dim, self.h, self.extent, self.shape = n, h, extent, (m,) * n
         values = np.asarray(values, dtype=float)
-        if values.shape != (m,) * n:
-            raise DomainError(f"values shape {values.shape} does not match grid shape {(m,) * n}")
-        self.dim = n
-        self.h = h
-        self.extent = extent
-        self.shape = (m,) * n
+        if values.shape != self.shape:
+            raise DomainError(f"values shape {values.shape} does not match grid shape {self.shape}")
         self.axis = -extent + h * np.arange(m)
         lo, hi = float(self.axis[0]), float(self.axis[-1])
         self.gamma_set = [(_check_point("singular point", p, n, lo, hi, check_gamma), rad)
@@ -162,14 +159,12 @@ def sample_field(profile, centers, dim=3, extent=2.0, num=65, exclusion_radius=N
 
 
 def _plane_index_shift(field, lam):
-    """lam as an integer count of h/2 half-cells; rejects non-commensurate planes."""
+    """lam as an integer count of h/2 half-cells; rejects non-commensurate planes, inf included."""
     lam = float(lam)
     halves = 2.0 * lam / field.h
-    if abs(halves - round(halves)) > _COMMENSURATE_TOL:
-        raise DomainError(
-            f"plane lambda={lam} is not a multiple of h/2={field.h / 2}; "
-            "reflected nodes would fall off the grid"
-        )
+    if not (math.isfinite(halves) and abs(halves - round(halves)) <= _COMMENSURATE_TOL):
+        raise DomainError(f"plane lambda={lam} is not a multiple of h/2={field.h / 2}; "
+                          "reflected nodes would fall off the grid")
     return int(round(halves))
 
 
@@ -208,26 +203,26 @@ def w_plus_sup(field, lam, tol=None):
     unmasked field magnitude) counts as zero. No reflected field is built.
     """
     tol = _resolve_tol(field, tol)
-    return _row_pair_sup(field.values, field.mask, _plane_index_shift(field, lam), tol)
+    sup = _row_pair_max(field.values, field.mask, _plane_index_shift(field, lam))
+    return sup if sup > tol else 0.0
 
 
-def _row_pair_sup(values, mask, k, tol):
-    """w_plus_sup on the rows of (values, mask) for the plane of k half-cells.
+def _row_pair_max(values, mask, k):
+    """max of u - u_lambda over the plane of k half-cells; -inf if it compares no live pair.
 
-    Row i pairs with its mirror row j = k + m-1 - i; only rows with i < j and
-    the partner inside the box are compared. Both sides are views into
-    values (the partner rows read in reverse).
+    Row i pairs with its mirror row j = k + m-1 - i; only rows with i < j, the
+    partner inside the box and neither node masked are compared. Both sides
+    are views into values (the partner rows read in reverse).
     """
     m = values.shape[0]
     c = k + m - 1
     lo, hi = max(0, k), min(m, (c + 1) // 2)
     if lo >= hi:
-        return 0.0
+        return -math.inf
     part = slice(c - hi + 1, c - lo + 1)
     w = values[lo:hi] - values[part][::-1]
     w[mask[lo:hi] | mask[part][::-1]] = -np.inf
-    sup = float(np.max(w))
-    return sup if sup > tol else 0.0
+    return float(np.max(w))
 
 
 @dataclass
@@ -235,8 +230,9 @@ class MovingPlaneReport:
     """Per-plane suprema, the critical-plane estimate, and monotonicity data.
 
     lambda0_estimate is the largest sampled lambda such that sup w_t^+ stays
-    at zero for every sampled t <= lambda; None when even the first plane
-    fails. The reverse fields repeat the sweep from the opposite side, reading
+    at zero for every sampled t <= lambda, over the planes that compare a live
+    (unmasked) node pair; None when the first such plane fails, or there is
+    none. The reverse fields repeat the sweep from the opposite side, reading
     the same rows of the field in reverse order. monotonicity_min is the
     minimum forward x1-difference over nodes with x1 < -h. dim_in_scope is
     False for 2-d smoke-test fields, which the symmetry statements do not
@@ -289,28 +285,29 @@ def sweep_lambda0(field, lambda_grid=None, tol=None):
     shifts = [_plane_index_shift(field, lam) for lam in lambda_grid]
     tol = _resolve_tol(field, tol)
     values, mask = field.values, field.mask
-    sup_fwd = np.array([_row_pair_sup(values, mask, k, tol) for k in shifts])
-    sup_rev = np.array([_row_pair_sup(values[::-1], mask[::-1], k, tol) for k in shifts])
+    max_fwd = np.array([_row_pair_max(values, mask, k) for k in shifts])
+    max_rev = np.array([_row_pair_max(values[::-1], mask[::-1], k) for k in shifts])
 
     return MovingPlaneReport(
         lambdas=lambda_grid,
-        sup_w_plus=sup_fwd,
-        lambda0_estimate=_largest_passing(lambda_grid, sup_fwd, tol),
+        sup_w_plus=np.where(max_fwd > tol, max_fwd, 0.0),
+        lambda0_estimate=_largest_passing(lambda_grid, max_fwd, tol),
         monotonicity_min=_monotonicity_min(field),
-        reverse_sup_w_plus=sup_rev,
-        reverse_lambda0_estimate=_largest_passing(lambda_grid, sup_rev, tol),
+        reverse_sup_w_plus=np.where(max_rev > tol, max_rev, 0.0),
+        reverse_lambda0_estimate=_largest_passing(lambda_grid, max_rev, tol),
         tol=tol,
         dim_in_scope=field.dim >= 3,
     )
 
 
-def _largest_passing(lambdas, sups, tol):
+def _largest_passing(lambdas, maxima, tol):
+    """The last plane before the first failing one, skipping planes that compare nothing."""
     best = None
-    for lam, sup in zip(lambdas, sups):
-        if sup <= tol:
-            best = float(lam)
-        else:
+    for lam, top in zip(lambdas, maxima):
+        if top > tol:
             break
+        if top > -math.inf:
+            best = float(lam)
     return best
 
 

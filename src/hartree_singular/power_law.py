@@ -40,10 +40,14 @@ class PowerLawTerm:
         return PowerLawTerm(self.coefficient * c, self.exponent)
 
     def powered(self, e):
-        """(c r^-a)^e = c^e r^(-a e); requires a positive coefficient for non-integer e."""
-        if self.coefficient <= 0.0 and e != int(e):
-            raise DomainError("fractional power of a non-positive power-law term")
-        return PowerLawTerm(self.coefficient ** e, self.exponent * e)
+        """(c r^-a)^e = c^e r^(-a e) for finite e; non-integer e needs a positive coefficient."""
+        if not (math.isfinite(e) and (self.coefficient > 0.0 or e == int(e))):
+            raise DomainError(f"power {e} of {self} must be finite, and an integer unless c > 0")
+        try:
+            coefficient = self.coefficient ** e
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError(f"{self.coefficient!r} ** {e!r} is not a finite number") from None
+        return PowerLawTerm(coefficient, self.exponent * e)
 
     def times(self, other):
         return PowerLawTerm(self.coefficient * other.coefficient, self.exponent + other.exponent)
@@ -68,13 +72,11 @@ def riesz_power(alpha, a, dim):
     alpha = _check_window("alpha", alpha, n)
     a = float(a)
     if not alpha < a:
-        raise DomainError(
-            f"riesz_power requires a > alpha (integral diverges at infinity), got a={a}, alpha={alpha}"
-        )
+        raise DomainError(f"riesz_power requires a > alpha (integral diverges at infinity), "
+                          f"got a={a}, alpha={alpha}")
     if not a < n:
-        raise DomainError(
-            f"riesz_power requires a < N (integral diverges at the origin), got a={a}, N={n}"
-        )
+        raise DomainError(f"riesz_power requires a < N (integral diverges at the origin), "
+                          f"got a={a}, N={n}")
     _check_gamma_margin(n - a, n)
     _check_gamma_margin(n - a + alpha, n)
     # the powers of 2 and pi cancel; Gamma((a - alpha)/2) is taken from a - alpha

@@ -202,6 +202,20 @@ def test_reflect_commensurability_required():
     reflect(f, -0.125)  # half-cell planes are fine
 
 
+def test_non_finite_planes_are_rejected():
+    # round() of a non-finite half-cell count raised OverflowError or ValueError;
+    # -1e308 is finite but 2 lambda / h is not
+    f = small_field()
+    for lam in (math.inf, -math.inf, math.nan, -1e308):
+        with pytest.raises(DomainError, match="not a multiple of h/2"):
+            w_plus_sup(f, lam)
+        with pytest.raises(DomainError, match="not a multiple of h/2"):
+            reflect(f, lam)
+    for lam in (-math.inf, -1e308):
+        with pytest.raises(DomainError, match="not a multiple of h/2"):
+            sweep_lambda0(f, lambda_grid=[lam])
+
+
 # ---------------------------------------------------------------------------
 # w_plus_sup
 
@@ -418,6 +432,23 @@ def test_sweep_two_dimensional_smoke_flagged_out_of_scope():
     assert report.dim_in_scope is False
     assert np.all(report.sup_w_plus == 0.0)
     assert report.lambda0_estimate == pytest.approx(-f.h)
+
+
+def test_planes_comparing_no_live_pair_are_skipped():
+    # u = |x| rises away from its centre, so every plane that compares a node
+    # pair fails; the first default plane, -L, pairs no rows and decides nothing
+    f = sample_field(PowerLawTerm(1.0, -1.0), [ORIGIN], num=17)
+    report = sweep_lambda0(f)
+    assert report.lambdas[0] == -2.0 and report.sup_w_plus[0] == 0.0
+    assert w_plus_sup(f, -2.0) == 0.0
+    assert np.all(report.sup_w_plus[1:] > report.tol)
+    assert np.all(report.reverse_sup_w_plus[1:] > report.tol)
+    assert report.lambda0_estimate is None and report.reverse_lambda0_estimate is None
+    # a plane far outside the box compares nothing either, and before a
+    # compared plane it does not move the estimate
+    g = small_field()
+    assert sweep_lambda0(g, lambda_grid=[-1e300]).lambda0_estimate is None
+    assert sweep_lambda0(g, lambda_grid=[-1e300, -2.0, -1.0]).lambda0_estimate == -1.0
 
 
 def test_sweep_validation_errors():

@@ -57,6 +57,12 @@ def test_term_nonfinite_rejected():
         PowerLawTerm(math.inf, 1.0)
     with pytest.raises(DomainError):
         PowerLawTerm(1.0, math.nan)
+    # a non-finite power, or one whose coefficient overflows, is rejected too
+    for e in (math.inf, math.nan, 1e308):
+        with pytest.raises(DomainError):
+            PowerLawTerm(2.0, 1.0).powered(e)
+    with pytest.raises(DomainError):
+        PowerLawTerm(0.0, 1.0).powered(-1.0)
 
 
 def test_laplacian_power_examples():

@@ -193,6 +193,20 @@ def test_profile_algebra_and_tails():
         prof.mix(other, 0.5, 0.5)
 
 
+def test_profile_power_rejects_non_finite_results():
+    # int(inf) and int(nan) raised OverflowError and ValueError; a huge power
+    # overflowed with a RuntimeWarning and then an OverflowError in the tail
+    prof = RadialProfile.from_power(PowerLawTerm(2.0, 1.0), log_grid(0.1, 10.0, 30))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in (math.inf, -math.inf, math.nan, 1e308, -1e308):
+            with pytest.raises(DomainError):
+                prof.power(e)
+        # a zero sample raised to a negative power is infinite too
+        with pytest.raises(DomainError):
+            RadialProfile(prof.radii, np.where(prof.radii < 1.0, 0.0, 1.0)).power(-1.0)
+
+
 def test_profile_mix_tail_selection():
     g = log_grid(0.1, 10.0, 30)
     slow = RadialProfile.from_power(PowerLawTerm(1.0, 0.5), g)
@@ -691,6 +705,24 @@ def test_off_grid_radii_build_no_profile_table(monkeypatch, n, alpha, a):
     again = riesz_radial(prof, alpha, n, at=np.geomspace(0.05, 20.0, 5))
     np.testing.assert_array_equal(again.values, off.values)
     np.testing.assert_array_equal(again.point_errors, off.point_errors)
+
+
+@pytest.mark.parametrize("n, alpha, a", [(3, 1.2, 2.1), (4, 1.5, 2.9)])
+def test_riesz_radial_calls_no_np_unique(monkeypatch, n, alpha, a):
+    # np.unique imports numpy.ma (about 13 ms) on its first call, even on an
+    # empty array; the offset-row sums walk their owner runs instead
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, a), log_grid(1e-2, 1e2, 60))
+    cases = (prof.radii[[10, 30, 50]], np.geomspace(0.05, 20.0, 5))
+    want = [riesz_radial(prof, alpha, n, at=at) for at in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    for at, ref in zip(cases, want):
+        got = riesz_radial(prof, alpha, n, at=at)
+        np.testing.assert_array_equal(got.values, ref.values)
+        np.testing.assert_array_equal(got.point_errors, ref.point_errors)
 
 
 @pytest.mark.parametrize("n, alpha, a", [(3, 1.2, 2.1), (4, 1.5, 2.9), (5, 2.2, 3.4)])

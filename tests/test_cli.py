@@ -135,6 +135,42 @@ def test_mutually_exclusive_verify_flags(capsys):
     assert code == 64 and "mutually exclusive" in err
 
 
+# every failure path: (argv, exit code, start of stderr); stdout stays empty
+# except for the rejection artifact of a ValidationError
+_MU = "mu must satisfy 0 < mu < N=3, got mu="
+_ALPHA = "alpha must satisfy 0 < alpha < N=3, got alpha="
+_FAILURES = [
+    (("solve-params", "--mu", "3.5", "--p", "2", "--q", "2"), 1, "domain error: " + _MU),
+    (("solve-params", "--mu", "0.5", "--p", "1", "--q", "1"), 1, "parameter set rejected: "),
+    (("verify", "--mu", "0", "--p", "2", "--q", "2"), 1, "domain error: " + _MU),
+    (("verify", "--mu", "3.5", "--p", "2", "--q", "2", "--decay", "0.5"), 1,
+     "domain error: " + _ALPHA),
+    (("riesz", "--alpha", "3.5", "--exponent", "2.2"), 1, "domain error: " + _ALPHA),
+    (("riesz", "--alpha", "nan", "--exponent", "2.2", "--numeric"), 1,
+     "domain error: " + _ALPHA),
+    (("moving-plane", "--mu", "3.5", "--p", "2", "--q", "2"), 1, "domain error: " + _MU),
+    (("moving-plane", "--decay", "0.5", "--num", "9", "--lambdas=-inf"), 1,
+     "domain error: plane lambda=-inf is not a multiple of h/2"),
+    (("hls", "--t", "1.5", "--mu", "inf"), 1, "domain error: " + _MU),
+    (("critical-exponents", "--mu", "-1"), 1, "domain error: " + _MU),
+    (("riesz", "--alpha", "1.5", "--exponent", "2.2", "--numeric", "--max-panels", "16",
+      "--rel-tol", "1e-15", "--abs-tol", "1e-300"), 2, "computation failed: "),
+    (("solve-params", "--mu", "2.5", "--p", "2"), 64, "missing required value --q"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stderr", _FAILURES,
+                         ids=[" ".join(argv) for argv, _, _ in _FAILURES])
+def test_failure_paths_exit_with_their_code(capsys, argv, code, stderr):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert err.startswith(stderr) and err.endswith("\n") and "Traceback" not in err
+    if err.startswith("parameter set rejected"):
+        assert json.loads(out)["kind"] == "rejection"
+    else:
+        assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -712,17 +748,18 @@ _LIGHT_COMMANDS = (
 )
 
 
-def test_moving_plane_does_not_import_numpy_ma():
+def test_light_subcommands_do_not_import_numpy_ma():
     # np.unique imports numpy.ma on first use, about 15 ms of a cold CLI run
-    script = ("import contextlib, io, sys\nimport hartree_singular.cli\n"
-              "argv = ['moving-plane', '--decay', '0.5', '--num', '17']\n"
-              "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    code = hartree_singular.cli.main(argv)\n"
-              "print(code, 'numpy.ma' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=120)
+    script = ("import contextlib, io, json, sys\nimport hartree_singular.cli\n"
+              "codes = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        codes.append(hartree_singular.cli.main(argv))\n"
+              "print(json.dumps([codes, 'numpy.ma' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(_LIGHT_COMMANDS)],
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False"]
+    assert json.loads(proc.stdout) == [[0] * len(_LIGHT_COMMANDS), False]
 
 
 def test_light_subcommands_run_without_scipy(capsys):

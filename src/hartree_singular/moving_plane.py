@@ -106,7 +106,6 @@ class CartesianField:
     def __init__(self, dim, h, extent, values, gamma_set=(), mask=None, check_gamma=True):
         n = _check_field_dim(dim)
         h, extent = _finite("spacing", h, True), _finite("extent", extent, True)
-        gamma_set = [(p, _finite("exclusion radius", rad, False)) for p, rad in gamma_set]
         steps = 2.0 * extent / h
         if abs(steps - round(steps)) > _COMMENSURATE_TOL:
             raise DomainError(f"extent {extent} is not a whole number of cells of size {h}")
@@ -117,8 +116,8 @@ class CartesianField:
             raise DomainError(f"values shape {values.shape} does not match grid shape {self.shape}")
         self.axis = -extent + h * np.arange(m)
         lo, hi = float(self.axis[0]), float(self.axis[-1])
-        self.gamma_set = [(_check_point("singular point", p, n, lo, hi, check_gamma), rad)
-                          for p, rad in gamma_set]
+        self.gamma_set = [(_check_point("singular point", p, n, lo, hi, check_gamma),
+                           _finite("exclusion radius", rad, False)) for p, rad in gamma_set]
         if mask is None:
             mask, _ = _ball_mask(self.axis, n, self.gamma_set)
         else:

@@ -72,11 +72,13 @@ def riesz_power(alpha, a, dim):
     alpha = _check_window("alpha", alpha, n)
     a = float(a)
     if not alpha < a:
-        raise DomainError(f"riesz_power requires a > alpha (integral diverges at infinity), "
-                          f"got a={a}, alpha={alpha}")
+        raise DomainError(
+            f"riesz_power requires a > alpha (integral diverges at infinity), got a={a}, alpha={alpha}"
+        )
     if not a < n:
-        raise DomainError(f"riesz_power requires a < N (integral diverges at the origin), "
-                          f"got a={a}, N={n}")
+        raise DomainError(
+            f"riesz_power requires a < N (integral diverges at the origin), got a={a}, N={n}"
+        )
     _check_gamma_margin(n - a, n)
     _check_gamma_margin(n - a + alpha, n)
     # the powers of 2 and pi cancel; Gamma((a - alpha)/2) is taken from a - alpha
@@ -150,12 +152,10 @@ def solve_params(dim, mu, p, q):
     """
     n = _check_dim(dim)
     mu = _check_window("mu", mu, n)
-    p = float(p)
-    q = float(q)
-    if not (math.isfinite(p) and p >= 1.0):
-        raise DomainError(f"p must be >= 1, got {p}")
-    if not (math.isfinite(q) and q >= 1.0):
-        raise DomainError(f"q must be >= 1, got {q}")
+    p, q = float(p), float(q)
+    for name, x in (("p", p), ("q", q)):
+        if not (math.isfinite(x) and x >= 1.0):
+            raise DomainError(f"{name} must be >= 1, got {x}")
 
     s = decay_exponent(n, mu, p, q)
     sp = s * p

@@ -307,7 +307,8 @@ def angular_kernel(r, rho, dim, mu):
     """
     n = _check_dim(dim)
     mu = _check_window("mu", mu, n)
-    r, rho = float(r), float(rho)
+    r = float(r)
+    rho = float(rho)
     if not (math.isfinite(r) and math.isfinite(rho)):
         raise DomainError(f"radii must be finite, got r={r}, rho={rho}")
     if r < 0.0 or rho < 0.0:

@@ -82,10 +82,8 @@ def test_riesz_gamma_formula_direct():
 
 def test_riesz_gamma_window_errors():
     for bad in (0.0, -1.0, 3.0, 3.5, math.nan):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=f"alpha must satisfy 0 < alpha < N=3, got alpha={bad}"):
             riesz_gamma(bad, 3)
-    with pytest.raises(DomainError, match=r"alpha must satisfy 0 < alpha < N=3, got alpha=nan"):
-        riesz_gamma(math.nan, 3)
 
 
 def test_riesz_gamma_endpoint_limits():

@@ -74,16 +74,15 @@ def _ball_mask(axis, n, balls, profile=None):
     """
     mask = np.zeros((axis.size,) * n, dtype=bool)
     values = None if profile is None else np.zeros(mask.shape)
-    if balls:
-        grids = np.meshgrid(*([axis] * n), indexing="ij", sparse=True)
-        for p, rad in balls:
-            d2 = sum((g - c) ** 2 for g, c in zip(grids, p))
-            mask |= d2 <= rad * rad
-            if profile is not None:
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    term = np.asarray(profile(np.sqrt(d2)), dtype=float)
-                term[~np.isfinite(term)] = np.nan
-                values += term
+    grids = np.meshgrid(*([axis] * n), indexing="ij", sparse=True)
+    for p, rad in balls:
+        d2 = sum((g - c) ** 2 for g, c in zip(grids, p))
+        mask |= d2 <= rad * rad
+        if profile is not None:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                term = np.asarray(profile(np.sqrt(d2)), dtype=float)
+            term[~np.isfinite(term)] = np.nan
+            values += term
     if mask.all():
         raise DomainError("exclusion balls cover every grid node: no data to compare")
     if values is not None:
@@ -150,9 +149,8 @@ def sample_field(profile, centers, dim=3, extent=2.0, num=65, exclusion_radius=N
     h = _finite("spacing", 2.0 * extent / (num - 1), True)
     excl = h if exclusion_radius is None else _finite("exclusion radius", exclusion_radius, False)
     axis = -extent + h * np.arange(num)
-    centers = [_check_point("center", c, n, -extent, -extent + h * (num - 1), check_centers)
-               for c in centers]
-    balls = [(c, excl) for c in centers]
+    balls = [(_check_point("center", c, n, -extent, -extent + h * (num - 1), check_centers), excl)
+             for c in centers]
     mask, values = _ball_mask(axis, n, balls, profile)
     return CartesianField(n, h, extent, values, gamma_set=balls, mask=mask, check_gamma=False)
 

@@ -156,7 +156,7 @@ def sample_field(profile, centers, dim=3, extent=2.0, num=65, exclusion_radius=N
 
 
 def _plane_index_shift(field, lam):
-    """lam as an integer count of h/2 half-cells; rejects non-commensurate planes, inf included."""
+    """lam as an integer count of h/2 half-cells; rejects non-finite or non-commensurate planes."""
     lam = float(lam)
     halves = 2.0 * lam / field.h
     if not (math.isfinite(halves) and abs(halves - round(halves)) <= _COMMENSURATE_TOL):

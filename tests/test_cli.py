@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from hartree_singular import (
+    ModelParams,
     PowerLawTerm,
     QuadratureConfig,
     RadialProfile,
@@ -443,12 +444,18 @@ def _expected_solve_params():
     return doc, csv
 
 
-def _expected_verify(dim=3, mu=2.5):
-    prm = solve_params(dim, mu, 2.0, 2.0)
+def _expected_verify(dim=3, mu=2.5, q=2.0, alternate=False):
+    if alternate:  # --use-alternate-s: the variant decay at amplitude 1
+        decay = alternate_decay_exponent(dim, mu, 2.0, q)
+        prm = ModelParams(dim=dim, mu=mu, p=2.0, q=q, s=decay, amplitude=1.0,
+                          symmetry_window=dim - 2.0 < mu < dim)
+    else:
+        prm = solve_params(dim, mu, 2.0, q)
     rep = verify_solution(prm, np.array([0.5, 1.0, 2.0]), None,
                           grid=log_grid(1e-3, 1e3, 400))
-    doc = {"kind": "verify-report", "mode": "family", "dim": dim, "mu": mu,
-           "p": 2.0, "q": 2.0, "decay": rep.decay, "amplitude": rep.amplitude,
+    doc = {"kind": "verify-report", "mode": "diagnostic" if alternate else "family",
+           "dim": dim, "mu": mu, "p": 2.0, "q": q, "decay": rep.decay,
+           "amplitude": rep.amplitude,
            "radii": rep.radii, "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio,
            "quadrature_error": rep.quadrature_error,
            "worst_deviation": rep.worst_deviation}
@@ -484,13 +491,13 @@ def _expected_riesz_numeric(dim=3, alpha=2.0, exponent=2.5):
     return doc, csv
 
 
-def _expected_moving_plane():
-    field = sample_field(PowerLawTerm(1.0, 0.5), [[0.0, 0.0, 0.0]], dim=3,
+def _expected_moving_plane(dim=3):
+    field = sample_field(PowerLawTerm(1.0, 0.5), [[0.0] * dim], dim=dim,
                          extent=2.0, num=17)
     rep = sweep_lambda0(field)
-    doc = {"kind": "moving-plane-report", "dim": 3, "num": 17, "extent": 2.0,
-           "decay": 0.5, "amplitude": 1.0, "centers": [[0.0, 0.0, 0.0]],
-           "tol": rep.tol, "dim_in_scope": True, "lambdas": rep.lambdas,
+    doc = {"kind": "moving-plane-report", "dim": dim, "num": 17, "extent": 2.0,
+           "decay": 0.5, "amplitude": 1.0, "centers": [[0.0] * dim],
+           "tol": rep.tol, "dim_in_scope": dim >= 3, "lambdas": rep.lambdas,
            "sup_w_plus": rep.sup_w_plus, "lambda0_estimate": rep.lambda0_estimate,
            "reverse_sup_w_plus": rep.reverse_sup_w_plus,
            "reverse_lambda0_estimate": rep.reverse_lambda0_estimate,
@@ -543,6 +550,108 @@ def test_machine_output_bytes(capsys, case):
     code, out, err = run(capsys, *argv, "--format", "csv")
     assert code == 0 and err == ""
     assert out == csv
+
+
+# ---------------------------------------------------------------------------
+# --pretty bytes: every human table, against text built here from the
+# documents above, with each column's width and format spelled out
+
+
+def _pretty(head, rows, *foot):
+    return "\n".join([head, *rows, *foot]) + "\n"
+
+
+def _pretty_solve_params():
+    doc, _ = _expected_solve_params()
+    return _pretty(
+        "dim = 3, mu = 2.5, p = 2, q = 2", [
+            f"decay exponent s   = {doc['s']:.12g}",
+            f"amplitude A        = {doc['amplitude']:.12g}",
+            f"s*p = {doc['sp']:.12g}   s*(q-1) = {doc['sq1']:.12g}",
+            "symmetry window (N-2 < mu < N): yes",
+        ],
+        f"variant decay (diagnostic only): {doc['alternate_s']:.12g}")
+
+
+def _pretty_verify(q=2.0, alternate=False):
+    doc, _ = _expected_verify(q=q, alternate=alternate)
+    rows = [f"{r:>10.4g} {lhs:>16.8g} {rhs:>16.8g} {ratio:>16.10g} {err:>10.2e}"
+            for r, lhs, rhs, ratio, err in zip(doc["radii"], doc["lhs"], doc["rhs"],
+                                               doc["ratio"], doc["quadrature_error"])]
+    return _pretty(
+        f"{'r':>10} {'lhs':>16} {'rhs':>16} {'ratio':>16} {'quad err':>10}", rows,
+        f"worst |ratio - 1| = {doc['worst_deviation']:.3e}  ({doc['mode']} mode, "
+        f"s = {doc['decay']:.10g}, A = {doc['amplitude']:.10g})")
+
+
+def _pretty_riesz():
+    doc, _ = _expected_riesz()
+    out = doc["output"]
+    return (f"I_1.3[1 r^-2.1] = {out['coefficient']:.12g} r^-{out['exponent']:.12g}"
+            "   (dim 3)\n")
+
+
+def _pretty_riesz_numeric(dim=3, alpha=2.0, exponent=2.5):
+    doc, _ = _expected_riesz_numeric(dim, alpha, exponent)
+    out, num = doc["output"], doc["numeric"]
+    rows = [f"{r:>10.4g} {value:>16.10g} {closed:>16.10g} {err:>10.2e}"
+            for r, value, closed, err in zip(num["radii"], num["values"],
+                                             num["closed_form"], num["point_errors"])]
+    return _pretty(
+        f"I_{alpha:g}[1 r^-{exponent:g}] = {out['coefficient']:.12g} "
+        f"r^-{out['exponent']:.12g}   (dim {dim})",
+        [f"{'r':>10} {'numeric':>16} {'closed':>16} {'est err':>10}", *rows])
+
+
+def _pretty_moving_plane(dim=3):
+    doc, _ = _expected_moving_plane(dim)
+    rows = [f"{lam:>10.4g} {sup:>14.4e} {rev:>14.4e}"
+            for lam, sup, rev in zip(doc["lambdas"], doc["sup_w_plus"],
+                                     doc["reverse_sup_w_plus"])]
+    note = () if dim >= 3 else ("note: dimension below 3 is outside the symmetry statements",)
+    return _pretty(
+        f"{'lambda':>10} {'sup w+':>14} {'reverse sup w+':>14}", rows,
+        f"lambda0 estimate: {doc['lambda0_estimate']} "
+        f"(reverse {doc['reverse_lambda0_estimate']}), "
+        f"monotonicity min {doc['monotonicity_min']:.4e}", *note)
+
+
+def _pretty_hls():
+    doc, _ = _expected_hls()
+    return (f"1/t + 1/r + mu/N = 2 with t = 1.5, mu = 2, N = 3: "
+            f"r = {doc['r']:.12g}\n")
+
+
+def _pretty_critical():
+    doc, _ = _expected_critical()
+    return (f"admissible window for dim 3, mu = 2.5: ((2N-mu)/N, (2N-mu)/(N-2)) = "
+            f"({doc['lower']:.12g}, {doc['upper']:.12g})\n")
+
+
+_PRETTY_CASES = {
+    "solve-params": (_BYTE_CASES["solve-params"][0], _pretty_solve_params),
+    "verify": (_BYTE_CASES["verify"][0], _pretty_verify),
+    "verify-alternate": (("verify", "--mu", "2.5", "--p", "2", "--q", "1.5",
+                          "--use-alternate-s"),
+                         functools.partial(_pretty_verify, 1.5, True)),
+    "riesz": (_BYTE_CASES["riesz"][0], _pretty_riesz),
+    "riesz-numeric": (_BYTE_CASES["riesz-numeric"][0], _pretty_riesz_numeric),
+    "riesz-numeric-n4": (_BYTE_CASES["riesz-numeric-n4"][0],
+                         functools.partial(_pretty_riesz_numeric, 4, 1.5, 2.9)),
+    "moving-plane": (_BYTE_CASES["moving-plane"][0], _pretty_moving_plane),
+    "moving-plane-2d": (("moving-plane", "--dim", "2", "--decay", "0.5", "--num", "17"),
+                        functools.partial(_pretty_moving_plane, 2)),
+    "hls": (_BYTE_CASES["hls"][0], _pretty_hls),
+    "critical-exponents": (_BYTE_CASES["critical-exponents"][0], _pretty_critical),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PRETTY_CASES))
+def test_pretty_output_bytes(capsys, case):
+    argv, expected = _PRETTY_CASES[case]
+    code, out, err = run(capsys, *argv, "--pretty")
+    assert code == 0 and err == ""
+    assert out == expected()
 
 
 # ---------------------------------------------------------------------------

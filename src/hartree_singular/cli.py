@@ -47,6 +47,7 @@ from .radial_quadrature import (
 from .serialize import (
     MOVING_PLANE_SCHEMA,
     RESIDUAL_SCHEMA,
+    SOLVE_PARAMS_SCHEMA,
     dumps,
     kv_csv,
     report_document,
@@ -169,36 +170,37 @@ def _quadrature(v):
 # table, or the body's scalar fields when the table is None.
 
 
+def _render(head, columns, table, foot=()):
+    """The --pretty text: head lines, a fixed-width table, foot lines.
+
+    columns holds (title, width, format, key) specs; each row formats the
+    table's key column at one index.
+    """
+    lines = [*head, " ".join(f"{title:>{width}}" for title, width, _, _ in columns)]
+    for row in zip(*(table[key] for *_, key in columns)):
+        lines.append(" ".join(format(x, f">{width}{spec}")
+                              for x, (_, width, spec, _) in zip(row, columns)))
+    return "\n".join([*lines, *foot]) + "\n"
+
+
 def _do_solve_params(v):
     mu, p, q = _required(v, "mu", "p", "q")
-    params = solve_params(v.dim, mu, p, q)
+    fields, _ = report_document(solve_params(v.dim, mu, p, q), SOLVE_PARAMS_SCHEMA)
     try:
         alt = alternate_decay_exponent(v.dim, mu, p, q)
     except DomainError:
         alt = None
-    body = {
-        "kind": "solve-params",
-        "dim": params.dim,
-        "mu": params.mu,
-        "p": params.p,
-        "q": params.q,
-        "s": params.s,
-        "amplitude": params.amplitude,
-        "sp": params.sp,
-        "sq1": params.sq1,
-        "symmetry_window": params.symmetry_window,
-        "alternate_s": alt,
-        "alternate_s_note": _ALTERNATE_NOTE,
-    }
-    pretty = "\n".join([
-        f"dim = {params.dim}, mu = {params.mu:g}, p = {params.p:g}, q = {params.q:g}",
-        f"decay exponent s   = {params.s:.12g}",
-        f"amplitude A        = {params.amplitude:.12g}",
-        f"s*p = {params.sp:.12g}   s*(q-1) = {params.sq1:.12g}",
-        f"symmetry window (N-2 < mu < N): {'yes' if params.symmetry_window else 'no'}",
-        f"variant decay (diagnostic only): "
-        f"{'undefined' if alt is None else format(alt, '.12g')}",
-    ]) + "\n"
+    body = {"kind": "solve-params", **fields, "alternate_s": alt,
+            "alternate_s_note": _ALTERNATE_NOTE}
+    pretty = (
+        "dim = {dim}, mu = {mu:g}, p = {p:g}, q = {q:g}\n"
+        "decay exponent s   = {s:.12g}\n"
+        "amplitude A        = {amplitude:.12g}\n"
+        "s*p = {sp:.12g}   s*(q-1) = {sq1:.12g}\n"
+        "symmetry window (N-2 < mu < N): {window}\n"
+        "variant decay (diagnostic only): {variant}\n"
+    ).format(**fields, window="yes" if fields["symmetry_window"] else "no",
+             variant="undefined" if alt is None else format(alt, ".12g"))
     return body, None, pretty
 
 
@@ -222,17 +224,12 @@ def _do_verify(v):
     fields, table = report_document(report, RESIDUAL_SCHEMA)
     body = {"kind": "verify-report", "mode": mode, "dim": dim, "mu": mu, "p": p,
             "q": q, **fields}
-    rows = [
-        f"{'r':>10} {'lhs':>16} {'rhs':>16} {'ratio':>16} {'quad err':>10}"
-    ]
-    for i in range(report.radii.size):
-        rows.append(
-            f"{report.radii[i]:>10.4g} {report.lhs[i]:>16.8g} {report.rhs[i]:>16.8g} "
-            f"{report.ratio[i]:>16.10g} {report.quadrature_error[i]:>10.2e}"
-        )
-    rows.append(f"worst |ratio - 1| = {report.worst_deviation:.3e}  ({mode} mode, "
-                f"s = {report.decay:.10g}, A = {report.amplitude:.10g})")
-    return body, table, "\n".join(rows) + "\n"
+    pretty = _render((), (("r", 10, ".4g", "r"), ("lhs", 16, ".8g", "lhs"),
+                          ("rhs", 16, ".8g", "rhs"), ("ratio", 16, ".10g", "ratio"),
+                          ("quad err", 10, ".2e", "quadrature_error")), table,
+                     [f"worst |ratio - 1| = {report.worst_deviation:.3e}  ({mode} mode, "
+                      f"s = {report.decay:.10g}, A = {report.amplitude:.10g})"])
+    return body, table, pretty
 
 
 def _do_riesz(v):
@@ -246,31 +243,23 @@ def _do_riesz(v):
         "input": {"coefficient": coefficient, "exponent": exponent},
         "output": {"coefficient": term.coefficient, "exponent": term.exponent},
     }
-    pretty_lines = [
-        f"I_{alpha:g}[{coefficient:g} r^-{exponent:g}] = "
-        f"{term.coefficient:.12g} r^-{term.exponent:.12g}   (dim {dim})"
-    ]
-    table = None
-    if v.numeric:
-        radii, cfg, grid = _quadrature(v)
-        src = RadialProfile.from_power(PowerLawTerm(coefficient, exponent), grid)
-        pot = riesz_radial(src, alpha, dim, cfg=cfg, at=radii)
-        closed = term(radii)
-        body["numeric"] = {
-            "radii": radii,
-            "values": pot.values,
-            "point_errors": pot.point_errors,
-            "closed_form": closed,
-        }
-        table = {"r": radii, "value": pot.values, "error": pot.point_errors,
-                 "closed_form": closed}
-        pretty_lines.append(f"{'r':>10} {'numeric':>16} {'closed':>16} {'est err':>10}")
-        for i in range(radii.size):
-            pretty_lines.append(
-                f"{radii[i]:>10.4g} {pot.values[i]:>16.10g} {closed[i]:>16.10g} "
-                f"{pot.point_errors[i]:>10.2e}"
-            )
-    return body, table, "\n".join(pretty_lines) + "\n"
+    head = (f"I_{alpha:g}[{coefficient:g} r^-{exponent:g}] = "
+            f"{term.coefficient:.12g} r^-{term.exponent:.12g}   (dim {dim})")
+    if not v.numeric:
+        return body, None, head + "\n"
+    radii, cfg, grid = _quadrature(v)
+    src = RadialProfile.from_power(PowerLawTerm(coefficient, exponent), grid)
+    pot = riesz_radial(src, alpha, dim, cfg=cfg, at=radii)
+    # (CSV header, JSON key, array) per column
+    columns = (("r", "radii", radii), ("value", "values", pot.values),
+               ("error", "point_errors", pot.point_errors),
+               ("closed_form", "closed_form", term(radii)))
+    body["numeric"] = {key: x for _, key, x in columns}
+    table = {header: x for header, _, x in columns}
+    pretty = _render([head], (("r", 10, ".4g", "r"), ("numeric", 16, ".10g", "value"),
+                              ("closed", 16, ".10g", "closed_form"),
+                              ("est err", 10, ".2e", "error")), table)
+    return body, table, pretty
 
 
 def _do_moving_plane(v):
@@ -296,18 +285,14 @@ def _do_moving_plane(v):
     fields, table = report_document(report, MOVING_PLANE_SCHEMA)
     body = {"kind": "moving-plane-report", "dim": dim, "num": v.num, "extent": v.extent,
             "decay": decay, "amplitude": amplitude, "centers": centers, **fields}
-    rows = [f"{'lambda':>10} {'sup w+':>14} {'reverse sup w+':>14}"]
-    for i in range(report.lambdas.size):
-        rows.append(
-            f"{report.lambdas[i]:>10.4g} {report.sup_w_plus[i]:>14.4e} "
-            f"{report.reverse_sup_w_plus[i]:>14.4e}"
-        )
-    rows.append(f"lambda0 estimate: {report.lambda0_estimate} "
-                f"(reverse {report.reverse_lambda0_estimate}), "
-                f"monotonicity min {report.monotonicity_min:.4e}")
+    foot = [f"lambda0 estimate: {report.lambda0_estimate} "
+            f"(reverse {report.reverse_lambda0_estimate}), "
+            f"monotonicity min {report.monotonicity_min:.4e}"]
     if not report.dim_in_scope:
-        rows.append("note: dimension below 3 is outside the symmetry statements")
-    return body, table, "\n".join(rows) + "\n"
+        foot.append("note: dimension below 3 is outside the symmetry statements")
+    pretty = _render((), (("lambda", 10, ".4g", "lambda"), ("sup w+", 14, ".4e", "sup_w_plus"),
+                          ("reverse sup w+", 14, ".4e", "reverse_sup_w_plus")), table, foot)
+    return body, table, pretty
 
 
 def _do_hls(v):

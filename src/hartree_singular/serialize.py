@@ -68,6 +68,11 @@ def _emit(obj, out):
 # Report schemas, declared once: the JSON fields in document order, then the
 # CSV columns as (header, attribute) pairs.
 
+SOLVE_PARAMS_SCHEMA = (
+    ("dim", "mu", "p", "q", "s", "amplitude", "sp", "sq1", "symmetry_window"),
+    (),
+)
+
 RESIDUAL_SCHEMA = (
     ("decay", "amplitude", "radii", "lhs", "rhs", "ratio", "quadrature_error",
      "worst_deviation"),

@@ -94,7 +94,9 @@ class ModelParams:
 
     symmetry_window records whether mu lies in (N-2, N), the stricter kernel
     window required by the symmetry and monotonicity statements (the solution
-    family itself only needs 0 < mu < N).
+    family itself only needs 0 < mu < N). Every instance, solve_params's or
+    one built by hand, must have an integer N >= 3, 0 < mu < N, finite p, q
+    and s, and 0 < A < inf; DomainError otherwise.
     """
 
     dim: int
@@ -104,6 +106,14 @@ class ModelParams:
     s: float
     amplitude: float
     symmetry_window: bool
+
+    def __post_init__(self):
+        _check_window("mu", self.mu, _check_dim(self.dim))
+        for name in ("p", "q", "s"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {name}={getattr(self, name)}")
+        if not 0.0 < self.amplitude < math.inf:
+            raise DomainError(f"amplitude must satisfy 0 < A < inf, got A={self.amplitude}")
 
     @property
     def sp(self):

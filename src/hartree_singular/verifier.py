@@ -13,8 +13,7 @@ decay/amplitude overrides run the same pipeline with off-family parameters
 which is how the variant decay formula is exhibited as a non-solution.
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,22 +54,26 @@ class ResidualReport:
         return float(np.max(np.abs(self.ratio - 1.0)))
 
 
+def _override(params, decay, amplitude):
+    """params with s and A replaced where given; ModelParams checks the result."""
+    return replace(params, s=params.s if decay is None else float(decay),
+                   amplitude=params.amplitude if amplitude is None else float(amplitude))
+
+
 def source_profile(params, grid=None, *, decay=None, amplitude=None):
     """The profile |u|^p = A^p r^(-sp) sampled on the working grid.
 
     Tails are attached only on the sides where the integral against the Riesz
     kernel converges (inner needs sp < N, outer needs sp > N - mu); a missing
-    tail makes the potential quadrature run in truncation mode.
+    tail makes the potential quadrature run in truncation mode. The decay and
+    amplitude overrides pass the ModelParams checks.
     """
+    params = _override(params, decay, amplitude)
     n = params.dim
     alpha = n - params.mu
-    s = params.s if decay is None else float(decay)
-    amp = params.amplitude if amplitude is None else float(amplitude)
-    if not (math.isfinite(s) and math.isfinite(amp) and amp > 0.0):
-        raise DomainError(f"need finite decay and positive amplitude, got s={s}, A={amp}")
     if grid is None:
         grid = log_grid()
-    term = PowerLawTerm(amp, s).powered(params.p)
+    term = PowerLawTerm(params.amplitude, params.s).powered(params.p)
     sp = term.exponent
     tail_in = term if sp < n - _WINDOW_GUARD else None
     tail_out = term if sp > alpha + _WINDOW_GUARD else None
@@ -82,19 +85,18 @@ def verify_solution(params, radii=(0.5, 1.0, 2.0), cfg=None, *, decay=None,
     """Compare -Lap u against the nonlocal right-hand side at the given radii.
 
     params should come from solve_params; the decay and amplitude keyword
-    overrides replace s and A for diagnostic runs (no further validation --
-    the point of the diagnostic mode is to watch an off-family pair fail).
+    overrides replace s and A for diagnostic runs. They pass the ModelParams
+    checks and no family window, since the point of the diagnostic mode is to
+    watch an off-family pair fail.
     Radii must be strictly increasing and strictly inside the working grid.
     """
-    n = params.dim
-    mu = params.mu
-    alpha = n - mu
-    s = params.s if decay is None else float(decay)
-    amp = params.amplitude if amplitude is None else float(amplitude)
+    params = _override(params, decay, amplitude)
+    n, s, amp = params.dim, params.s, params.amplitude
+    alpha = n - params.mu
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size < 2 or not np.all(np.diff(radii) > 0.0):
         raise DomainError("radii must be at least two strictly increasing values")
-    f = source_profile(params, grid, decay=s, amplitude=amp)
+    f = source_profile(params, grid)
     if not (radii[0] > f.radii[0] and radii[-1] < f.radii[-1]):
         raise DomainError(
             f"radii must lie strictly inside the working grid "

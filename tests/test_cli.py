@@ -145,7 +145,9 @@ _FAILURES = [
     (("solve-params", "--mu", "0.5", "--p", "1", "--q", "1"), 1, "parameter set rejected: "),
     (("verify", "--mu", "0", "--p", "2", "--q", "2"), 1, "domain error: " + _MU),
     (("verify", "--mu", "3.5", "--p", "2", "--q", "2", "--decay", "0.5"), 1,
-     "domain error: " + _ALPHA),
+     "domain error: " + _MU),
+    (("verify", "--mu", "2.5", "--p", "2", "--q", "nan", "--decay", "0.5"), 1,
+     "domain error: q must be finite, got q=nan"),
     (("riesz", "--alpha", "3.5", "--exponent", "2.2"), 1, "domain error: " + _ALPHA),
     (("riesz", "--alpha", "nan", "--exponent", "2.2", "--numeric"), 1,
      "domain error: " + _ALPHA),

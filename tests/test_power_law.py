@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hartree_singular import (
     DomainError,
+    ModelParams,
     PowerLawTerm,
     ValidationError,
     alternate_decay_exponent,
@@ -241,6 +242,33 @@ def test_solve_params_preconditions():
     for dim in (3.5, math.inf, math.nan):
         with pytest.raises(DomainError):
             solve_params(dim, 2.5, 2, 2)
+
+
+_GOOD = dict(dim=3, mu=2.5, p=2.0, q=1.5, s=5.0 / 3.0, amplitude=1.0, symmetry_window=True)
+
+
+_BAD_PARAMS = [
+    ("mu", 3.5, r"mu must satisfy 0 < mu < N=3, got mu=3\.5"),
+    ("mu", math.nan, "mu must satisfy"),
+    ("dim", 2, "dimension must be an integer >= 3"),
+    ("dim", 3.5, "dimension must be an integer >= 3"),
+    ("p", math.nan, "p must be finite, got p=nan"),
+    ("q", math.inf, "q must be finite, got q=inf"),
+    ("s", math.nan, "s must be finite, got s=nan"),
+    ("amplitude", 0.0, r"amplitude must satisfy 0 < A < inf, got A=0\.0"),
+    ("amplitude", -1.0, "amplitude must satisfy"),
+    ("amplitude", math.inf, "amplitude must satisfy"),
+    ("amplitude", math.nan, "amplitude must satisfy"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", _BAD_PARAMS,
+                         ids=[f"{field}={value}" for field, value, _ in _BAD_PARAMS])
+def test_model_params_built_by_hand_are_checked(field, value, message):
+    # the decay/amplitude diagnostic path builds ModelParams without solve_params
+    assert ModelParams(**_GOOD).s == 5.0 / 3.0
+    with pytest.raises(DomainError, match=message):
+        ModelParams(**{**_GOOD, field: value})
 
 
 def test_symmetry_window_flag():

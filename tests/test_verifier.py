@@ -53,6 +53,10 @@ def test_source_profile_rejects_bad_overrides():
         source_profile(BASE, amplitude=-1.0)
     with pytest.raises(DomainError):
         source_profile(BASE, decay=math.nan)
+    # the overrides pass the same ModelParams checks in verify_solution
+    for override in ({"decay": math.inf}, {"amplitude": math.nan}):
+        with pytest.raises(DomainError, match="must"):
+            verify_solution(BASE, **override)
 
 
 # ---------------------------------------------------------------------------

@@ -169,10 +169,12 @@ def reflect(field, lam):
     """u_lambda(x) = u(2*lambda - x1, x2, ...) as an exact index permutation.
 
     Nodes whose reflection leaves the box, and reflections of masked nodes,
-    are masked in the result. lambda must be a multiple of h/2.
+    are masked in the result. lambda must be a multiple of h/2. The half-cell
+    count is clamped to +-2m, which leaves every mirror outside the box as
+    the exact count does.
     """
-    m_half = _plane_index_shift(field, lam)
     m = field.shape[0]
+    m_half = min(max(_plane_index_shift(field, lam), -2 * m), 2 * m)
     i = np.arange(m)
     j = m_half + (m - 1) - i
     valid = (j >= 0) & (j < m)

@@ -77,7 +77,9 @@ def source_profile(params, grid=None, *, decay=None, amplitude=None):
     sp = term.exponent
     tail_in = term if sp < n - _WINDOW_GUARD else None
     tail_out = term if sp > alpha + _WINDOW_GUARD else None
-    return RadialProfile(grid, term(grid), tail_in, tail_out)
+    with np.errstate(over="ignore"):  # the constructor rejects inf
+        values = term(grid)
+    return RadialProfile(grid, values, tail_in, tail_out)
 
 
 def verify_solution(params, radii=(0.5, 1.0, 2.0), cfg=None, *, decay=None,
@@ -103,8 +105,13 @@ def verify_solution(params, radii=(0.5, 1.0, 2.0), cfg=None, *, decay=None,
             f"[{f.radii[0]}, {f.radii[-1]}]"
         )
     pot = riesz_radial(f, alpha, n, cfg=cfg, at=radii)
-    rhs = riesz_gamma(alpha, n) * pot.values * amp ** params.q * radii ** (-s * params.q)
-    lhs = amp * s * (n - 2.0 - s) * radii ** (-(s + 2.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are rejected below
+        rhs = (riesz_gamma(alpha, n) * pot.values * np.float64(amp) ** params.q
+               * radii ** (-s * params.q))
+        lhs = amp * s * (n - 2.0 - s) * radii ** (-(s + 2.0))
+    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs)) and np.all(rhs != 0.0)):
+        raise DomainError(f"lhs and rhs must be finite and rhs nonzero at every radius, "
+                          f"got lhs={lhs.tolist()}, rhs={rhs.tolist()}")
     return ResidualReport(
         radii=radii,
         lhs=lhs,

@@ -148,6 +148,10 @@ _FAILURES = [
      "domain error: " + _MU),
     (("verify", "--mu", "2.5", "--p", "2", "--q", "nan", "--decay", "0.5"), 1,
      "domain error: q must be finite, got q=nan"),
+    (("verify", "--mu", "2.5", "--p", "2", "--q", "2", "--decay", "200"), 1,
+     "domain error: profile values must be finite"),
+    (("verify", "--mu", "2.5", "--p", "2", "--q", "1e300", "--decay", "0.5"), 1,
+     "domain error: lhs and rhs must be finite and rhs nonzero at every radius"),
     (("riesz", "--alpha", "3.5", "--exponent", "2.2"), 1, "domain error: " + _ALPHA),
     (("riesz", "--alpha", "nan", "--exponent", "2.2", "--numeric"), 1,
      "domain error: " + _ALPHA),

@@ -2,6 +2,7 @@
 
 import math
 import types
+import warnings
 from collections import defaultdict
 
 import numpy as np
@@ -214,6 +215,24 @@ def test_non_finite_planes_are_rejected():
     for lam in (-math.inf, -1e308):
         with pytest.raises(DomainError, match="not a multiple of h/2"):
             sweep_lambda0(f, lambda_grid=[lam])
+
+
+def test_far_planes_mask_everything_or_reject_the_mirrored_point():
+    # a huge finite plane put 2 lambda/h past int64 (OverflowError); it now
+    # reflects like any plane outside the box, and a mirrored singular point
+    # whose squared distances overflow is the usual DomainError
+    f = small_field()
+    plain = CartesianField(3, f.h, f.extent, np.ones(f.shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (2.25, -2.25, 1e19, -1e19):
+            r = reflect(f, lam)
+            assert r.mask.all() and np.isnan(r.values).all(), lam
+            assert r.gamma_set[0][0][0] == 2.0 * lam, lam
+        for lam in (1e300, -1e300):
+            assert reflect(plain, lam).mask.all(), lam
+            with pytest.raises(DomainError, match="overflow"):
+                reflect(f, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Residual verification and fixed-point iteration around the explicit family."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,20 @@ def test_verify_validation_errors():
     small = log_grid(0.2, 5.0, 80)
     with pytest.raises(DomainError):
         verify_solution(BASE, radii=(0.5, 1.0, 4.9999), grid=small[:-1])
+
+
+def test_verify_overflow_is_a_domain_error_without_warnings():
+    # r^-400 overflows on the grid; r^-(s q) with q = 1e300 gives rhs = [inf, x, 0]
+    # and, at A = 2, A^q = inf and inf * 0 = NaN
+    huge_q = ModelParams(dim=3, mu=2.5, p=2.0, q=1e300, s=0.5, amplitude=1.0,
+                         symmetry_window=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="profile values must be finite"):
+            verify_solution(BASE, decay=200.0)
+        for amplitude in (1.0, 2.0):
+            with pytest.raises(DomainError, match="lhs and rhs must be finite"):
+                verify_solution(huge_q, amplitude=amplitude)
 
 
 # ---------------------------------------------------------------------------

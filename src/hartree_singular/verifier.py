@@ -32,6 +32,9 @@ from .special_fn import _check_count, riesz_gamma
 # window; at the boundary the integral diverges and truncation is reported
 _WINDOW_GUARD = 1e-12
 
+# fixed_point_iterate measures its per-step changes on grid radii in this range
+_CHANGE_WINDOW = (0.1, 10.0)
+
 
 @dataclass
 class ResidualReport:
@@ -123,8 +126,7 @@ def verify_solution(params, radii=(0.5, 1.0, 2.0), cfg=None, *, decay=None,
     )
 
 
-def fixed_point_iterate(params, init=None, steps=5, damping=1.0, cfg=None,
-                        window=(0.1, 10.0)):
+def fixed_point_iterate(params, init=None, steps=5, damping=1.0, cfg=None):
     """Damped Picard iteration u <- (1-d) u + d (-Lap)^(-1)[gamma(N-mu) I(u^p) u^q].
 
     The exact solution is a fixed point; the map is expansive in the decay
@@ -136,7 +138,8 @@ def fixed_point_iterate(params, init=None, steps=5, damping=1.0, cfg=None,
     reaching exponent <= 2) surfaces as an IterationError carrying the step.
     cfg governs the Riesz step only; the Newton step uses fixed 8- and
     4-point Gauss rules per grid interval.
-    Returns (final profile, per-step relative sup changes on the window).
+    Returns (final profile, per-step relative sup changes on the grid radii
+    in [0.1, 10]); an init grid with no radius there raises DomainError.
     """
     n = params.dim
     alpha = n - params.mu
@@ -155,9 +158,9 @@ def fixed_point_iterate(params, init=None, steps=5, damping=1.0, cfg=None,
     _check_tail_windows(init.power(params.p), alpha, n)
 
     gam = riesz_gamma(alpha, n)
-    sel = (init.radii >= window[0]) & (init.radii <= window[1])
+    sel = (init.radii >= _CHANGE_WINDOW[0]) & (init.radii <= _CHANGE_WINDOW[1])
     if not sel.any():
-        raise DomainError(f"window {window} contains no grid radii")
+        raise DomainError(f"window {_CHANGE_WINDOW} contains no grid radii")
     u = init
     history = []
     for k in range(steps):

@@ -211,5 +211,10 @@ def test_fixed_point_parameter_validation():
         fixed_point_iterate(BASE, steps=1, damping=0.0)
     with pytest.raises(DomainError):
         fixed_point_iterate(BASE, steps=1, damping=1.5)
-    with pytest.raises(DomainError):
-        fixed_point_iterate(BASE, steps=1, window=(50000.0, 90000.0))
+    # the change window [0.1, 10] must hold some grid radius of the init
+    far = RadialProfile.from_power(PowerLawTerm(BASE.amplitude, BASE.s),
+                                   log_grid(5e4, 9e4, 40))
+    with pytest.raises(DomainError, match=r"window \(0\.1, 10\.0\) contains no grid radii"):
+        fixed_point_iterate(BASE, init=far, steps=1)
+    with pytest.raises(TypeError):
+        fixed_point_iterate(BASE, steps=1, window=(0.1, 10.0))

@@ -879,11 +879,14 @@ def test_light_subcommands_do_not_import_numpy_ma():
 
 def test_light_subcommands_run_without_scipy(capsys):
     # the algebra subcommands, the riesz closed form and moving-plane need no
-    # quadrature, so neither importing the package nor running them may touch scipy
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(_LIGHT_COMMANDS)],
+    # quadrature, so neither importing the package nor running them may touch
+    # scipy, in any output form
+    commands = [argv + form for argv in _LIGHT_COMMANDS
+                for form in ([], ["--pretty"], ["--format", "csv"])]
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(commands)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["loaded"] == []
-    for argv, got in zip(_LIGHT_COMMANDS, doc["runs"]):
+    for argv, got in zip(commands, doc["runs"]):
         assert got == [0, *run(capsys, *argv)[1:]], argv

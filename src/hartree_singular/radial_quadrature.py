@@ -339,7 +339,9 @@ def _kernel_sep(r, rho, n, mu, nodes=_ANGULAR_NODES):
     At N = 3, (r + rho)^e - |r - rho|^e with e = 2 - mu cancels as rho/r -> 0,
     so it is built from s = lo/hi alone: hi^e ((1 + s)^e - (1 - s)^e), with
     the difference of powers written as 2 exp(e(l+ + l-)/2) sinh(e(l+ - l-)/2)
-    and l+- = log1p(+-s); at mu = 2 the log form is l+ - l-.
+    and l+- = log1p(+-s); at mu = 2 the log form is l+ - l-. At N >= 4 the
+    node sums are BLAS products (q @ w), which may round a value by its place
+    in the batch, as in _k_jacobi; the far offset rows inherit this.
     """
     rho = np.asarray(rho, dtype=float)
     if n == 3:

@@ -108,7 +108,9 @@ def verify_solution(params, radii=(0.5, 1.0, 2.0), cfg=None, *, decay=None,
             f"[{f.radii[0]}, {f.radii[-1]}]"
         )
     pot = riesz_radial(f, alpha, n, cfg=cfg, at=radii)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are rejected below
+    # inf and NaN are rejected below; np.float64 makes A^q overflow to inf,
+    # where a float power would raise OverflowError
+    with np.errstate(over="ignore", invalid="ignore"):
         rhs = (riesz_gamma(alpha, n) * pot.values * np.float64(amp) ** params.q
                * radii ** (-s * params.q))
         lhs = amp * s * (n - 2.0 - s) * radii ** (-(s + 2.0))

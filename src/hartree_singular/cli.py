@@ -213,12 +213,9 @@ def _do_verify(v):
     decay = alternate_decay_exponent(dim, mu, p, q) if v.use_alternate_s else v.decay
     amplitude = v.amplitude
     mode = "family" if decay is None and amplitude is None else "diagnostic"
-    if decay is not None:
-        amplitude = 1.0 if amplitude is None else amplitude
-        params = ModelParams(dim=dim, mu=mu, p=p, q=q, s=decay, amplitude=amplitude,
-                             symmetry_window=(dim - 2.0 < mu < dim))
-    else:
-        params = solve_params(dim, mu, p, q)
+    # off the family the base point has amplitude 1; verify_solution applies the overrides
+    params = (solve_params(dim, mu, p, q) if decay is None
+              else ModelParams(dim=dim, mu=mu, p=p, q=q, s=decay, amplitude=1.0))
     report = verify_solution(params, radii, cfg, decay=decay, amplitude=amplitude,
                              grid=grid)
     fields, table = report_document(report, RESIDUAL_SCHEMA)

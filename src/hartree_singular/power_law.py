@@ -92,11 +92,9 @@ def riesz_power(alpha, a, dim):
 class ModelParams:
     """Parameters (N, mu, p, q) with the derived decay s and amplitude A.
 
-    symmetry_window records whether mu lies in (N-2, N), the stricter kernel
-    window required by the symmetry and monotonicity statements (the solution
-    family itself only needs 0 < mu < N). Every instance, solve_params's or
-    one built by hand, must have an integer N >= 3, 0 < mu < N, finite p, q
-    and s, and 0 < A < inf; DomainError otherwise.
+    Every instance, solve_params's or one built by hand, must have an integer
+    N >= 3, 0 < mu < N, finite p, q and s, and 0 < A < inf; DomainError
+    otherwise.
     """
 
     dim: int
@@ -105,7 +103,6 @@ class ModelParams:
     q: float
     s: float
     amplitude: float
-    symmetry_window: bool
 
     def __post_init__(self):
         _check_window("mu", self.mu, _check_dim(self.dim))
@@ -114,6 +111,12 @@ class ModelParams:
                 raise DomainError(f"{name} must be finite, got {name}={getattr(self, name)}")
         if not 0.0 < self.amplitude < math.inf:
             raise DomainError(f"amplitude must satisfy 0 < A < inf, got A={self.amplitude}")
+
+    @property
+    def symmetry_window(self):
+        """Whether mu lies in (N-2, N), the stricter kernel window required by the
+        symmetry and monotonicity statements (the family itself only needs 0 < mu < N)."""
+        return self.dim - 2.0 < self.mu < self.dim
 
     @property
     def sp(self):
@@ -194,10 +197,7 @@ def solve_params(dim, mu, p, q):
         / (riesz_gamma(n - mu, n) * riesz_gamma(n - sp, n))
     )
     amplitude = bracket ** (1.0 / (p + q - 1.0))
-    return ModelParams(
-        dim=n, mu=mu, p=p, q=q, s=s, amplitude=amplitude,
-        symmetry_window=(n - 2.0 < mu < n),
-    )
+    return ModelParams(dim=n, mu=mu, p=p, q=q, s=s, amplitude=amplitude)
 
 
 def critical_exponents(dim, mu):

@@ -323,7 +323,7 @@ def angular_kernel(r, rho, dim, mu):
     if lo <= 0.5 * hi:  # the far/near split of the Riesz region table
         return float(_kernel_sep(hi, np.array([lo]), n, mu)[0])
     delta = hi - lo
-    return float(_kernel_near(hi, np.array([delta]), -1, n, mu)[0])
+    return float(_kernel_near(hi, hi - delta, np.array([delta]), n, mu)[0])
 
 
 def _kernel_diagonal(r, n, mu):
@@ -364,8 +364,8 @@ def _kernel_sep(r, rho, n, mu, nodes=_ANGULAR_NODES):
     return sphere_area(n - 1) * (q @ w)
 
 
-def _kernel_near(r, delta, side, n, mu):
-    """K(r, rho) with rho = r + side*delta, delta passed exactly.
+def _kernel_near(r, rho, delta, n, mu):
+    """K(r, rho) with delta = |r - rho| passed exactly.
 
     Near the diagonal rho collapses onto r in floating point, so the kernel
     is computed from the separation delta itself; only the smooth factors use
@@ -374,7 +374,6 @@ def _kernel_near(r, delta, side, n, mu):
     it, delta < hi/2 in angular_kernel).
     """
     delta = np.asarray(delta, dtype=float)
-    rho = r + side * delta
     if n == 3:
         return _k3(r, rho, delta, mu)
     return _k_jacobi(r, rho, delta, n, mu)
@@ -518,6 +517,14 @@ def _adaptive_gl(fun, segs, tag, length, rel_tol, abs_tol, max_panels, chunk, gi
 # Riesz potential of a radial profile
 
 
+def _check_radii(at):
+    """at as a float array of at least two strictly increasing positive radii."""
+    at = np.asarray(at, dtype=float)
+    if at.ndim != 1 or at.size < 2 or not (at[0] > 0.0 and np.all(np.diff(at) > 0.0)):
+        raise DomainError("evaluation radii must be >= 2 strictly increasing positive values")
+    return at
+
+
 def riesz_radial(f, alpha, dim, cfg=None, at=None):
     """(I_alpha f)(r) = (1/gamma(alpha)) int f(rho) rho^(N-1) K(r, rho; N-alpha) drho.
 
@@ -546,9 +553,7 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
     cfg = cfg or DEFAULT_CONFIG
     alpha = _check_window("alpha", alpha, n)
     mu = n - alpha
-    at = f.radii if at is None else np.asarray(at, dtype=float)
-    if at.ndim != 1 or at.size < 2 or not (at[0] > 0.0 and np.all(np.diff(at) > 0.0)):
-        raise DomainError("evaluation radii must be >= 2 strictly increasing positive values")
+    at = _check_radii(f.radii if at is None else at)
     # the far regions weight f by rho^N out to r/2 and to the top of the grid
     top = max(0.5 * float(at[-1]), float(f.radii[-1]))
     if not n * math.log(top) < _LOG_FLOAT_MAX:
@@ -782,7 +787,7 @@ def _region_integrand(f, n, mu, r, side):
             rn, sn = np.repeat(rg[near], out.shape[1]), np.repeat(sg[near], out.shape[1])
             d = rn * np.exp(-_gauss_points(segs[near]).ravel())
             rho = rn + sn * d
-            k = _kernel_near(rn, d, sn, n, mu)
+            k = _kernel_near(rn, rho, d, n, mu)
             out[near] = (f(rho) * rho ** (n - 1.0) * k * d).reshape(near.size, -1)
         return out
 

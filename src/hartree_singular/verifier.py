@@ -21,6 +21,7 @@ from .errors import DomainError, IterationError
 from .power_law import PowerLawTerm
 from .radial_quadrature import (
     RadialProfile,
+    _check_radii,
     _check_tail_windows,
     inverse_laplacian_radial,
     log_grid,
@@ -57,21 +58,13 @@ class ResidualReport:
         return float(np.max(np.abs(self.ratio - 1.0)))
 
 
-def _override(params, decay, amplitude):
-    """params with s and A replaced where given; ModelParams checks the result."""
-    return replace(params, s=params.s if decay is None else float(decay),
-                   amplitude=params.amplitude if amplitude is None else float(amplitude))
-
-
-def source_profile(params, grid=None, *, decay=None, amplitude=None):
+def source_profile(params, grid=None):
     """The profile |u|^p = A^p r^(-sp) sampled on the working grid.
 
     Tails are attached only on the sides where the integral against the Riesz
     kernel converges (inner needs sp < N, outer needs sp > N - mu); a missing
-    tail makes the potential quadrature run in truncation mode. The decay and
-    amplitude overrides pass the ModelParams checks.
+    tail makes the potential quadrature run in truncation mode.
     """
-    params = _override(params, decay, amplitude)
     n = params.dim
     alpha = n - params.mu
     if grid is None:
@@ -95,12 +88,11 @@ def verify_solution(params, radii=(0.5, 1.0, 2.0), cfg=None, *, decay=None,
     watch an off-family pair fail.
     Radii must be strictly increasing and strictly inside the working grid.
     """
-    params = _override(params, decay, amplitude)
+    params = replace(params, s=params.s if decay is None else float(decay),
+                     amplitude=params.amplitude if amplitude is None else float(amplitude))
     n, s, amp = params.dim, params.s, params.amplitude
     alpha = n - params.mu
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or radii.size < 2 or not np.all(np.diff(radii) > 0.0):
-        raise DomainError("radii must be at least two strictly increasing values")
+    radii = _check_radii(radii)
     f = source_profile(params, grid)
     if not (radii[0] > f.radii[0] and radii[-1] < f.radii[-1]):
         raise DomainError(
@@ -128,8 +120,8 @@ def verify_solution(params, radii=(0.5, 1.0, 2.0), cfg=None, *, decay=None,
     )
 
 
-def fixed_point_iterate(params, init=None, steps=5, damping=1.0, cfg=None):
-    """Damped Picard iteration u <- (1-d) u + d (-Lap)^(-1)[gamma(N-mu) I(u^p) u^q].
+def fixed_point_iterate(params, init=None, steps=5):
+    """Picard iteration u <- (-Lap)^(-1)[gamma(N-mu) I(u^p) u^q].
 
     The exact solution is a fixed point; the map is expansive in the decay
     exponent (a perturbed tail exponent moves geometrically away from s), so
@@ -138,7 +130,7 @@ def fixed_point_iterate(params, init=None, steps=5, damping=1.0, cfg=None):
     both sides passing the entry gates p*a_in < N and p*a_out > N - mu; any
     divergence deeper in the pipeline (for instance the source outer moment
     reaching exponent <= 2) surfaces as an IterationError carrying the step.
-    cfg governs the Riesz step only; the Newton step uses fixed 8- and
+    The Riesz step runs at DEFAULT_CONFIG; the Newton step uses fixed 8- and
     4-point Gauss rules per grid interval.
     Returns (final profile, per-step relative sup changes on the grid radii
     in [0.1, 10]); an init grid with no radius there raises DomainError.
@@ -146,9 +138,6 @@ def fixed_point_iterate(params, init=None, steps=5, damping=1.0, cfg=None):
     n = params.dim
     alpha = n - params.mu
     steps = _check_count("steps", steps, 0)
-    damping = float(damping)
-    if not 0.0 < damping <= 1.0:
-        raise DomainError(f"damping must lie in (0, 1], got {damping}")
     if init is None:
         init = RadialProfile.from_power(
             PowerLawTerm(params.amplitude, params.s), log_grid()
@@ -169,16 +158,12 @@ def fixed_point_iterate(params, init=None, steps=5, damping=1.0, cfg=None):
         if not np.all(u.values > 0.0):
             raise IterationError("iterate lost positivity", k)
         try:
-            src = riesz_radial(u.power(params.p), alpha, n, cfg=cfg)
+            src = riesz_radial(u.power(params.p), alpha, n)
             src = src.scale(gam).multiply(u.power(params.q))
             v = inverse_laplacian_radial(src, n)
         except DomainError as exc:
             raise IterationError(str(exc), k) from exc
-        if not np.all(np.isfinite(v.values)):
-            raise IterationError("iterate diverged to non-finite values", k)
-        u_next = u.mix(v, 1.0 - damping, damping)
-        change = float(np.max(np.abs(u_next.values[sel] - u.values[sel])
-                              / np.abs(u.values[sel])))
-        history.append(change)
-        u = u_next
+        history.append(float(np.max(np.abs(v.values[sel] - u.values[sel])
+                                    / np.abs(u.values[sel]))))
+        u = v
     return u, history

@@ -106,8 +106,7 @@ def test_criterion_4_statement_formula_fails_visibly():
     # decay from the (N-mu+2)/(p-q+1) variant is not a solution at p != q
     t0 = time.perf_counter()
     alt = alternate_decay_exponent(3, 2.5, 2.0, 1.5)
-    params = ModelParams(dim=3, mu=2.5, p=2.0, q=1.5, s=alt, amplitude=1.0,
-                         symmetry_window=True)
+    params = ModelParams(dim=3, mu=2.5, p=2.0, q=1.5, s=alt, amplitude=1.0)
     report = verify_solution(params, radii=(0.5, 1.0, 2.0))
     deviations = np.abs(report.ratio - 1.0)
     assert np.max(deviations) > 0.1, deviations

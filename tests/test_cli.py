@@ -152,6 +152,8 @@ _FAILURES = [
      "domain error: profile values must be finite"),
     (("verify", "--mu", "2.5", "--p", "2", "--q", "1e300", "--decay", "0.5"), 1,
      "domain error: lhs and rhs must be finite and rhs nonzero at every radius"),
+    (("verify", "--mu", "2.5", "--p", "2", "--q", "2", "--radii", "2,1"), 1,
+     "domain error: evaluation radii must be >= 2 strictly increasing positive values"),
     (("riesz", "--alpha", "3.5", "--exponent", "2.2"), 1, "domain error: " + _ALPHA),
     (("riesz", "--alpha", "nan", "--exponent", "2.2", "--numeric"), 1,
      "domain error: " + _ALPHA),
@@ -453,8 +455,7 @@ def _expected_solve_params():
 def _expected_verify(dim=3, mu=2.5, q=2.0, alternate=False):
     if alternate:  # --use-alternate-s: the variant decay at amplitude 1
         decay = alternate_decay_exponent(dim, mu, 2.0, q)
-        prm = ModelParams(dim=dim, mu=mu, p=2.0, q=q, s=decay, amplitude=1.0,
-                          symmetry_window=dim - 2.0 < mu < dim)
+        prm = ModelParams(dim=dim, mu=mu, p=2.0, q=q, s=decay, amplitude=1.0)
     else:
         prm = solve_params(dim, mu, 2.0, q)
     rep = verify_solution(prm, np.array([0.5, 1.0, 2.0]), None,

@@ -244,7 +244,7 @@ def test_solve_params_preconditions():
             solve_params(dim, 2.5, 2, 2)
 
 
-_GOOD = dict(dim=3, mu=2.5, p=2.0, q=1.5, s=5.0 / 3.0, amplitude=1.0, symmetry_window=True)
+_GOOD = dict(dim=3, mu=2.5, p=2.0, q=1.5, s=5.0 / 3.0, amplitude=1.0)
 
 
 _BAD_PARAMS = [
@@ -276,6 +276,14 @@ def test_symmetry_window_flag():
     # mu = 0.9 < N-2 = 1: solution family exists but symmetry window fails
     pr = solve_params(3, 0.9, 3, 3)
     assert pr.symmetry_window is False
+
+
+def test_symmetry_window_follows_from_dim_and_mu():
+    # a hand-built point outside (N-2, N) cannot claim the window
+    assert ModelParams(**{**_GOOD, "mu": 0.5}).symmetry_window is False
+    assert ModelParams(**_GOOD).symmetry_window is True
+    with pytest.raises(TypeError):
+        ModelParams(**_GOOD, symmetry_window=True)
 
 
 def test_critical_exponents_values():

@@ -387,7 +387,7 @@ def test_batched_near_kernel_matches_scalar_reference():
                 delta = _near_deltas(r, side, n - mu, 60)
                 rho = r + side * delta
                 assert np.max(delta * delta / (2.0 * r * rho)) == pytest.approx(0.25)
-                got = _kernel_near(r, delta, side, n, mu)
+                got = _kernel_near(r, rho, delta, n, mu)
                 want = np.array([_k_general_delta(r, d, p, n, mu)
                                  for d, p in zip(delta, rho)])
                 assert np.all(np.isfinite(want))
@@ -399,7 +399,7 @@ def test_batched_near_kernel_underflowed_eps_is_nan_and_isolated():
     # levels would never reach 1, so it is left out rather than stalling the batch
     delta = np.array([1e-200, 1e-3, 0.1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        got = _kernel_near(1.0, delta, -1, 4, 2.0)
+        got = _kernel_near(1.0, 1.0 - delta, delta, 4, 2.0)
     assert math.isnan(got[0])
     assert got[1:] == pytest.approx([kernel_oracle(1.0, 1.0 - d, 4, 2.0) for d in delta[1:]],
                                     rel=1e-11)

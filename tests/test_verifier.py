@@ -2,11 +2,13 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hartree_singular import (
+    DEFAULT_CONFIG,
     DomainError,
     IterationError,
     ModelParams,
@@ -39,25 +41,32 @@ def test_source_profile_tails_inside_window():
 
 
 def test_source_profile_truncates_divergent_side():
-    # decay override pushing sp above N drops the inner tail
-    f = source_profile(BASE, decay=1.6)  # sp = 3.2 > 3
+    # a decay pushing sp above N drops the inner tail
+    f = source_profile(replace(BASE, s=1.6))  # sp = 3.2 > 3
     assert f.tail_inner is None and f.tail_outer is not None
-    # decay pushing sp below N - mu drops the outer tail
-    f2 = source_profile(BASE, decay=0.2)  # sp = 0.4 < 0.5
+    # a decay pushing sp below N - mu drops the outer tail
+    f2 = source_profile(replace(BASE, s=0.2))  # sp = 0.4 < 0.5
     assert f2.tail_inner is not None and f2.tail_outer is None
 
 
 def test_source_profile_rejects_bad_overrides():
     with pytest.raises(DomainError):
-        source_profile(BASE, amplitude=0.0)
+        source_profile(replace(BASE, amplitude=0.0))
     with pytest.raises(DomainError):
-        source_profile(BASE, amplitude=-1.0)
+        source_profile(replace(BASE, amplitude=-1.0))
     with pytest.raises(DomainError):
-        source_profile(BASE, decay=math.nan)
+        source_profile(replace(BASE, s=math.nan))
     # the overrides pass the same ModelParams checks in verify_solution
     for override in ({"decay": math.inf}, {"amplitude": math.nan}):
         with pytest.raises(DomainError, match="must"):
             verify_solution(BASE, **override)
+
+
+def test_source_profile_takes_no_overrides():
+    # verify_solution is the one place that applies decay and amplitude overrides
+    for override in ({"decay": 1.6}, {"amplitude": 2.0}):
+        with pytest.raises(TypeError):
+            source_profile(BASE, **override)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +119,7 @@ def test_verify_alternate_decay_is_not_a_solution():
     # boundary), so the report is built through the raw-parameter path.
     alt = alternate_decay_exponent(3, 2.5, 2.0, 1.5)
     assert alt == pytest.approx(5.0 / 3.0, rel=1e-14)
-    params = ModelParams(dim=3, mu=2.5, p=2.0, q=1.5, s=alt, amplitude=1.0,
-                         symmetry_window=True)
+    params = ModelParams(dim=3, mu=2.5, p=2.0, q=1.5, s=alt, amplitude=1.0)
     report = verify_solution(params, radii=(0.5, 1.0, 2.0))
     dev = np.abs(report.ratio - 1.0)
     assert np.max(dev) > 0.1
@@ -140,8 +148,7 @@ def test_verify_validation_errors():
 def test_verify_overflow_is_a_domain_error_without_warnings():
     # r^-400 overflows on the grid; r^-(s q) with q = 1e300 gives rhs = [inf, x, 0]
     # and, at A = 2, A^q = inf and inf * 0 = NaN
-    huge_q = ModelParams(dim=3, mu=2.5, p=2.0, q=1e300, s=0.5, amplitude=1.0,
-                         symmetry_window=True)
+    huge_q = ModelParams(dim=3, mu=2.5, p=2.0, q=1e300, s=0.5, amplitude=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="profile values must be finite"):
@@ -167,11 +174,6 @@ def test_fixed_point_exact_solution_is_stationary():
     assert all(h < 1e-6 for h in history), history
     r = np.array([0.5, 1.0, 2.0])
     assert u(r) == pytest.approx(BASE.amplitude * r ** -BASE.s, rel=1e-6)
-
-
-def test_fixed_point_damping_still_stationary():
-    _, history = fixed_point_iterate(BASE, steps=1, damping=0.5)
-    assert history[0] < 1e-6
 
 
 def test_fixed_point_iteration_error_carries_step():
@@ -207,14 +209,12 @@ def test_fixed_point_parameter_validation():
     for steps in (-1, 2.5, math.inf, math.nan):
         with pytest.raises(DomainError):
             fixed_point_iterate(BASE, steps=steps)
-    with pytest.raises(DomainError):
-        fixed_point_iterate(BASE, steps=1, damping=0.0)
-    with pytest.raises(DomainError):
-        fixed_point_iterate(BASE, steps=1, damping=1.5)
     # the change window [0.1, 10] must hold some grid radius of the init
     far = RadialProfile.from_power(PowerLawTerm(BASE.amplitude, BASE.s),
                                    log_grid(5e4, 9e4, 40))
     with pytest.raises(DomainError, match=r"window \(0\.1, 10\.0\) contains no grid radii"):
         fixed_point_iterate(BASE, init=far, steps=1)
-    with pytest.raises(TypeError):
-        fixed_point_iterate(BASE, steps=1, window=(0.1, 10.0))
+    # the window, the damping and the Riesz config are not parameters
+    for extra in ({"window": (0.1, 10.0)}, {"damping": 0.5}, {"cfg": DEFAULT_CONFIG}):
+        with pytest.raises(TypeError):
+            fixed_point_iterate(BASE, steps=1, **extra)

@@ -255,34 +255,49 @@ def _mix_tails(t1, t2, w1, w2, r_edge, v_edge, inner):
 
 
 # ---------------------------------------------------------------------------
-# Gauss rules, cached on their exact arguments so that a result never depends
-# on which rules earlier calls happened to build. scipy.special is imported in
-# the first rule built, so the CLI paths without quadrature never load scipy.
+# Gauss rules, built in numpy and cached on their exact arguments so that a
+# result never depends on which rules earlier calls happened to build.
+
+
+def _gauss_jacobi(n, a, b):
+    """n-point Gauss rule for int_-1^1 (1-x)^a (1+x)^b h(x) dx, a, b > -1, n >= 2.
+
+    Golub & Welsch (Math. Comp. 23 (1969) 221): the nodes are the eigenvalues
+    of the weight's symmetric tridiagonal Jacobi matrix, and the weights are
+    the squared first eigenvector components times the zeroth moment
+    2^(a+b+1) B(a+1, b+1). The k = 0 diagonal and k = 1 off-diagonal entries
+    are written in cancelled form; the general ones are 0/0 at a + b = 0 or -1.
+    """
+    k = np.arange(1.0, n)
+    s = 2.0 * k + a + b
+    diag = np.concatenate([[(b - a) / (a + b + 2.0)], (b - a) * (b + a) / (s * (s + 2.0))])
+    k, s = k[1:], s[1:]
+    off = np.sqrt(np.concatenate([
+        [4.0 * (a + 1.0) * (b + 1.0) / ((a + b + 2.0) ** 2 * (a + b + 3.0))],
+        4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))]))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))  # eigh reads the lower triangle
+    mu0 = 2.0 ** (a + b + 1.0) * math.exp(
+        math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+    return x, mu0 * v[0] ** 2
 
 
 @functools.cache
 def _gauss_legendre(n):
-    from scipy.special import roots_legendre
-
-    return roots_legendre(n)
+    return _gauss_jacobi(n, 0.0, 0.0)
 
 
 @functools.cache
 def _jacobi_unit(n, g):
     """Nodes X and weights W with sum W_i h(X_i) ~ int_0^1 x^g h(x) dx."""
-    from scipy.special import roots_jacobi
-
     g = float(g)
-    x, w = roots_jacobi(n, 0.0, g)
+    x, w = _gauss_jacobi(n, 0.0, g)
     return (1.0 + x) / 2.0, w * 2.0 ** (-(g + 1.0))
 
 
 @functools.cache
 def _jacobi_sym(n, b):
     """Rule for int_-1^1 (1-u^2)^b q(u) du."""
-    from scipy.special import roots_jacobi
-
-    return roots_jacobi(n, float(b), float(b))
+    return _gauss_jacobi(n, float(b), float(b))
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +355,8 @@ def _kernel_sep(r, rho, n, mu, nodes=_ANGULAR_NODES):
     so it is built from s = lo/hi alone: hi^e ((1 + s)^e - (1 - s)^e), with
     the difference of powers written as 2 exp(e(l+ + l-)/2) sinh(e(l+ - l-)/2)
     and l+- = log1p(+-s); at mu = 2 the log form is l+ - l-. At N >= 4 the
-    node sums are BLAS products (q @ w), which may round a value by its place
-    in the batch, as in _k_jacobi; the far offset rows inherit this.
+    node sums are einsum row sums, which unlike BLAS gemv do not depend on a
+    value's place in the batch.
     """
     rho = np.asarray(rho, dtype=float)
     if n == 3:
@@ -361,7 +376,7 @@ def _kernel_sep(r, rho, n, mu, nodes=_ANGULAR_NODES):
     q = 2.0 * r * rho * u
     np.subtract(r * r + rho ** 2, q, out=q)
     np.power(q, -mu / 2.0, out=q)
-    return sphere_area(n - 1) * (q @ w)
+    return sphere_area(n - 1) * np.einsum("...j,j->...", q, w)
 
 
 def _kernel_near(r, rho, delta, n, mu):
@@ -391,8 +406,9 @@ def _k_jacobi(r, rho, delta, n, mu):
 
     Each delta keeps the rules and piece order of a scalar evaluation: the
     scaled [0, eps] piece, then its dyadic levels in increasing k. The node
-    sums are BLAS products (@), which may round a delta by its place in the
-    batch. Needs eps <= 1/4 (see _kernel_near); the [0, eps] piece assumes eps < 1.
+    sums are einsum row sums, so a delta's value does not depend on its place
+    in the batch. Needs eps <= 1/4 (see _kernel_near); the [0, eps] piece
+    assumes eps < 1.
     """
     # With u = cos(theta) and w = 1 - u, the quadratic factors as
     # 2 r rho (eps + w), eps = delta^2/(2 r rho), and
@@ -402,10 +418,10 @@ def _k_jacobi(r, rho, delta, n, mu):
     e = eps[:, None]
     X, W = _jacobi_unit(48, b)
     # piece [1, 2] via v = 2 - w: integrand v^b (2-v)^b (eps + 2 - v)^(-mu/2)
-    j2 = ((2.0 - X) ** b * (e + 2.0 - X) ** (-mu / 2.0)) @ W
+    j2 = np.einsum("ij,j->i", (2.0 - X) ** b * (e + 2.0 - X) ** (-mu / 2.0), W)
     # piece [0, eps]: scaled Jacobi rule; the factor (eps + w) varies by at most 2x
     xe = e * X
-    j1 = eps ** (b + 1.0) * (((2.0 - xe) ** b * (e + xe) ** (-mu / 2.0)) @ W)
+    j1 = eps ** (b + 1.0) * np.einsum("ij,j->i", (2.0 - xe) ** b * (e + xe) ** (-mu / 2.0), W)
     # dyadic panels [eps 2^k, eps 2^(k+1)] out to 1 absorb the algebraic layer;
     # each pass adds level k to every delta whose panels have not reached 1 yet;
     # an eps that underflowed to 0 never reaches 1 and is left out (its K is nan)
@@ -417,7 +433,8 @@ def _k_jacobi(r, rho, delta, n, mu):
         mid, half = 0.5 * (a + c), 0.5 * (c - a)
         wn = mid[:, None] + half[:, None] * xg
         el = eps[live, None]
-        j1[live] += half * ((wn ** b * (2.0 - wn) ** b * (el + wn) ** (-mu / 2.0)) @ wg)
+        level = wn ** b * (2.0 - wn) ** b * (el + wn) ** (-mu / 2.0)
+        j1[live] += half * np.einsum("ij,j->i", level, wg)
         keep = c < 1.0
         live, a = live[keep], c[keep]
     return sphere_area(n - 1) * (2.0 * r * rho) ** (-mu / 2.0) * (j1 + j2)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, IterationError
-from .power_law import PowerLawTerm
+from .power_law import PowerLawTerm, laplacian_power
 from .radial_quadrature import (
     RadialProfile,
     _check_radii,
@@ -105,7 +105,7 @@ def verify_solution(params, radii=(0.5, 1.0, 2.0), cfg=None, *, decay=None,
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = (riesz_gamma(alpha, n) * pot.values * np.float64(amp) ** params.q
                * radii ** (-s * params.q))
-        lhs = amp * s * (n - 2.0 - s) * radii ** (-(s + 2.0))
+        lhs = amp * laplacian_power(s, n)(radii)
     if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs)) and np.all(rhs != 0.0)):
         raise DomainError(f"lhs and rhs must be finite and rhs nonzero at every radius, "
                           f"got lhs={lhs.tolist()}, rhs={rhs.tolist()}")

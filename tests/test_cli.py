@@ -800,6 +800,16 @@ def test_flag_kinds_read_argv_and_config_alike(capsys, tmp_path, argv, flag, tex
 # console-script entry point
 
 
+def _project():
+    """The ``[project]`` table of this repository's ``pyproject.toml``."""
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python < 3.11
+        tomllib = pytest.importorskip("tomli")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        return tomllib.load(fh)["project"]
+
+
 def _write_console_script(directory, name):
     """Write the launcher an installer generates for ``[project.scripts]`` *name*.
 
@@ -807,17 +817,17 @@ def _write_console_script(directory, name):
     exercises the declared entry point, not whatever script an earlier install
     left on ``PATH``.
     """
-    try:
-        import tomllib
-    except ModuleNotFoundError:  # Python < 3.11
-        tomllib = pytest.importorskip("tomli")
-    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
-        entry = tomllib.load(fh)["project"]["scripts"][name]
-    module, attr = entry.split(":")
+    module, attr = _project()["scripts"][name].split(":")
     script = directory / name
     script.write_text(f"#!{sys.executable}\nimport sys\n"
                       f"from {module} import {attr}\nsys.exit({attr}())\n")
     script.chmod(0o755)
+
+
+def test_scipy_is_a_test_dependency_only():
+    project = _project()
+    assert not any(dep.startswith("scipy") for dep in project["dependencies"])
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
 
 
 def test_console_script_runs(tmp_path):
@@ -855,12 +865,15 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps({"loaded": loaded, "runs": runs}))
 """
 
+# one run of each of the six subcommands, and of riesz both closed and numeric
 _LIGHT_COMMANDS = (
     ["critical-exponents", "--mu", "2.5"],
     ["hls", "--t", "1.5", "--mu", "2"],
     ["solve-params", "--mu", "2.5", "--p", "2", "--q", "2"],
     ["riesz", "--alpha", "1.5", "--exponent", "2.2"],
     ["moving-plane", "--decay", "0.5", "--num", "17"],
+    ["verify", "--mu", "2.5", "--p", "2", "--q", "2"],
+    ["riesz", "--alpha", "1.5", "--exponent", "2.2", "--numeric"],
 )
 
 
@@ -879,9 +892,8 @@ def test_light_subcommands_do_not_import_numpy_ma():
 
 
 def test_light_subcommands_run_without_scipy(capsys):
-    # the algebra subcommands, the riesz closed form and moving-plane need no
-    # quadrature, so neither importing the package nor running them may touch
-    # scipy, in any output form
+    # the Gauss rules are built in numpy, so neither importing the package nor
+    # running any subcommand may touch scipy, in any output form
     commands = [argv + form for argv in _LIGHT_COMMANDS
                 for form in ([], ["--pretty"], ["--format", "csv"])]
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(commands)],

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
-from scipy.special import hyp2f1
+from scipy.special import hyp2f1, roots_jacobi, roots_legendre
 
 from hartree_singular import (
     ConvergenceError,
@@ -31,12 +31,15 @@ from hartree_singular import (
 )
 from hartree_singular import radial_quadrature
 from hartree_singular.radial_quadrature import (
+    _gauss_jacobi,
     _gauss_legendre,
     _gauss_points,
+    _jacobi_sym,
     _jacobi_unit,
     _k3,
     _k_jacobi,
     _kernel_near,
+    _kernel_sep,
     _pchip,
     _profile_table,
 )
@@ -275,6 +278,85 @@ def test_pchip_is_bit_identical_to_scipy(data):
 
 
 # ---------------------------------------------------------------------------
+# Gauss rules, against their moments in closed form and against scipy's rules
+
+
+def _beta(x, y):
+    # a quotient of gammas is good to a few ulp at these arguments; a
+    # difference of lgamma values near 200 is off by up to 8e-14
+    return math.gamma(x) * math.gamma(y) / math.gamma(x + y)
+
+
+def _moment_error(rule, moments):
+    """Worst |sum w x^k - exact_k| / scale_k over moments = [(k, exact_k, scale_k)]."""
+    x, w = rule
+    return max(abs(float(np.sum(w * x ** k)) - exact) / scale for k, exact, scale in moments)
+
+
+def _legendre_case(n):
+    x, w = _gauss_legendre(n)
+    moments = [(k, 2.0 / (k + 1.0), 2.0 / (k + 1.0)) for k in range(2 * n)]
+    ours = _moment_error(((1.0 + x) / 2.0, w), moments)
+    xs, ws = roots_legendre(n)
+    return ours, _moment_error(((1.0 + xs) / 2.0, ws), moments)
+
+
+def _unit_case(n, g):
+    moments = [(k, 1.0 / (g + k + 1.0), 1.0 / (g + k + 1.0)) for k in range(2 * n)]
+    xs, ws = roots_jacobi(n, 0.0, g)
+    return (_moment_error(_jacobi_unit(n, g), moments),
+            _moment_error(((1.0 + xs) / 2.0, ws * 2.0 ** (-(g + 1.0))), moments))
+
+
+def _sym_case(n, b):
+    # int |u|^k (1-u^2)^b du = B((k+1)/2, b+1); the odd moments vanish
+    moments = [(k, 0.0 if k % 2 else _beta((k + 1) / 2.0, b + 1.0), _beta((k + 1) / 2.0, b + 1.0))
+               for k in range(2 * n)]
+    return _moment_error(_jacobi_sym(n, b), moments), _moment_error(roots_jacobi(n, b, b), moments)
+
+
+_RULE_FAMILIES = {
+    "legendre": [(_legendre_case, n) for n in (12, 24)],
+    "jacobi_unit": [(_unit_case, n, float(g)) for n in (16, 32, 48)
+                    for g in np.concatenate([np.linspace(-0.99, 10.0, 45), [0.0, 0.5, 1.0, 1.5]])],
+    "jacobi_sym": [(_sym_case, 64, b) for b in (0.5, 1.0, 1.5)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_RULE_FAMILIES))
+def test_gauss_rules_integrate_their_moments(family):
+    # every degree k < 2n is exact in exact arithmetic; across the family the
+    # worst relative miss must be at round-off and no worse than scipy's rules
+    errors = np.array([case(*args) for case, *args in _RULE_FAMILIES[family]])
+    ours, scipys = errors.max(axis=0)
+    assert ours <= 5e-14
+    assert ours <= scipys
+
+
+_RULE_BYTES_SCRIPT = """
+from hartree_singular.radial_quadrature import _gauss_jacobi
+print([[v.hex() for v in part] for args in {args} for part in _gauss_jacobi(*args)])
+"""
+
+
+def test_gauss_rules_give_the_same_bytes_in_every_process():
+    args = [(12, 0.0, 0.0), (32, 0.0, -0.99), (48, 0.0, 0.5), (64, 1.5, 1.5)]
+    proc = subprocess.run([sys.executable, "-c", _RULE_BYTES_SCRIPT.format(args=args)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    here = [[v.hex() for v in part] for a in args for part in _gauss_jacobi(*a)]
+    assert proc.stdout == f"{here}\n"
+
+
+def test_gauss_jacobi_at_a_plus_b_minus_one_is_gauss_chebyshev():
+    # the general k = 1 off-diagonal entry is 0/0 at a + b = -1 (a + b = 0,
+    # the Legendre rules above, covers the k = 0 diagonal one)
+    x, w = _gauss_jacobi(9, -0.5, -0.5)
+    assert x == pytest.approx(np.cos((2 * np.arange(9, 0, -1) - 1) * np.pi / 18), abs=1e-15)
+    assert w == pytest.approx(np.full(9, np.pi / 9), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
 # Angular kernel
 
 
@@ -403,6 +485,23 @@ def test_batched_near_kernel_underflowed_eps_is_nan_and_isolated():
     assert math.isnan(got[0])
     assert got[1:] == pytest.approx([kernel_oracle(1.0, 1.0 - d, 4, 2.0) for d in delta[1:]],
                                     rel=1e-11)
+
+
+@pytest.mark.parametrize("n, mu", [(4, 2.5), (5, 4.2), (6, 4.5)])
+def test_kernels_do_not_depend_on_a_value_place_in_the_batch(n, mu):
+    # BLAS gemv rounds a row by its place in the matrix; the einsum node sums
+    # give every separation the bits of a call of its own. The single calls
+    # pass 1-element arrays: numpy's scalar power may round unlike its array power
+    rng = np.random.default_rng(n)
+    delta = 0.5 * rng.random(1000) ** 4
+    rho = 1.0 - delta
+    s = 0.5 * rng.random(1000)
+    near = _kernel_near(1.0, rho, delta, n, mu)
+    far = _kernel_sep(1.0, s, n, mu)
+    assert np.all(_kernel_sep(np.ones((10, 1)), s.reshape(10, 100), n, mu).ravel() == far)
+    for i in range(s.size):
+        assert near[i] == _kernel_near(1.0, rho[i:i + 1], delta[i:i + 1], n, mu)[0], i
+        assert far[i] == _kernel_sep(1.0, s[i:i + 1], n, mu)[0], i
 
 
 def test_jacobi_path_at_dim_three_matches_closed_form():

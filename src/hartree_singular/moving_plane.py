@@ -22,6 +22,8 @@ from .special_fn import _check_count
 
 _HYPERPLANE_TOL = 1e-12
 _COMMENSURATE_TOL = 1e-9
+# elements in one block of whole x1-rows (a row of a larger grid is a block)
+_BLOCK = 1 << 16
 
 
 def _finite(name, x, positive):
@@ -64,29 +66,45 @@ def _check_point(name, p, n, lo, hi, on_plane):
     return p
 
 
+def _row_blocks(shape, start=0, stop=None):
+    """Slices of whole x1-rows from start to stop, _BLOCK elements or one row each.
+
+    Every pass over the grid (the field build, the finiteness check and the
+    reductions) works through these, so its temporaries hold one block.
+    """
+    rows = max(1, _BLOCK // math.prod(shape[1:]))
+    stop = shape[0] if stop is None else stop
+    return [slice(i, min(i + rows, stop)) for i in range(start, stop, rows)]
+
+
 def _ball_mask(axis, n, balls, profile=None):
     """(mask, values) on the grid axis^n for balls of (point, radius) pairs.
 
     The mask holds the nodes inside any ball; balls that cover every node
     raise DomainError. With a profile, values is the sum over balls of
     profile(|x - point|), NaN where a term is not finite and on the mask;
-    without one it is None.
+    without one it is None. Rows are filled one block at a time, and d2 is
+    summed axis by axis in the order of the whole-grid sum.
     """
-    mask = np.zeros((axis.size,) * n, dtype=bool)
-    values = None if profile is None else np.zeros(mask.shape)
-    grids = np.meshgrid(*([axis] * n), indexing="ij", sparse=True)
-    for p, rad in balls:
-        d2 = sum((g - c) ** 2 for g, c in zip(grids, p))
-        mask |= d2 <= rad * rad
-        if profile is not None:
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                term = np.asarray(profile(np.sqrt(d2)), dtype=float)
-            term[~np.isfinite(term)] = np.nan
-            values += term
+    shape = (axis.size,) * n
+    mask = np.zeros(shape, dtype=bool)
+    values = None if profile is None else np.zeros(shape)
+    # per ball, the squared offsets along each axis, shaped to broadcast on it
+    squares = [[((axis - c) ** 2).reshape((-1,) + (1,) * (n - 1 - a)) for a, c in enumerate(p)]
+               for p, _ in balls]
+    for s in _row_blocks(shape):
+        for (_, rad), (sq0, *rest) in zip(balls, squares):
+            d2 = sum(rest, sq0[s])
+            mask[s] |= d2 <= rad * rad
+            if profile is not None:
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    term = np.asarray(profile(np.sqrt(d2, out=d2)), dtype=float)
+                term[~np.isfinite(term)] = np.nan
+                values[s] += term
+        if values is not None:
+            values[s][mask[s]] = np.nan
     if mask.all():
         raise DomainError("exclusion balls cover every grid node: no data to compare")
-    if values is not None:
-        values[mask] = np.nan
     return mask, values
 
 
@@ -124,12 +142,13 @@ class CartesianField:
             if mask.shape != self.shape:
                 raise DomainError("mask shape does not match grid shape")
         self.mask = mask
-        if not np.all(np.isfinite(values) | mask):
+        if not all(np.all(np.isfinite(values[s]) | mask[s]) for s in _row_blocks(self.shape)):
             raise DomainError("field values must be finite outside the exclusion balls")
         self.values = values
 
     def unmasked_max(self):
-        return float(np.max(np.abs(self.values), where=~self.mask, initial=0.0))
+        return max(float(np.max(np.abs(self.values[s]), where=~self.mask[s], initial=0.0))
+                   for s in _row_blocks(self.shape))
 
 
 def sample_field(profile, centers, dim=3, extent=2.0, num=65, exclusion_radius=None,
@@ -211,17 +230,18 @@ def _row_pair_max(values, mask, k):
 
     Row i pairs with its mirror row j = k + m-1 - i; only rows with i < j, the
     partner inside the box and neither node masked are compared. Both sides
-    are views into values (the partner rows read in reverse).
+    are views into values (the partner rows read in reverse), taken one
+    block of rows at a time.
     """
     m = values.shape[0]
     c = k + m - 1
-    lo, hi = max(0, k), min(m, (c + 1) // 2)
-    if lo >= hi:
-        return -math.inf
-    part = slice(c - hi + 1, c - lo + 1)
-    w = values[lo:hi] - values[part][::-1]
-    w[mask[lo:hi] | mask[part][::-1]] = -np.inf
-    return float(np.max(w))
+    top = -math.inf
+    for s in _row_blocks(values.shape, max(0, k), min(m, (c + 1) // 2)):
+        part = slice(c - s.stop + 1, c - s.start + 1)
+        w = values[s] - values[part][::-1]
+        w[mask[s] | mask[part][::-1]] = -np.inf
+        top = max(top, float(np.max(w)))
+    return top
 
 
 @dataclass
@@ -314,5 +334,9 @@ def _monotonicity_min(field):
     """Minimum forward x1-difference over unmasked node pairs with x1 < -h."""
     k = min(int(np.count_nonzero(field.axis < -field.h)), field.shape[0] - 1)
     values, mask = field.values, field.mask
-    return float(np.min(values[1:k + 1] - values[:k], where=~(mask[1:k + 1] | mask[:k]),
-                        initial=math.inf))
+    low = math.inf
+    for s in _row_blocks(field.shape, 0, k):
+        up = slice(s.start + 1, s.stop + 1)
+        low = min(low, float(np.min(values[up] - values[s], where=~(mask[up] | mask[s]),
+                                    initial=math.inf)))
+    return low

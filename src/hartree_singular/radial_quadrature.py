@@ -337,8 +337,10 @@ def angular_kernel(r, rho, dim, mu):
     lo, hi = min(r, rho), max(r, rho)
     if lo <= 0.5 * hi:  # the far/near split of the Riesz region table
         return float(_kernel_sep(hi, np.array([lo]), n, mu)[0])
+    # 1-element arrays, as the quadrature passes: numpy's scalar power may
+    # round unlike its array power
     delta = hi - lo
-    return float(_kernel_near(hi, hi - delta, np.array([delta]), n, mu)[0])
+    return float(_kernel_near(np.array([hi]), np.array([hi - delta]), np.array([delta]), n, mu)[0])
 
 
 def _kernel_diagonal(r, n, mu):

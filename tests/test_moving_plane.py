@@ -1,9 +1,12 @@
 """Discrete moving-plane machinery: fields, reflections, sweeps."""
 
 import math
+import struct
+import tracemalloc
 import types
 import warnings
 from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,12 +17,15 @@ from hartree_singular import (
     CartesianField,
     DomainError,
     PowerLawTerm,
+    RadialProfile,
     default_lambda_grid,
+    log_grid,
     reflect,
     sample_field,
     sweep_lambda0,
     w_plus_sup,
 )
+from hartree_singular import moving_plane
 
 DECAY = PowerLawTerm(1.0, 0.5)
 ORIGIN = (0.0, 0.0, 0.0)
@@ -161,6 +167,168 @@ def test_exclusion_balls_covering_every_node_are_rejected():
     assert int((~f.mask).sum()) == 8
     # a reflection whose partners all leave the box is an explicit mask, and stays valid
     assert reflect(small_field(), -3.0).mask.all()
+
+
+# ---------------------------------------------------------------------------
+# Row blocks: every pass over the grid works through blocks of whole x1-rows
+
+
+def _ball_mask_whole(axis, n, balls, profile=None):
+    """_ball_mask over the whole grid at once, as first written: its reference."""
+    mask = np.zeros((axis.size,) * n, dtype=bool)
+    values = None if profile is None else np.zeros(mask.shape)
+    grids = np.meshgrid(*([axis] * n), indexing="ij", sparse=True)
+    for p, rad in balls:
+        d2 = sum((g - c) ** 2 for g, c in zip(grids, p))
+        mask |= d2 <= rad * rad
+        if profile is not None:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                term = np.asarray(profile(np.sqrt(d2)), dtype=float)
+            term[~np.isfinite(term)] = np.nan
+            values += term
+    if mask.all():
+        raise DomainError("exclusion balls cover every grid node: no data to compare")
+    if values is not None:
+        values[mask] = np.nan
+    return mask, values
+
+
+def _unmasked_max_whole(field):
+    return float(np.max(np.abs(field.values), where=~field.mask, initial=0.0))
+
+
+def _row_pair_max_whole(values, mask, k):
+    """The whole-array _row_pair_max, and the differences it reduced: its reference."""
+    m = values.shape[0]
+    c = k + m - 1
+    lo, hi = max(0, k), min(m, (c + 1) // 2)
+    if lo >= hi:
+        return -math.inf, np.empty(0)
+    part = slice(c - hi + 1, c - lo + 1)
+    w = values[lo:hi] - values[part][::-1]
+    w[mask[lo:hi] | mask[part][::-1]] = -np.inf
+    return float(np.max(w)), w
+
+
+def _monotonicity_min_whole(field):
+    """The whole-array _monotonicity_min, and the differences it reduced: its reference."""
+    k = min(int(np.count_nonzero(field.axis < -field.h)), field.shape[0] - 1)
+    values, mask = field.values, field.mask
+    d = values[1:k + 1] - values[:k]
+    live = ~(mask[1:k + 1] | mask[:k])
+    return float(np.min(d, where=live, initial=math.inf)), d[live]
+
+
+def _same_bits(got, want, reduced):
+    """got is want bit for bit, signed zeros included.
+
+    Where want is a zero and the reduced values hold zeros of both signs,
+    numpy's whole-array min or max picks the sign by its SIMD lane layout
+    (the same values in another order can give the other sign), so there
+    only the value is fixed.
+    """
+    signs = np.signbit(reduced[reduced == 0.0])
+    if want == 0.0 and signs.any() and not signs.all():
+        return got == 0.0
+    return struct.pack("d", got) == struct.pack("d", want)
+
+
+PROFILES = [DECAY, PowerLawTerm(2.0, -1.0),
+            RadialProfile.from_power(PowerLawTerm(1.5, 1.2), log_grid(0.05, 5.0, 40))]
+
+
+@st.composite
+def ball_cases(draw):
+    """A grid axis, 0-3 balls centred on or off its lattice, and a profile."""
+    dim = draw(st.sampled_from([2, 3]))
+    num = draw(st.integers(3, 17))
+    axis = -2.0 + 4.0 / (num - 1) * np.arange(num)
+    node = st.tuples(*[st.integers(0, num - 1)] * dim).map(lambda idx: axis[list(idx)])
+    point = st.one_of(node, st.tuples(*[COORD] * dim).map(np.array))
+    radius = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0, 6.0))
+    balls = draw(st.lists(st.tuples(point, radius), max_size=3))
+    return dim, axis, balls, draw(st.sampled_from(PROFILES))
+
+
+def _hand_built(rng, dim, axis, mask, values):
+    """A field with finite values on its masked nodes and signed zeros among the others.
+
+    A third of the draws keep the sampled values and zero a fifth of the
+    nodes, a third hold only signed zeros, and a third rise by one per
+    x1-row from a zero row i, with -0.0 on about half of row i+1: their
+    monotonicity minimum is a -0.0 whenever such a pair is compared.
+    """
+    shape = mask.shape
+    mask = mask | (rng.random(shape) < 0.2)
+    zeros = rng.choice([0.0, -0.0], shape)
+    kind = rng.integers(3)
+    if kind == 0:
+        values = np.where(rng.random(shape) < 0.2, zeros, values)
+    elif kind == 1:
+        values = zeros
+    else:
+        i = rng.integers(shape[0] - 1)
+        values = np.repeat(np.arange(shape[0]) - float(i), mask[0].size).reshape(shape)
+        values[i + 1] = np.where(np.signbit(zeros[i + 1]), -0.0, 1.0)
+    values[mask] = rng.choice([-1e300, -1.0, 1.0, 1e300], int(mask.sum()))
+    return CartesianField(dim, 4.0 / (axis.size - 1), 2.0, values, mask=mask, check_gamma=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(case=ball_cases(), block=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
+def test_row_blocks_match_the_whole_array_forms_bit_for_bit(case, block, seed):
+    # a block smaller than a row, or not a whole number of rows, leaves ragged edges
+    dim, axis, balls, profile = case
+    m = axis.size
+    with mock.patch.object(moving_plane, "_BLOCK", block):
+        try:
+            mask, values = _ball_mask_whole(axis, dim, balls, profile)
+        except DomainError:
+            for prof in (None, profile):
+                with pytest.raises(DomainError, match="cover every grid node"):
+                    moving_plane._ball_mask(axis, dim, balls, prof)
+            mask, values = np.zeros((m,) * dim, dtype=bool), np.ones((m,) * dim)
+        else:
+            got_mask, got = moving_plane._ball_mask(axis, dim, balls, profile)
+            assert got_mask.tobytes() == mask.tobytes()
+            assert got.tobytes() == values.tobytes()
+            assert np.array_equal(np.isnan(got), np.isnan(values))
+            assert moving_plane._ball_mask(axis, dim, balls)[0].tobytes() == mask.tobytes()
+        rng = np.random.default_rng(seed)
+        f = _hand_built(rng, dim, axis, mask, values)
+        assert _same_bits(f.unmasked_max(), _unmasked_max_whole(f), np.empty(0))
+        for vals, msk in ((f.values, f.mask), (f.values[::-1], f.mask[::-1])):
+            for k in range(-m - 1, m + 2):
+                want, reduced = _row_pair_max_whole(vals, msk, k)
+                assert _same_bits(moving_plane._row_pair_max(vals, msk, k), want, reduced), k
+        want, reduced = _monotonicity_min_whole(f)
+        assert _same_bits(moving_plane._monotonicity_min(f), want, reduced)
+        live = np.flatnonzero(~f.mask)
+        if live.size:  # a NaN in any block is found
+            bad = f.values.copy()
+            bad.flat[rng.choice(live)] = math.nan
+            with pytest.raises(DomainError, match="finite outside"):
+                CartesianField(dim, f.h, f.extent, bad, mask=f.mask)
+
+
+def test_field_build_and_sweep_hold_block_sized_temporaries():
+    # tracemalloc sees numpy's buffers; the whole-grid forms held several
+    # grids of d2, terms and differences at once
+    num = 97
+    block = max(1, moving_plane._BLOCK // num ** 2) * num ** 2 * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        f = sample_field(DECAY, [(0.0, 0.3, -0.2), (0.0, -0.5, 0.4)], num=num)
+        build = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        sweep_lambda0(f)
+        sweep = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert build <= f.values.nbytes + f.mask.nbytes + 4 * block
+    assert sweep <= 4 * block
 
 
 # ---------------------------------------------------------------------------

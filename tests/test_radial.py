@@ -504,6 +504,21 @@ def test_kernels_do_not_depend_on_a_value_place_in_the_batch(n, mu):
         assert far[i] == _kernel_sep(1.0, s[i:i + 1], n, mu)[0], i
 
 
+@pytest.mark.parametrize("n, mu", [(3, 1.5), (3, 2.5), (4, 2.5), (5, 4.2), (6, 4.5)])
+def test_angular_kernel_near_the_diagonal_is_the_quadrature_kernel(n, mu):
+    # riesz_radial passes arrays into _kernel_near; the public kernel passed
+    # Python floats, and numpy's scalar power rounds unlike its array power
+    # (1 to 47 of each 1000 values here differed in the last bits)
+    rng = np.random.default_rng(n)
+    hi = 10.0 ** rng.uniform(-2.0, 2.0, 1000)
+    lo = hi * (1.0 - 0.5 * rng.random(1000) ** 4)
+    keep = (0.5 * hi < lo) & (lo < hi)
+    hi, lo = hi[keep], lo[keep]
+    want = _kernel_near(hi, hi - (hi - lo), hi - lo, n, mu)
+    for i, (a, b) in enumerate(zip(hi.tolist(), lo.tolist())):
+        assert (angular_kernel(a, b, n, mu) if i % 2 else angular_kernel(b, a, n, mu)) == want[i], i
+
+
 def test_jacobi_path_at_dim_three_matches_closed_form():
     r = 0.9
     for mu in (0.5, 1.5, 2.0, 2.5, 2.7):

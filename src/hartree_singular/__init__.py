@@ -38,7 +38,6 @@ from .radial_quadrature import (
     RadialProfile,
     angular_kernel,
     inverse_laplacian_radial,
-    laplacian_radial_fd,
     log_grid,
     riesz_radial,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "RadialProfile",
     "angular_kernel",
     "inverse_laplacian_radial",
-    "laplacian_radial_fd",
     "log_grid",
     "riesz_radial",
     "gamma",

@@ -26,7 +26,8 @@ from .special_fn import _check_count, _check_dim, _check_window, riesz_gamma, sp
 
 TAIL_CONTINUITY = 0.05  # tail descriptor must match the boundary sample to 5%
 
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_FLOAT_TINY = np.finfo(float).tiny  # the smallest normal float
+_LOG_FLOAT_MAX, _LOG_FLOAT_TINY = math.log(np.finfo(float).max), math.log(_FLOAT_TINY)
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,9 @@ class RadialProfile:
     def from_power(cls, term, radii):
         """Sample coefficient*r^-exponent exactly, tails attached on both sides."""
         radii = np.asarray(radii, dtype=float)
-        return cls(radii, term(radii), tail_inner=term, tail_outer=term)
+        with np.errstate(over="ignore"):  # the constructor rejects inf
+            values = term(radii)
+        return cls(radii, values, tail_inner=term, tail_outer=term)
 
     def _interpolator(self):
         if self._interp is None:
@@ -259,6 +262,7 @@ def _mix_tails(t1, t2, w1, w2, r_edge, v_edge, inner):
 # result never depends on which rules earlier calls happened to build.
 
 
+@functools.cache
 def _gauss_jacobi(n, a, b):
     """n-point Gauss rule for int_-1^1 (1-x)^a (1+x)^b h(x) dx, a, b > -1, n >= 2.
 
@@ -281,23 +285,11 @@ def _gauss_jacobi(n, a, b):
     return x, mu0 * v[0] ** 2
 
 
-@functools.cache
-def _gauss_legendre(n):
-    return _gauss_jacobi(n, 0.0, 0.0)
-
-
-@functools.cache
 def _jacobi_unit(n, g):
     """Nodes X and weights W with sum W_i h(X_i) ~ int_0^1 x^g h(x) dx."""
     g = float(g)
     x, w = _gauss_jacobi(n, 0.0, g)
     return (1.0 + x) / 2.0, w * 2.0 ** (-(g + 1.0))
-
-
-@functools.cache
-def _jacobi_sym(n, b):
-    """Rule for int_-1^1 (1-u^2)^b q(u) du."""
-    return _gauss_jacobi(n, float(b), float(b))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +310,10 @@ def angular_kernel(r, rho, dim, mu):
     is finite for mu < N-1 (a Beta-function closed form) and diverges for
     mu in [N-1, N), where a signaled infinity is returned; that infinity is
     only ever consumed inside integrals, where the substitution absorbs it.
-    Non-finite or negative radii raise DomainError.
+    Non-finite or negative radii raise DomainError, and so do distinct
+    positive radii whose squares leave the normal float range: (r + rho)^2
+    must be finite, and the square of the smaller radius (near the
+    diagonal, of |r - rho|) at least the smallest normal float.
     """
     n = _check_dim(dim)
     mu = _check_window("mu", mu, n)
@@ -335,12 +330,17 @@ def angular_kernel(r, rho, dim, mu):
     if r == rho:
         return _kernel_diagonal(r, n, mu)
     lo, hi = min(r, rho), max(r, rho)
-    if lo <= 0.5 * hi:  # the far/near split of the Riesz region table
+    far = lo <= 0.5 * hi  # the far/near split of the Riesz region table
+    small = lo if far else hi - lo  # the far kernel squares lo, the near one delta = hi - lo
+    if not (small * small >= _FLOAT_TINY and (hi + lo) * (hi + lo) < math.inf):
+        raise DomainError(f"radii r={r}, rho={rho} leave the float range of the kernel's "
+                          "squares and products")
+    if far:
         return float(_kernel_sep(hi, np.array([lo]), n, mu)[0])
     # 1-element arrays, as the quadrature passes: numpy's scalar power may
     # round unlike its array power
-    delta = hi - lo
-    return float(_kernel_near(np.array([hi]), np.array([hi - delta]), np.array([delta]), n, mu)[0])
+    return float(_kernel_near(np.array([hi]), np.array([hi - small]), np.array([small]),
+                              n, mu)[0])
 
 
 def _kernel_diagonal(r, n, mu):
@@ -371,7 +371,7 @@ def _kernel_sep(r, rho, n, mu, nodes=_ANGULAR_NODES):
         return (hi ** e * 2.0 * np.exp(e * (lp + lm) / 2.0) * np.sinh(e * (lp - lm) / 2.0)
                 / (e * r * rho) * (2.0 * math.pi))
     b = (n - 3.0) / 2.0
-    u, w = _jacobi_sym(nodes, b)
+    u, w = _gauss_jacobi(nodes, b, b)  # int_-1^1 (1-u^2)^b q(u) du
     r, rho = np.asarray(r, dtype=float)[..., None], rho[..., None]
     # one (..., nodes) array, updated in place: the same values as
     # (r r + rho^2 - 2 r rho u)^(-mu/2), without three such temporaries
@@ -382,36 +382,24 @@ def _kernel_sep(r, rho, n, mu, nodes=_ANGULAR_NODES):
 
 
 def _kernel_near(r, rho, delta, n, mu):
-    """K(r, rho) with delta = |r - rho| passed exactly.
+    """K(r, rho) with delta = |r - rho| passed exactly, batched over the delta array.
 
     Near the diagonal rho collapses onto r in floating point, so the kernel
     is computed from the separation delta itself; only the smooth factors use
-    the (possibly rounded) rho. Requires eps = delta^2/(2 r rho) <= 1/4, which
-    every caller guarantees (delta <= r/2 below the diagonal, delta <= r above
-    it, delta < hi/2 in angular_kernel).
+    the (possibly rounded) rho. r is a scalar or aligned with delta. Requires
+    eps = delta^2/(2 r rho) <= 1/4, which every caller guarantees (delta <=
+    r/2 below the diagonal, delta <= r above it, delta < hi/2 in
+    angular_kernel). N = 3 has closed forms. At N >= 4 each delta keeps the
+    rules and piece order of a scalar evaluation: the scaled [0, eps] piece,
+    then its dyadic levels in increasing k. The node sums are einsum row
+    sums, so a delta's value does not depend on its place in the batch.
     """
     delta = np.asarray(delta, dtype=float)
     if n == 3:
-        return _k3(r, rho, delta, mu)
-    return _k_jacobi(r, rho, delta, n, mu)
-
-
-def _k3(r, rho, delta, mu):
-    """Closed forms in R^3; delta = |r - rho| supplied exactly."""
-    if mu == 2.0:
-        return 2.0 * math.pi * np.log((r + rho) / delta) / (r * rho)
-    return 2.0 * math.pi * ((r + rho) ** (2.0 - mu) - delta ** (2.0 - mu)) / ((2.0 - mu) * r * rho)
-
-
-def _k_jacobi(r, rho, delta, n, mu):
-    """Near-diagonal K for any N >= 3, batched over the delta array (r scalar or aligned).
-
-    Each delta keeps the rules and piece order of a scalar evaluation: the
-    scaled [0, eps] piece, then its dyadic levels in increasing k. The node
-    sums are einsum row sums, so a delta's value does not depend on its place
-    in the batch. Needs eps <= 1/4 (see _kernel_near); the [0, eps] piece
-    assumes eps < 1.
-    """
+        if mu == 2.0:
+            return 2.0 * math.pi * np.log((r + rho) / delta) / (r * rho)
+        return (2.0 * math.pi * ((r + rho) ** (2.0 - mu) - delta ** (2.0 - mu))
+                / ((2.0 - mu) * r * rho))
     # With u = cos(theta) and w = 1 - u, the quadratic factors as
     # 2 r rho (eps + w), eps = delta^2/(2 r rho), and
     # K = |S^(N-2)| (2 r rho)^(-mu/2) * int_0^2 w^b (2-w)^b (eps+w)^(-mu/2) dw
@@ -427,7 +415,7 @@ def _k_jacobi(r, rho, delta, n, mu):
     # dyadic panels [eps 2^k, eps 2^(k+1)] out to 1 absorb the algebraic layer;
     # each pass adds level k to every delta whose panels have not reached 1 yet;
     # an eps that underflowed to 0 never reaches 1 and is left out (its K is nan)
-    xg, wg = _gauss_legendre(24)
+    xg, wg = _gauss_jacobi(24, 0.0, 0.0)
     live = np.flatnonzero(eps > 0.0)
     a = eps[live]
     while live.size:
@@ -466,7 +454,7 @@ _LOG_UNIFORM = 32 * np.finfo(float).eps
 
 def _gauss_points(segs):
     """The 12- and then the 24-point Gauss nodes of each panel [a, b]: (panels, 36)."""
-    x = np.concatenate([_gauss_legendre(_GL_ORDER)[0], _gauss_legendre(2 * _GL_ORDER)[0]])
+    x = np.concatenate([_gauss_jacobi(m, 0.0, 0.0)[0] for m in (_GL_ORDER, 2 * _GL_ORDER)])
     mid = 0.5 * (segs[:, 0] + segs[:, 1])
     half = 0.5 * (segs[:, 1] - segs[:, 0])
     return mid[:, None] + half[:, None] * x
@@ -478,7 +466,7 @@ def _rule_sums(v):
     The sums leave out the panel's half-width. einsum's row sums, unlike BLAS
     gemv, do not depend on a panel's place in the batch.
     """
-    w1, w2 = _gauss_legendre(_GL_ORDER)[1], _gauss_legendre(2 * _GL_ORDER)[1]
+    w1, w2 = (_gauss_jacobi(m, 0.0, 0.0)[1] for m in (_GL_ORDER, 2 * _GL_ORDER))
     fine = v[:, _GL_ORDER:]
     return (np.einsum("ij,j->i", v[:, :_GL_ORDER], w1), np.einsum("ij,j->i", fine, w2),
             np.einsum("ij,j->i", np.abs(fine), w2))
@@ -561,7 +549,7 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
     cfg : QuadratureConfig, optional
     at : array_like, optional
         Strictly increasing positive radii to evaluate at (at least two),
-        each with (r/2)^N finite; defaults to f.radii.
+        each with (r/2)^N finite and normal; defaults to f.radii.
 
     Returns
     -------
@@ -578,6 +566,8 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
     if not n * math.log(top) < _LOG_FLOAT_MAX:
         raise DomainError(f"rho^N overflows at N={n} for rho = {top:.6g}, the larger of half "
                           "the largest radius and the top of the grid")
+    if not n * math.log(0.5 * float(at[0])) >= _LOG_FLOAT_TINY:
+        raise DomainError(f"(r/2)^N underflows at N={n} for the smallest radius r = {at[0]:.6g}")
     _check_tail_windows(f, alpha, n)
     if f.tail_inner is None and at[0] < f.radii[0]:
         raise DomainError("evaluation below the sampled window requires an inner tail")
@@ -643,46 +633,45 @@ class _FarIntervals:
             k = np.minimum(np.searchsorted(radii, at), radii.size - 1)
             self.index = np.where(radii[k] == at, k, -1)
         if np.any(self.index >= 0):
-            w = np.concatenate([_gauss_legendre(_GL_ORDER)[1], _gauss_legendre(2 * _GL_ORDER)[1]])
+            w = np.concatenate([_gauss_jacobi(m, 0.0, 0.0)[1] for m in (_GL_ORDER, 2 * _GL_ORDER)])
             self.weighted = _profile_table(f, n) * w
             self.size = np.abs(self.weighted[:, _GL_ORDER:])
             self.rows = np.zeros((2 * self.intervals, w.size))
             self.built = np.zeros(2 * self.intervals, dtype=bool)
 
-    def hits(self, segs, far):
-        """Positions p of the far panels that are exactly a grid interval, and those intervals."""
+    def given(self, segs, far, r, index, owner):
+        """The given pair of _adaptive_gl: far panels that are one grid interval, and their sums.
+
+        Panel p belongs to radius r[owner[p]], owner ascending, and index[i]
+        is the grid index of r[i], else -1. Returns the positions p of the
+        panels in segs[far] that are exactly grid interval j of a grid radius
+        g, and their _rule_sums: the products of the table with the kernel
+        rows j - g, built where missing, times r^-mu.
+        """
         logr = self.logr
         j = np.minimum(np.searchsorted(logr, segs[:, 0]), logr.size - 2)
-        hit = np.flatnonzero(far & (logr[j] == segs[:, 0]) & (logr[j + 1] == segs[:, 1]))
-        return hit, j[hit]
-
-    def sums(self, r, index, owner, j):
-        """_rule_sums of the panels (radius r[owner[p]], interval j[p]), owner ascending.
-
-        index[i] is the grid index of r[i]; every owner is a grid radius.
-        """
-        out = np.empty((3, owner.size))
+        hit = np.flatnonzero(far & (index[owner] >= 0) & (logr[j] == segs[:, 0])
+                             & (logr[j + 1] == segs[:, 1]))
+        j, owner = j[hit], owner[hit]
+        out = np.empty((3, hit.size))
         bounds = np.searchsorted(owner, np.arange(r.size + 1))
         # each owner's run, walked in order: np.unique would import numpy.ma (~13 ms)
         for i in np.flatnonzero(bounds[1:] > bounds[:-1]):
-            lo, hi = bounds[i], bounds[i + 1]
-            out[:, lo:hi] = self.offset_sums(index[i], j[lo:hi]) * r[i] ** -self.mu
-        return out
-
-    def offset_sums(self, i, j):
-        """Sums of intervals j against K(1, rho/r_i): rows j - i, built where missing."""
-        k = j - i + self.intervals
-        new = k[~self.built[k]]
-        for s in range(0, new.size, self.chunk):
-            d = (new[s:s + self.chunk] - self.intervals) * self.h
-            self.rows[new[s:s + self.chunk]] = _kernel_sep(
-                1.0, np.exp(_gauss_points(np.column_stack([d, d + self.h]))), self.n, self.mu)
-        self.built[new] = True
-        rows = self.rows[self.intervals - i:2 * self.intervals - i]  # row j: offset j - i
-        coarse, fine = rows[:, :_GL_ORDER], rows[:, _GL_ORDER:]
-        return np.array([np.einsum("jk,jk->j", self.weighted[:, :_GL_ORDER], coarse)[j],
-                         np.einsum("jk,jk->j", self.weighted[:, _GL_ORDER:], fine)[j],
-                         np.einsum("jk,jk->j", self.size, fine)[j]])
+            lo, hi, g = bounds[i], bounds[i + 1], index[i]
+            k = j[lo:hi] - g + self.intervals
+            new = k[~self.built[k]]
+            for s in range(0, new.size, self.chunk):
+                d = (new[s:s + self.chunk] - self.intervals) * self.h
+                self.rows[new[s:s + self.chunk]] = _kernel_sep(
+                    1.0, np.exp(_gauss_points(np.column_stack([d, d + self.h]))), self.n, self.mu)
+            self.built[new] = True
+            rows = self.rows[self.intervals - g:2 * self.intervals - g]  # row j: offset j - g
+            coarse, fine = rows[:, :_GL_ORDER], rows[:, _GL_ORDER:]
+            out[:, lo:hi] = np.array([
+                np.einsum("jk,jk->j", self.weighted[:, :_GL_ORDER], coarse)[j[lo:hi]],
+                np.einsum("jk,jk->j", self.weighted[:, _GL_ORDER:], fine)[j[lo:hi]],
+                np.einsum("jk,jk->j", self.size, fine)[j[lo:hi]]]) * r[i] ** -self.mu
+        return hit, out
 
 
 def _runs(counts):
@@ -749,12 +738,10 @@ def _riesz_block(f, r, index, n, mu, alpha, cfg, grid):
     length[live] = yb - ya
     segs, tag = _initial_panels(f.radii, grid.logr, al, bl, ya, yb, rl, far)
     tag = live[tag]
-    # far panels of grid radii that are one grid interval: sums from offset rows
-    hit, j = grid.hits(segs, (side[tag] == 0.0) & (index[tag // 4] >= 0))
     val, e, used, ok = _adaptive_gl(
         _region_integrand(f, n, mu, rg, side), segs, tag, length,
         cfg.rel_tol, cfg.abs_tol, max(cfg.max_panels // 4, 4), grid.chunk,
-        (hit, grid.sums(r, index, tag[hit] // 4, j)))
+        grid.given(segs, side[tag] == 0.0, r, index, tag // 4))
     for k in range(4):  # summed row by row, in table order
         raw += val[k::4]
         err += e[k::4]
@@ -927,7 +914,7 @@ def inverse_laplacian_radial(g, dim):
 
     def moments(order):
         """(int g rho^(N-1), int g rho, and both of |g|) over each grid interval, one pass of g."""
-        xs, ws = _gauss_legendre(order)
+        xs, ws = _gauss_jacobi(order, 0.0, 0.0)
         nodes = mid[:, None] + half[:, None] * xs[None, :]
         vals = g(nodes.ravel()).reshape(nodes.shape)
         return [((v * nodes ** power) @ ws) * half
@@ -963,51 +950,3 @@ def inverse_laplacian_radial(g, dim):
         g, radii, u, errors, 2.0, n,
         lambda t: PowerLawTerm(t.coefficient / ((t.exponent - 2.0) * (n - t.exponent)),
                                t.exponent - 2.0))
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference Laplacian on the log grid
-
-
-def laplacian_radial_fd(f, at, dim):
-    """-Lap f at a grid radius by centered differences in x = log r.
-
-    -Lap f = -(f_xx + (N-2) f_x)/r^2 on a log-uniform grid. Uses stride-1 and
-    stride-2 centered differences with Richardson extrapolation; returns
-    (value, error_estimate). The radius must coincide with a grid node (the
-    stencil is centered there) and the node needs two neighbors on each side.
-    """
-    n = _check_dim(dim)
-    x = np.log(f.radii)
-    if f.radii.size < 5:
-        raise DomainError("finite differences need at least 5 samples")
-    hs = np.diff(x)
-    h = hs.mean()
-    if np.max(np.abs(hs - h)) > 1e-9 * h:
-        raise DomainError("finite differences require a log-uniform grid")
-    at = float(at)
-    if not at > 0.0:
-        raise DomainError("radius must be positive")
-    i = int(np.argmin(np.abs(x - math.log(at))))
-    if abs(x[i] - math.log(at)) > 1e-8:
-        raise DomainError(
-            f"radius {at} does not coincide with a grid node "
-            f"(nearest is {f.radii[i]}); the stencil needs a centered node"
-        )
-    if i < 2 or i > f.radii.size - 3:
-        raise DomainError(
-            f"radius {at} snaps to index {i}, too close to the grid edge for stride-2 stencils"
-        )
-    v = f.values
-    d1h = (v[i + 1] - v[i - 1]) / (2.0 * h)
-    d1hh = (v[i + 2] - v[i - 2]) / (4.0 * h)
-    d1 = (4.0 * d1h - d1hh) / 3.0
-    e1 = abs(d1h - d1hh) / 3.0
-    d2h = (v[i + 1] - 2.0 * v[i] + v[i - 1]) / (h * h)
-    d2hh = (v[i + 2] - 2.0 * v[i] + v[i - 2]) / (4.0 * h * h)
-    d2 = (4.0 * d2h - d2hh) / 3.0
-    e2 = abs(d2h - d2hh) / 3.0
-    r = float(f.radii[i])
-    value = -(d2 + (n - 2.0) * d1) / (r * r)
-    error = (e2 + abs(n - 2.0) * e1) / (r * r) + _ROUNDOFF * abs(v[i]) / (h * h * r * r)
-    return value, error

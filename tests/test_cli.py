@@ -162,6 +162,8 @@ _FAILURES = [
      "domain error: plane lambda=-inf is not a multiple of h/2"),
     (("hls", "--t", "1.5", "--mu", "inf"), 1, "domain error: " + _MU),
     (("critical-exponents", "--mu", "-1"), 1, "domain error: " + _MU),
+    (("riesz", "--alpha", "1.5", "--exponent", "2.2", "--numeric", "--radii", "1e-300,1"), 1,
+     "domain error: (r/2)^N underflows at N=3 for the smallest radius r = 1e-300"),
     (("riesz", "--alpha", "1.5", "--exponent", "2.2", "--numeric", "--max-panels", "16",
       "--rel-tol", "1e-15", "--abs-tol", "1e-300"), 2, "computation failed: "),
     (("solve-params", "--mu", "2.5", "--p", "2"), 64, "missing required value --q"),

@@ -17,13 +17,13 @@ from hartree_singular import (
     decay_exponent,
     hls_conjugate,
     laplacian_power,
-    laplacian_radial_fd,
     log_grid,
     RadialProfile,
     riesz_gamma,
     riesz_power,
     solve_params,
 )
+from test_radial import _fd_laplacian  # the private stencil of the radial tests
 
 # Frozen oracle values (independent quadrature of the defining integrals):
 #   solve_params(3, 2.5, 2, 2)  -> s = 5/6,  A = 0.1531076580302631
@@ -84,7 +84,7 @@ def test_laplacian_power_against_finite_differences():
     # independent check of (s=1, N=5) -> 2 r^-3 through the FD Laplacian
     grid = log_grid(1e-2, 1e2, 401)
     prof = RadialProfile.from_power(PowerLawTerm(1.0, 1.0), grid)
-    value, err = laplacian_radial_fd(prof, 1.0, 5)
+    value, err = _fd_laplacian(prof, 1.0, 5)
     assert value == pytest.approx(2.0, rel=1e-4)
 
 

@@ -23,7 +23,6 @@ from hartree_singular import (
     angular_kernel,
     inverse_laplacian_radial,
     laplacian_power,
-    laplacian_radial_fd,
     log_grid,
     riesz_power,
     riesz_radial,
@@ -32,12 +31,8 @@ from hartree_singular import (
 from hartree_singular import radial_quadrature
 from hartree_singular.radial_quadrature import (
     _gauss_jacobi,
-    _gauss_legendre,
     _gauss_points,
-    _jacobi_sym,
     _jacobi_unit,
-    _k3,
-    _k_jacobi,
     _kernel_near,
     _kernel_sep,
     _pchip,
@@ -102,6 +97,27 @@ def test_riesz_rejects_radii_where_rho_pow_n_overflows():
     high = RadialProfile.from_power(PowerLawTerm(1.0, 1.5), log_grid(0.1, 1e104, 60))
     with pytest.raises(DomainError, match="top of the grid"):
         riesz_radial(high, 1.0, 3, at=[1.0, 2.0])
+
+
+def test_riesz_rejects_radii_where_half_radius_pow_n_underflows():
+    # the mirror of the rule above: (r/2)^N below the smallest normal float
+    # ends at N=3 from r = 2 * 2.225e-308^(1/3) = 5.63e-103, at N=4 from 2.44e-77
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, 2.2), log_grid())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, good, bad in ((3, 5.7e-103, 5.6e-103), (3, 5.7e-103, 1e-300),
+                             (4, 2.5e-77, 2.4e-77), (4, 2.5e-77, 1e-100)):
+            assert math.isfinite(riesz_radial(prof, 1.5, n, at=[good, 1.0]).values[0])
+            with pytest.raises(DomainError, match=f"underflows at N={n} for the smallest "
+                                                  f"radius r = {bad:.6g}"):
+                riesz_radial(prof, 1.5, n, at=[bad, 1.0])
+
+
+def test_from_power_rejects_an_overflowing_sample_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="profile values must be finite"):
+            RadialProfile.from_power(PowerLawTerm(1.0, 2.2), log_grid(1e-200, 1.0, 10))
 
 
 def test_log_grid_shape():
@@ -294,7 +310,7 @@ def _moment_error(rule, moments):
 
 
 def _legendre_case(n):
-    x, w = _gauss_legendre(n)
+    x, w = _gauss_jacobi(n, 0.0, 0.0)
     moments = [(k, 2.0 / (k + 1.0), 2.0 / (k + 1.0)) for k in range(2 * n)]
     ours = _moment_error(((1.0 + x) / 2.0, w), moments)
     xs, ws = roots_legendre(n)
@@ -312,7 +328,8 @@ def _sym_case(n, b):
     # int |u|^k (1-u^2)^b du = B((k+1)/2, b+1); the odd moments vanish
     moments = [(k, 0.0 if k % 2 else _beta((k + 1) / 2.0, b + 1.0), _beta((k + 1) / 2.0, b + 1.0))
                for k in range(2 * n)]
-    return _moment_error(_jacobi_sym(n, b), moments), _moment_error(roots_jacobi(n, b, b), moments)
+    return (_moment_error(_gauss_jacobi(n, b, b), moments),
+            _moment_error(roots_jacobi(n, b, b), moments))
 
 
 _RULE_FAMILIES = {
@@ -432,7 +449,7 @@ def test_kernel_between_half_and_diagonal_against_quad(n):
 
 
 def _k_general_delta(r, delta, rho, n, mu):
-    """The scalar per-delta kernel that the batched _k_jacobi replaced: its reference."""
+    """The scalar per-delta kernel that the batched _kernel_near replaced: its reference."""
     b = (n - 3.0) / 2.0
     eps = delta * delta / (2.0 * r * rho)
     X, W = _jacobi_unit(48, b)
@@ -442,7 +459,7 @@ def _k_general_delta(r, delta, rho, n, mu):
     else:
         xe = eps * X
         j1 = eps ** (b + 1.0) * float(W @ ((2.0 - xe) ** b * (eps + xe) ** (-mu / 2.0)))
-        xg, wg = _gauss_legendre(24)
+        xg, wg = _gauss_jacobi(24, 0.0, 0.0)
         a = eps
         while a < 1.0:
             c = min(2.0 * a, 1.0)
@@ -520,13 +537,14 @@ def test_angular_kernel_near_the_diagonal_is_the_quadrature_kernel(n, mu):
 
 
 def test_jacobi_path_at_dim_three_matches_closed_form():
+    # the N >= 4 rules, in their scalar reference form, against the N = 3 closed forms
     r = 0.9
     for mu in (0.5, 1.5, 2.0, 2.5, 2.7):
         for side in (-1, 1):
             delta = _near_deltas(r, side, 3.0 - mu, 80)
             rho = r + side * delta
-            got = _k_jacobi(r, rho, delta, 3, mu)
-            want = _k3(r, rho, delta, mu)
+            got = np.array([_k_general_delta(r, d, p, 3, mu) for d, p in zip(delta, rho)])
+            want = _kernel_near(r, rho, delta, 3, mu)
             assert np.max(np.abs(got / want - 1.0)) <= 1e-13, (mu, side)
 
 
@@ -580,6 +598,33 @@ def test_kernel_zero_radius_and_errors():
                       (1.0, math.inf, 3), (1.0, -math.inf, 4)):
         with pytest.raises(DomainError):
             angular_kernel(r, rho, n, 2.0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_kernel_at_extreme_radii_is_scaled_or_refused(n):
+    # r^2, rho^2, r rho and (near the diagonal) |r - rho|^2 leave the normal
+    # float range out here; each pair either keeps homogeneity or raises
+    # DomainError, and none warns. Scaling by 2^k keeps rho/r exact
+    mu = 1.5
+    ratios = (1.0 - 2.0 ** -52, 1.0 - 1e-9, 0.9, 0.6, 0.5, 0.3, 1e-3, 1e-30)
+    refused = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-532, 533, 14):
+            r = 2.0 ** k
+            for c in ratios:
+                want = r ** -mu * angular_kernel(1.0, c, n, mu)
+                for a, b in ((r, r * c), (r * c, r)):
+                    try:
+                        got = angular_kernel(a, b, n, mu)
+                    except DomainError:
+                        refused += 1
+                        continue
+                    assert got == pytest.approx(want, rel=1e-13), (k, c)
+        for r, rho in ((1e155, 9e154), (1e155, 1e150), (1e-160, 1e-165), (1e-160, 9e-161)):
+            with pytest.raises(DomainError, match="float range"):
+                angular_kernel(r, rho, n, mu)
+    assert refused > 0
 
 
 def test_kernel_positivity():
@@ -641,8 +686,8 @@ def _adaptive_gl_scalar(fun, a, b, rel_tol, abs_tol, max_panels, presplit=1):
     if not b > a:
         return 0.0, 0.0, 0, True
     order = radial_quadrature._GL_ORDER
-    x1, w1 = _gauss_legendre(order)
-    x2, w2 = _gauss_legendre(2 * order)
+    x1, w1 = _gauss_jacobi(order, 0.0, 0.0)
+    x2, w2 = _gauss_jacobi(2 * order, 0.0, 0.0)
     edges = _initial_edges(a, b, presplit, [])
     segs = np.column_stack([edges[:-1], edges[1:]])
     total_len = b - a
@@ -1177,7 +1222,7 @@ def test_inverse_laplacian_round_trip(n, share, c):
     rel = np.abs(u.values / closed(u.radii) - 1.0)
     assert np.all(rel <= u.point_errors)
     for r in u.radii[2:-2:7]:
-        value, err = laplacian_radial_fd(u, r, n)
+        value, err = _fd_laplacian(u, r, n)
         assert abs(value - g(r)) <= err, (r, value, g(r), err)
 
 
@@ -1228,13 +1273,36 @@ def test_riesz_tail_within_gamma_margin_is_fitted(a):
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference Laplacian
+# Finite-difference Laplacian: an independent check of the closed-form and
+# Newton-potential Laplacians
+
+
+def _fd_laplacian(f, at, n):
+    """-Lap f at the grid radius nearest at, by centred differences in x = log r.
+
+    -Lap f = -(f_xx + (N-2) f_x)/r^2 on a log-uniform grid, from stride-1 and
+    stride-2 differences with Richardson extrapolation; returns (value, error
+    estimate). The node needs two neighbours on each side.
+    """
+    x = np.log(f.radii)
+    h = np.diff(x).mean()
+    i = int(np.argmin(np.abs(x - math.log(at))))
+    v = f.values
+    d1h, d1hh = (v[i + 1] - v[i - 1]) / (2.0 * h), (v[i + 2] - v[i - 2]) / (4.0 * h)
+    d2h = (v[i + 1] - 2.0 * v[i] + v[i - 1]) / (h * h)
+    d2hh = (v[i + 2] - 2.0 * v[i] + v[i - 2]) / (4.0 * h * h)
+    d1, e1 = (4.0 * d1h - d1hh) / 3.0, abs(d1h - d1hh) / 3.0
+    d2, e2 = (4.0 * d2h - d2hh) / 3.0, abs(d2h - d2hh) / 3.0
+    r = float(f.radii[i])
+    error = ((e2 + abs(n - 2.0) * e1) / (r * r)
+             + radial_quadrature._ROUNDOFF * abs(v[i]) / (h * h * r * r))
+    return -(d2 + (n - 2.0) * d1) / (r * r), error
 
 
 def test_fd_laplacian_power_law():
     grid = log_grid(1e-3, 1e3, 401)
     prof = RadialProfile.from_power(PowerLawTerm(1.0, 0.5), grid)
-    value, err = laplacian_radial_fd(prof, 1.0, 3)
+    value, err = _fd_laplacian(prof, 1.0, 3)
     assert value == pytest.approx(0.25, rel=1e-4)
     assert abs(value - 0.25) <= err
 
@@ -1242,27 +1310,10 @@ def test_fd_laplacian_power_law():
 def test_fd_laplacian_trivial_cases():
     grid = log_grid(0.1, 10.0, 201)
     const = RadialProfile(grid, np.full_like(grid, 3.0))
-    v, _ = laplacian_radial_fd(const, 1.0, 3)
+    v, _ = _fd_laplacian(const, 1.0, 3)
     assert abs(v) < 1e-9
     quadratic = RadialProfile(grid, grid ** 2)
-    v, _ = laplacian_radial_fd(quadratic, 1.0, 3)
+    v, _ = _fd_laplacian(quadratic, 1.0, 3)
     assert v == pytest.approx(-6.0, rel=1e-4)
-    v, _ = laplacian_radial_fd(quadratic, 1.0, 4)
+    v, _ = _fd_laplacian(quadratic, 1.0, 4)
     assert v == pytest.approx(-8.0, rel=1e-4)
-
-
-def test_fd_laplacian_domain_errors():
-    grid = log_grid(0.1, 10.0, 101)
-    prof = RadialProfile(grid, grid ** -1.0)
-    with pytest.raises(DomainError):
-        laplacian_radial_fd(prof, 1.0033, 3)  # not a node
-    with pytest.raises(DomainError):
-        laplacian_radial_fd(prof, float(grid[1]), 3)  # too close to the edge
-    with pytest.raises(DomainError):
-        laplacian_radial_fd(prof, -1.0, 3)
-    ragged = RadialProfile(np.array([0.1, 0.2, 0.5, 1.0, 4.0]), np.ones(5))
-    with pytest.raises(DomainError):
-        laplacian_radial_fd(ragged, 0.5, 3)
-    short = RadialProfile(np.array([1.0, 2.0]), np.ones(2))
-    with pytest.raises(DomainError):
-        laplacian_radial_fd(short, 1.0, 3)

@@ -295,25 +295,29 @@ def _jacobi_unit(n, g):
 # ---------------------------------------------------------------------------
 # Angular kernel
 
-# polar-angle nodes of the far kernel at N >= 4; the near-diagonal pieces use
-# 48 and the tails 32 and 16. point_errors carries no angular term, so the
-# rules are fixed where they reach round-off instead of being an option
-_ANGULAR_NODES = 64
+# polar-angle nodes of the far kernel at N >= 4, within 2.9e-15 of hyp2f1 for
+# rho/r in [1e-3, 1/2] (16 nodes miss by 2.4e-8); the near-diagonal pieces use
+# 48 and 16 per panel, the tails 64 and 32. point_errors carries no angular
+# term, so the rules are fixed where they reach round-off instead of being an option
+_ANGULAR_NODES = 32
 
 
 def angular_kernel(r, rho, dim, mu):
     """Spherical average K(r, rho) of |r e1 - rho w|^(-mu) over w in S^(N-1).
 
-    Symmetric in (r, rho) and homogeneous of degree -mu. For N = 3 closed
-    forms are used; general N reduces to a Gauss-Jacobi rule in the polar
-    angle with graded panels near the diagonal. On the diagonal the average
-    is finite for mu < N-1 (a Beta-function closed form) and diverges for
-    mu in [N-1, N), where a signaled infinity is returned; that infinity is
-    only ever consumed inside integrals, where the substitution absorbs it.
-    Non-finite or negative radii raise DomainError, and so do distinct
-    positive radii whose squares leave the normal float range: (r + rho)^2
-    must be finite, and the square of the smaller radius (near the
-    diagonal, of |r - rho|) at least the smallest normal float.
+    Symmetric in (r, rho) and homogeneous of degree -mu. N = 3 has closed
+    forms. At N >= 4, far from the diagonal (min/max <= 1/2) K is a
+    Gauss-Jacobi rule in the polar angle; near it, the quadrature's own near
+    kernel, with e^2-wide Gauss-Legendre panels in log(1 - cos theta).
+    On the diagonal the average is finite for mu < N-1 (a Beta-function
+    closed form) and diverges for mu in [N-1, N), where a signaled infinity
+    is returned; that infinity is only ever consumed inside integrals, where
+    the substitution absorbs it. Non-finite or negative radii raise
+    DomainError, and so do distinct positive radii whose squares leave the
+    normal float range: (r + rho)^2 must be finite, and the square of the
+    smaller radius (near the diagonal, of |r - rho|) at least the smallest
+    normal float. Any other value that is not a normal float, one that
+    overflows or falls below the smallest normal float, raises DomainError too.
     """
     n = _check_dim(dim)
     mu = _check_window("mu", mu, n)
@@ -325,29 +329,37 @@ def angular_kernel(r, rho, dim, mu):
         raise DomainError("radii must be nonnegative")
     if r == 0.0 and rho == 0.0:
         raise DomainError("kernel undefined with both radii zero")
-    if min(r, rho) == 0.0:
-        return sphere_area(n) * max(r, rho) ** (-mu)
-    if r == rho:
-        return _kernel_diagonal(r, n, mu)
-    lo, hi = min(r, rho), max(r, rho)
-    far = lo <= 0.5 * hi  # the far/near split of the Riesz region table
-    small = lo if far else hi - lo  # the far kernel squares lo, the near one delta = hi - lo
-    if not (small * small >= _FLOAT_TINY and (hi + lo) * (hi + lo) < math.inf):
-        raise DomainError(f"radii r={r}, rho={rho} leave the float range of the kernel's "
-                          "squares and products")
-    if far:
-        return float(_kernel_sep(hi, np.array([lo]), n, mu)[0])
-    # 1-element arrays, as the quadrature passes: numpy's scalar power may
-    # round unlike its array power
-    return float(_kernel_near(np.array([hi]), np.array([hi - small]), np.array([small]),
-                              n, mu)[0])
-
-
-def _kernel_diagonal(r, n, mu):
-    if mu >= n - 1.0:
+    if r == rho and mu >= n - 1.0:
         return math.inf
-    bfun = math.gamma((n - 1.0 - mu) / 2.0) * math.gamma((n - 1.0) / 2.0) / math.gamma(n - 1.0 - mu / 2.0)
-    return sphere_area(n - 1) * r ** (-mu) * 2.0 ** (n - 2.0 - mu) * bfun
+    lo, hi = min(r, rho), max(r, rho)
+    if lo == 0.0 or lo == hi:
+        try:  # a Python float power raises OverflowError where numpy's gives inf
+            scale = hi ** (-mu)
+        except OverflowError:
+            scale = math.inf
+        if lo == 0.0:
+            k = sphere_area(n) * scale
+        else:
+            bfun = (math.gamma((n - 1.0 - mu) / 2.0) * math.gamma((n - 1.0) / 2.0)
+                    / math.gamma(n - 1.0 - mu / 2.0))
+            k = sphere_area(n - 1) * scale * 2.0 ** (n - 2.0 - mu) * bfun
+    else:
+        far = lo <= 0.5 * hi  # the far/near split of the Riesz region table
+        small = lo if far else hi - lo  # the far kernel squares lo, the near one delta = hi - lo
+        if not (small * small >= _FLOAT_TINY and (hi + lo) * (hi + lo) < math.inf):
+            raise DomainError(f"radii r={r}, rho={rho} leave the float range of the kernel's "
+                              "squares and products")
+        with np.errstate(over="ignore"):  # an infinite value raises below
+            if far:
+                k = float(_kernel_sep(hi, np.array([lo]), n, mu)[0])
+            else:
+                # 1-element arrays, as the quadrature passes: numpy's scalar
+                # power may round unlike its array power
+                k = float(_kernel_near(np.array([hi]), np.array([hi - small]), np.array([small]),
+                                       n, mu)[0])
+    if not _FLOAT_TINY <= k < math.inf:
+        raise DomainError(f"K(r={r}, rho={rho}) at N={n}, mu={mu} leaves the normal float range")
+    return k
 
 
 def _kernel_sep(r, rho, n, mu, nodes=_ANGULAR_NODES):
@@ -381,7 +393,7 @@ def _kernel_sep(r, rho, n, mu, nodes=_ANGULAR_NODES):
     return sphere_area(n - 1) * np.einsum("...j,j->...", q, w)
 
 
-def _kernel_near(r, rho, delta, n, mu):
+def _kernel_near(r, rho, delta, n, mu, alpha=None):
     """K(r, rho) with delta = |r - rho| passed exactly, batched over the delta array.
 
     Near the diagonal rho collapses onto r in floating point, so the kernel
@@ -389,10 +401,18 @@ def _kernel_near(r, rho, delta, n, mu):
     the (possibly rounded) rho. r is a scalar or aligned with delta. Requires
     eps = delta^2/(2 r rho) <= 1/4, which every caller guarantees (delta <=
     r/2 below the diagonal, delta <= r above it, delta < hi/2 in
-    angular_kernel). N = 3 has closed forms. At N >= 4 each delta keeps the
-    rules and piece order of a scalar evaluation: the scaled [0, eps] piece,
-    then its dyadic levels in increasing k. The node sums are einsum row
-    sums, so a delta's value does not depend on its place in the batch.
+    angular_kernel). N = 3 has closed forms. At N >= 4, with c = (N-1-mu)/2,
+    eps^(-mu/2) is factored out of the [0, eps] piece, so that it reads eps^c
+    times a smooth integral, and [eps, 1] runs over e^2-wide Gauss-Legendre
+    panels in log w, where the integrand is at most 2^b max(1, eps^c): no
+    intermediate overflows while eps is a normal float. An eps that underflowed
+    to 0 gives NaN. alpha, when the caller knows N - mu exactly, gives c as
+    (alpha - 1)/2: a value moves by about |log eps| times an error in c, and
+    mu = N - alpha rounded put riesz_radial 11 units in the last place off at
+    alpha = 0.15. Each delta keeps the rules and piece order of a scalar
+    evaluation: [0, eps], the panel at eps, the panels from w = 1 down, then
+    [1, 2]. The node sums are einsum row sums, so a delta's value does not
+    depend on its place in the batch.
     """
     delta = np.asarray(delta, dtype=float)
     if n == 3:
@@ -403,31 +423,50 @@ def _kernel_near(r, rho, delta, n, mu):
     # With u = cos(theta) and w = 1 - u, the quadratic factors as
     # 2 r rho (eps + w), eps = delta^2/(2 r rho), and
     # K = |S^(N-2)| (2 r rho)^(-mu/2) * int_0^2 w^b (2-w)^b (eps+w)^(-mu/2) dw
-    b = (n - 3.0) / 2.0
-    eps = delta * delta / (2.0 * r * rho)
+    b, c = (n - 3.0) / 2.0, ((n - mu if alpha is None else alpha) - 1.0) / 2.0
+    eps = (delta / r) * (delta / rho) / 2.0  # no delta^2: it leaves the normal range first
+    live = np.flatnonzero(eps > 0.0)  # an eps that underflowed to 0 gets K = nan
     e = eps[:, None]
+    # both rules get their exact zeroth moment: the Golub-Welsch weights share an
+    # error of a few units in the last place, which every delta's value would carry
     X, W = _jacobi_unit(48, b)
-    # piece [1, 2] via v = 2 - w: integrand v^b (2-v)^b (eps + 2 - v)^(-mu/2)
-    j2 = np.einsum("ij,j->i", (2.0 - X) ** b * (e + 2.0 - X) ** (-mu / 2.0), W)
-    # piece [0, eps]: scaled Jacobi rule; the factor (eps + w) varies by at most 2x
-    xe = e * X
-    j1 = eps ** (b + 1.0) * np.einsum("ij,j->i", (2.0 - xe) ** b * (e + xe) ** (-mu / 2.0), W)
-    # dyadic panels [eps 2^k, eps 2^(k+1)] out to 1 absorb the algebraic layer;
-    # each pass adds level k to every delta whose panels have not reached 1 yet;
-    # an eps that underflowed to 0 never reaches 1 and is left out (its K is nan)
-    xg, wg = _gauss_jacobi(24, 0.0, 0.0)
-    live = np.flatnonzero(eps > 0.0)
-    a = eps[live]
-    while live.size:
-        c = np.minimum(2.0 * a, 1.0)
-        mid, half = 0.5 * (a + c), 0.5 * (c - a)
-        wn = mid[:, None] + half[:, None] * xg
-        el = eps[live, None]
-        level = wn ** b * (2.0 - wn) ** b * (el + wn) ** (-mu / 2.0)
-        j1[live] += half * np.einsum("ij,j->i", level, wg)
-        keep = c < 1.0
-        live, a = live[keep], c[keep]
-    return sphere_area(n - 1) * (2.0 * r * rho) ** (-mu / 2.0) * (j1 + j2)
+    W = W / (W.sum() * (b + 1.0))
+    # piece [1, 2] via v = 2 - w: v^b (2-v)^b (eps + 2 - v)^(-mu/2), (2-v)^b in the weights
+    q = e + (2.0 - X)
+    np.power(q, -mu / 2.0, out=q)
+    j2 = np.einsum("ij,j->i", q, W * (2.0 - X) ** b)
+    # piece [0, eps] via w = eps X, with eps^(-mu/2) factored out of (eps + w)^(-mu/2):
+    # eps^c X^b (2 - eps X)^b (1 + X)^(-mu/2), (1 + X)^(-mu/2) in the weights
+    q = e * X
+    np.subtract(2.0, q, out=q)
+    np.power(q, b, out=q)
+    j1 = np.einsum("ij,j->i", q, W * (1.0 + X) ** (-mu / 2.0))
+    j1[live] *= eps[live] ** c
+    # piece [eps, 1] in log w, on panels of 16-point Gauss-Legendre rules: first
+    # [eps, e^(-2 m)] with m = floor(-log(eps)/2), then [e^(-2(k+1)), e^(-2k)] for
+    # k = 0 .. m-1. A panel [a, a e^L] places its nodes by its own width L, w =
+    # a e^(L u) for u in [0, 1], dw = w L du, and the integrand w^c (2-w)^b
+    # (1 + eps/w)^(-mu/2) has every factor below 2^b max(1, eps^c). The e^2-wide
+    # panels have the same nodes for every delta, so w^c (2-w)^b goes into their
+    # weights; pass k adds panel k to every delta with m > k
+    u, wu = _gauss_jacobi(16, 0.0, 0.0)
+    u, wu = (u + 1.0) / 2.0, wu / wu.sum()
+    el = eps[live]
+    m = np.floor(-np.log(el) / 2.0)
+    width = np.log(np.exp(-2.0 * m) / el)  # a rounded m may make it ~1e-16 negative
+    w = el[:, None] * np.exp(width[:, None] * u)
+    level = w ** c * (2.0 - w) ** b * (1.0 + el[:, None] / w) ** (-mu / 2.0)
+    j1[live] += width * np.einsum("ij,j->i", level, wu)
+    w = np.exp(-2.0 * np.arange(1.0, m.max(initial=0.0) + 1.0))[:, None] * np.exp(2.0 * u)
+    rows = 2.0 * wu * w ** c * (2.0 - w) ** b
+    for k in range(rows.shape[0]):
+        live, m = live[m > k], m[m > k]
+        q = eps[live, None] / w[k]
+        q += 1.0
+        np.power(q, -mu / 2.0, out=q)
+        j1[live] += np.einsum("ij,j->i", q, rows[k])
+    return np.where(eps > 0.0, sphere_area(n - 1) * (2.0 * r * rho) ** (-mu / 2.0) * (j1 + j2),
+                    np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +475,12 @@ def _kernel_near(r, rho, delta, n, mu):
 _GL_ORDER = 12
 _RADIUS_BLOCK = 32  # radii per _adaptive_gl run, which bounds the live panel arrays
 # panels per integrand call at N = 3; at N >= 4 each point also carries a row
-# of _ANGULAR_NODES kernel terms, so a call takes _CHUNK_PANELS // 2. The
-# bound is memory, not time: at N = 3, 512 panels raised the traced peak of a
-# 400-radius call from 2.5 to 3.4 MB at no gain in time; at N >= 4, 256
-# panels ran verify_solution about 5% faster than 128 on a 2-core Xeon but
-# raised its peak RSS from 71.0 to 73.3 MB, where 32 panels gave 69.7 MB.
+# of _ANGULAR_NODES far or 48 near kernel terms, so a call takes
+# _CHUNK_PANELS // 2. The bound is memory, not time: at N = 3, 512 panels
+# raised the traced peak of a 400-radius call from 2.5 to 3.4 MB at no gain in
+# time; at N >= 4, 256 panels ran verify_solution no faster than 128 on a
+# 2-core Xeon and raised its peak RSS from 38.1 to 39.6 MB, through the
+# (points x 48) temporaries of the near kernel.
 _CHUNK_PANELS = 256
 # rounding floor of an error bound, per unit of sum |integrand * weight|: an
 # integrand value passes through about eight rounded steps (the node, exp,
@@ -543,7 +583,9 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
         tail means hard truncation with the truncation estimate folded into
         the per-point error report.
     alpha : float
-        Order of the potential, 0 < alpha < N.
+        Order of the potential, 0 < alpha < N; at N >= 4 also alpha >= 0.13,
+        below which eps = e^(-2t)/2 at the end t = 46/alpha of the
+        near-diagonal pieces leaves the normal float range.
     dim : int
         Ambient dimension N >= 3.
     cfg : QuadratureConfig, optional
@@ -568,6 +610,11 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
                           "the largest radius and the top of the grid")
     if not n * math.log(0.5 * float(at[0])) >= _LOG_FLOAT_TINY:
         raise DomainError(f"(r/2)^N underflows at N={n} for the smallest radius r = {at[0]:.6g}")
+    if n > 3 and not -2.0 * _t_cap(alpha) - math.log(2.0) >= _LOG_FLOAT_TINY:
+        edge = 2.0 * 46.0 / (-_LOG_FLOAT_TINY - math.log(2.0))  # where 46/alpha > 40
+        raise DomainError(f"alpha={alpha} is below the near-diagonal window alpha >= {edge:.4f} "
+                          f"at N={n} (mu = N - alpha <= {n - edge:.4f}): eps = e^(-2t)/2 "
+                          "underflows at the substitution's end t = 46/alpha")
     _check_tail_windows(f, alpha, n)
     if f.tail_inner is None and at[0] < f.radii[0]:
         raise DomainError("evaluation below the sampled window requires an inner tail")
@@ -680,6 +727,11 @@ def _runs(counts):
     return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
 
 
+def _t_cap(alpha):
+    """The end of the near-diagonal pieces in t, where their integrand, O(e^(-alpha t)), is e^-46."""
+    return max(40.0, 46.0 / alpha)
+
+
 def _riesz_block(f, r, index, n, mu, alpha, cfg, grid):
     """Raw integrals int f rho^(N-1) K drho (no 1/gamma) at the radii r, all run together.
 
@@ -733,13 +785,13 @@ def _riesz_block(f, r, index, n, mu, alpha, cfg, grid):
     live = np.flatnonzero(a < b)
     al, bl, rl, far = a[live], b[live], rg[live], side[live] == 0.0
     ya = np.log(np.where(far, al, rl / np.abs(np.where(side[live] < 0.0, al, bl) - rl)))
-    yb = np.where(far, np.log(bl), max(40.0, 46.0 / alpha))  # t_cap on the near side
+    yb = np.where(far, np.log(bl), _t_cap(alpha))
     length = np.zeros(a.size)
     length[live] = yb - ya
     segs, tag = _initial_panels(f.radii, grid.logr, al, bl, ya, yb, rl, far)
     tag = live[tag]
     val, e, used, ok = _adaptive_gl(
-        _region_integrand(f, n, mu, rg, side), segs, tag, length,
+        _region_integrand(f, n, alpha, rg, side), segs, tag, length,
         cfg.rel_tol, cfg.abs_tol, max(cfg.max_panels // 4, 4), grid.chunk,
         grid.given(segs, side[tag] == 0.0, r, index, tag // 4))
     for k in range(4):  # summed row by row, in table order
@@ -775,12 +827,16 @@ def _initial_panels(radii, logr, a, b, ya, yb, r, far):
     return np.column_stack([y[:-1][pair], y[1:][pair]]), g[:-1][pair]
 
 
-def _region_integrand(f, n, mu, r, side):
+def _region_integrand(f, n, alpha, r, side):
     """fun(segs, tag) of _adaptive_gl: (f rho^p) K jacobian for group g at r[g], side[g].
 
     Far panels are in x = log(rho) with p = N. Near-diagonal panels are in
-    t, with delta = r e^(-t) exact, p = N-1 and jacobian delta.
+    t, with delta = r e^(-t) exact, p = N-1 and jacobian delta. K is the
+    kernel of mu = N - alpha, and the near one takes its singular exponent
+    from alpha itself (see _kernel_near).
     """
+    mu = n - alpha
+
     def fun(segs, tag):
         out = np.empty((tag.size, 3 * _GL_ORDER))
         rg, sg = r[tag], side[tag]
@@ -793,7 +849,7 @@ def _region_integrand(f, n, mu, r, side):
             rn, sn = np.repeat(rg[near], out.shape[1]), np.repeat(sg[near], out.shape[1])
             d = rn * np.exp(-_gauss_points(segs[near]).ravel())
             rho = rn + sn * d
-            k = _kernel_near(rn, rho, d, n, mu)
+            k = _kernel_near(rn, rho, d, n, mu, alpha)
             out[near] = (f(rho) * rho ** (n - 1.0) * k * d).reshape(near.size, -1)
         return out
 

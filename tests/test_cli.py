@@ -164,6 +164,11 @@ _FAILURES = [
     (("critical-exponents", "--mu", "-1"), 1, "domain error: " + _MU),
     (("riesz", "--alpha", "1.5", "--exponent", "2.2", "--numeric", "--radii", "1e-300,1"), 1,
      "domain error: (r/2)^N underflows at N=3 for the smallest radius r = 1e-300"),
+    (("riesz", "--numeric", "--dim", "4", "--alpha", "0.12", "--exponent", "3.5"), 1,
+     "domain error: alpha=0.12 is below the near-diagonal window alpha >= 0.1300 at N=4"),
+    (("verify", "--dim", "4", "--mu", "3.9", "--p", "2", "--q", "2"), 1,
+     "domain error: alpha=0.10000000000000009 is below the near-diagonal window alpha >= 0.1300 "
+     "at N=4 (mu = N - alpha <= 3.8700)"),
     (("riesz", "--alpha", "1.5", "--exponent", "2.2", "--numeric", "--max-panels", "16",
       "--rel-tol", "1e-15", "--abs-tol", "1e-300"), 2, "computation failed: "),
     (("solve-params", "--mu", "2.5", "--p", "2"), 64, "missing required value --q"),

@@ -4,6 +4,7 @@ import itertools
 import math
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -481,7 +482,8 @@ def test_batched_near_kernel_matches_scalar_reference():
     # the batch sums each rule in another order, so agreement is to rounding only
     r = 1.7
     for n in (4, 5, 6, 7):
-        for mu in (0.4 * n, n - 1.0, n - 0.5):  # mu < N-1 and N-1 <= mu < N
+        # mu < N-1 and N-1 <= mu < N; at mu = N-3 and N-1, (N-1-mu)/2 is an integer
+        for mu in (0.4 * n, n - 3.0, n - 1.0 - 1e-6, n - 1.0, n - 1.0 + 1e-6, n - 0.5):
             for side in (-1, 1):
                 delta = _near_deltas(r, side, n - mu, 60)
                 rho = r + side * delta
@@ -625,6 +627,21 @@ def test_kernel_at_extreme_radii_is_scaled_or_refused(n):
             with pytest.raises(DomainError, match="float range"):
                 angular_kernel(r, rho, n, mu)
     assert refused > 0
+
+
+def test_kernel_value_outside_the_normal_float_range_is_domain_error():
+    # r^-mu overflows on the diagonal and zero-radius paths (a Python float
+    # power) and in the near value at (1e-60, 9e-61) (a numpy power), and far
+    # out at 1e100 the value falls below the normal range: each raises
+    # DomainError without a warning. The diagonal pole is still inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r, rho, n, mu in ((1e-200, 1e-200, 4, 2.5), (0.0, 1e-200, 4, 2.5),
+                              (1e-200, 0.0, 4, 2.5), (1e-60, 9e-61, 6, 5.9),
+                              (1e200, 1e200, 4, 2.5), (1e100, 3e99, 6, 5.0)):
+            with pytest.raises(DomainError, match="leaves the normal float range"):
+                angular_kernel(r, rho, n, mu)
+        assert angular_kernel(1e-200, 1e-200, 4, 3.0) == math.inf
 
 
 def test_kernel_positivity():
@@ -1100,13 +1117,37 @@ def test_riesz_convergence_error_carries_radius():
     assert ConvergenceError("other raiser").panels is None
 
 
-def test_riesz_convergence_error_names_a_radius_when_estimates_are_nan():
-    # at N=5, alpha=0.3 the near-diagonal integrand overflows, so every failing
-    # radius has a NaN error estimate; NaN must rank worst, not leave the radius unset
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_riesz_small_alpha_converges_or_is_refused_at_once(n):
+    # the near-diagonal pieces run out to t = 46/alpha, where eps = e^(-2t)/2;
+    # down to alpha = 0.13 the kernel stays finite and within its bars, and
+    # below, where eps leaves the normal float range, riesz_radial refuses
+    # before any quadrature
+    a = n - 0.5
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, a), log_grid(1e-3, 1e3, 100))
+    at = np.array([1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (0.3, 0.2, 0.15, 0.14, 0.1301):
+            out = riesz_radial(prof, alpha, n, at=at)
+            closed = _riesz_power_reference(alpha, a, n) * at ** (alpha - a)
+            assert np.all(np.abs(out.values / closed - 1.0) <= out.point_errors), alpha
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=r"below the near-diagonal window alpha >= 0\.1300"):
+            riesz_radial(prof, 0.1299, n, at=at)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_riesz_convergence_error_names_a_radius_when_estimates_are_nan(monkeypatch):
+    # a near-diagonal kernel of NaN gives every failing radius a NaN error
+    # estimate; NaN must rank worst, not leave the radius unset
+    monkeypatch.setattr(radial_quadrature, "_kernel_near",
+                        lambda r, rho, delta, *exponents: np.full(np.shape(delta), np.nan))
     prof = RadialProfile.from_power(PowerLawTerm(1.0, 4.5), log_grid(1e-3, 1e3, 100))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError) as exc:
+    with pytest.raises(ConvergenceError) as exc:
         riesz_radial(prof, 0.3, 5, cfg=QuadratureConfig(max_panels=64), at=[1.0, 2.0])
     assert exc.value.worst_radius in (1.0, 2.0)
+    assert np.all(np.isnan(exc.value.errors))
 
 
 # ---------------------------------------------------------------------------
@@ -1245,8 +1286,7 @@ def test_point_errors_bound_the_true_error(potential, n, alpha_share, a_share):
     # against the closed form, also where quadrature leaves only round-off;
     # the Riesz radii are two grid radii and one between grid radii
     if potential == "riesz":
-        # below about alpha = 0.3 at N >= 4 the near-diagonal kernel overflows, an open defect
-        alpha = 0.5 + alpha_share * (n - 1.0)
+        alpha = 0.15 + alpha_share * (n - 0.65)
         a = alpha + a_share * (n - alpha)
         grid = log_grid(1e-2, 1e2, 60)
         at = np.array([grid[17], 1.2345, grid[40]])

@@ -285,6 +285,60 @@ def _gauss_jacobi(n, a, b):
     return x, mu0 * v[0] ** 2
 
 
+@functools.cache
+def _gauss_kronrod(n):
+    """Gauss-Legendre rule G_n and its Kronrod extension K_(2n+1) on [-1, 1].
+
+    Returns (x, wg, wk): the 2n + 1 nodes with the n Gauss nodes first, the
+    G_n weights of x[:n] and the K_(2n+1) weights of x. Laurie's algorithm
+    (Math. Comp. 66 (1997) 1133) extends the Legendre recurrence b_k =
+    k^2/(4k^2 - 1) to the Jacobi-Kronrod matrix, whose diagonal stays 0 for
+    an even weight, and the nodes are its eigenvalues. Two Newton steps on
+    the matrix's three-term recurrence polish them, and both weight sets are
+    Christoffel sums 2 / sum q_k(x)^2 of its orthonormal polynomials at the
+    polished nodes, k < n for G_n: the eigenvector weights of Golub-Welsch
+    were up to 300 units in the last place off at the end nodes.
+    """
+    b = np.zeros(2 * n + 1)
+    k = np.arange(1.0, math.ceil(1.5 * n) + 1.0)
+    b[0], b[1:k.size + 1] = 2.0, k * k / (4.0 * k * k - 1.0)
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+        s, t = t, s
+    s[1:] = s[:-1]
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - 1 - (m - k)
+        s[j + 1] = np.cumsum(b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    root = np.sqrt(b)
+
+    def recurrence(x):
+        """Rows q_0 .. q_2n at x, the characteristic polynomial and its derivative."""
+        q0, q1, d0, d1 = np.zeros_like(x), np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
+        rows = [q1]
+        for k in range(2 * n + 1):
+            scale = root[k + 1] if k < 2 * n else 1.0
+            q0, q1, d0, d1 = (q1, (x * q1 - root[k] * q0) / scale,
+                              d1, (q1 + x * d1 - root[k] * d0) / scale)
+            rows.append(q1)
+        return np.array(rows[:-1]), q1, d1
+
+    x = np.linalg.eigvalsh(np.diag(root[1:], -1))  # eigvalsh reads the lower triangle
+    for _ in range(2):
+        _, p, dp = recurrence(x)
+        x = x - p / dp
+    q = recurrence(x)[0]
+    order = np.concatenate([np.arange(1, 2 * n, 2), np.arange(0, 2 * n + 1, 2)])
+    return (x[order], 2.0 / np.sum(q[:n, 1::2] ** 2, axis=0),
+            2.0 / np.sum(q[:, order] ** 2, axis=0))
+
+
 def _jacobi_unit(n, g):
     """Nodes X and weights W with sum W_i h(X_i) ~ int_0^1 x^g h(x) dx."""
     g = float(g)
@@ -472,7 +526,7 @@ def _kernel_near(r, rho, delta, n, mu, alpha=None):
 # ---------------------------------------------------------------------------
 # Adaptive Gauss quadrature (vectorized global bisection over tagged panels)
 
-_GL_ORDER = 12
+_GL_ORDER = 12  # panels carry the G12 rule and its Kronrod extension K25: 25 points
 _RADIUS_BLOCK = 32  # radii per _adaptive_gl run, which bounds the live panel arrays
 # panels per integrand call at N = 3; at N >= 4 each point also carries a row
 # of _ANGULAR_NODES far or 48 near kernel terms, so a call takes
@@ -480,7 +534,7 @@ _RADIUS_BLOCK = 32  # radii per _adaptive_gl run, which bounds the live panel ar
 # raised the traced peak of a 400-radius call from 2.5 to 3.4 MB at no gain in
 # time; at N >= 4, 256 panels ran verify_solution no faster than 128 on a
 # 2-core Xeon and raised its peak RSS from 38.1 to 39.6 MB, through the
-# (points x 48) temporaries of the near kernel.
+# (points x 48) temporaries of the near kernel, now (128 * 25 x 48).
 _CHUNK_PANELS = 256
 # rounding floor of an error bound, per unit of sum |integrand * weight|: an
 # integrand value passes through about eight rounded steps (the node, exp,
@@ -493,23 +547,23 @@ _LOG_UNIFORM = 32 * np.finfo(float).eps
 
 
 def _gauss_points(segs):
-    """The 12- and then the 24-point Gauss nodes of each panel [a, b]: (panels, 36)."""
-    x = np.concatenate([_gauss_jacobi(m, 0.0, 0.0)[0] for m in (_GL_ORDER, 2 * _GL_ORDER)])
+    """The G12 and then the 13 added K25 nodes of each panel [a, b]: (panels, 25)."""
+    x = _gauss_kronrod(_GL_ORDER)[0]
     mid = 0.5 * (segs[:, 0] + segs[:, 1])
     half = 0.5 * (segs[:, 1] - segs[:, 0])
     return mid[:, None] + half[:, None] * x
 
 
 def _rule_sums(v):
-    """(12-point sum, 24-point sum, 24-point sum of |v|) of each row of v at _gauss_points.
+    """(G12 sum, K25 sum, K25 sum of |v|) of each row of v at _gauss_points.
 
-    The sums leave out the panel's half-width. einsum's row sums, unlike BLAS
-    gemv, do not depend on a panel's place in the batch.
+    G12 reads the first 12 columns, which K25 shares. The sums leave out the
+    panel's half-width. einsum's row sums, unlike BLAS gemv, do not depend on
+    a panel's place in the batch.
     """
-    w1, w2 = (_gauss_jacobi(m, 0.0, 0.0)[1] for m in (_GL_ORDER, 2 * _GL_ORDER))
-    fine = v[:, _GL_ORDER:]
-    return (np.einsum("ij,j->i", v[:, :_GL_ORDER], w1), np.einsum("ij,j->i", fine, w2),
-            np.einsum("ij,j->i", np.abs(fine), w2))
+    _, wg, wk = _gauss_kronrod(_GL_ORDER)
+    return (np.einsum("ij,j->i", v[:, :_GL_ORDER], wg), np.einsum("ij,j->i", v, wk),
+            np.einsum("ij,j->i", np.abs(v), wk))
 
 
 def _adaptive_gl(fun, segs, tag, length, rel_tol, abs_tol, max_panels, chunk, given=None):
@@ -519,11 +573,12 @@ def _adaptive_gl(fun, segs, tag, length, rel_tol, abs_tol, max_panels, chunk, gi
     fun(segs, tag) gives the integrand at _gauss_points(segs), chunk panels
     at a time. given = (index, sums), when passed, holds the _rule_sums of
     the initial panels segs[index], which fun then never sees. Each integral
-    keeps the rules of a run of its own: a panel whose 12/24-point difference
-    (never a NaN) exceeds its length share of max(abs_tol, rel_tol |estimate|)
-    is bisected, and after max_panels the open panels are added as they are
-    and the integral is not converged. A panel's error bound is that
-    difference plus _ROUNDOFF times its sum of |integrand * weight|. Returns
+    keeps the rules of a run of its own: a panel's value is its K25 sum, and
+    a panel whose |K25 - G12| (never a NaN) exceeds its length share of
+    max(abs_tol, rel_tol |estimate|) is bisected; after max_panels the open
+    panels are added as they are and the integral is not converged. A
+    panel's error bound is |K25 - G12|, in effect the error of G12, plus
+    _ROUNDOFF times its K25 sum of |integrand * weight|. Returns
     per-integral (value, error_bound, panels_used, converged).
     """
     groups = length.size
@@ -662,7 +717,8 @@ class _FarIntervals:
     grid of step h. Grid radius r_i sees interval j over log(rho/r_i) in
     [(j - i) h, (j - i + 1) h], so K(r_i, rho) = r_i^-mu K(1, rho/r_i) is
     r_i^-mu times one kernel row per offset j - i, and the panel's sums are
-    that row's products with the table of f(rho) rho^N. Row j - i is stored
+    that row's products with two weighted tables of f(rho) rho^N: a coarse
+    one of the 12 G12 columns and a fine one of all 25. Row j - i is stored
     at j - i + J for J intervals, so radius i reads the view [J - i, 2J - i),
     and a row is built from _kernel_sep when a far panel first needs it; rows
     no panel needs stay zero. The table and rows exist only when some radius
@@ -680,10 +736,11 @@ class _FarIntervals:
             k = np.minimum(np.searchsorted(radii, at), radii.size - 1)
             self.index = np.where(radii[k] == at, k, -1)
         if np.any(self.index >= 0):
-            w = np.concatenate([_gauss_jacobi(m, 0.0, 0.0)[1] for m in (_GL_ORDER, 2 * _GL_ORDER)])
-            self.weighted = _profile_table(f, n) * w
-            self.size = np.abs(self.weighted[:, _GL_ORDER:])
-            self.rows = np.zeros((2 * self.intervals, w.size))
+            _, wg, wk = _gauss_kronrod(_GL_ORDER)
+            table = _profile_table(f, n)
+            self.coarse, self.fine = table[:, :_GL_ORDER] * wg, table * wk
+            self.size = np.abs(self.fine)
+            self.rows = np.zeros((2 * self.intervals, wk.size))
             self.built = np.zeros(2 * self.intervals, dtype=bool)
 
     def given(self, segs, far, r, index, owner):
@@ -713,11 +770,10 @@ class _FarIntervals:
                     1.0, np.exp(_gauss_points(np.column_stack([d, d + self.h]))), self.n, self.mu)
             self.built[new] = True
             rows = self.rows[self.intervals - g:2 * self.intervals - g]  # row j: offset j - g
-            coarse, fine = rows[:, :_GL_ORDER], rows[:, _GL_ORDER:]
             out[:, lo:hi] = np.array([
-                np.einsum("jk,jk->j", self.weighted[:, :_GL_ORDER], coarse)[j[lo:hi]],
-                np.einsum("jk,jk->j", self.weighted[:, _GL_ORDER:], fine)[j[lo:hi]],
-                np.einsum("jk,jk->j", self.size, fine)[j[lo:hi]]]) * r[i] ** -self.mu
+                np.einsum("jk,jk->j", self.coarse, rows[:, :_GL_ORDER])[j[lo:hi]],
+                np.einsum("jk,jk->j", self.fine, rows)[j[lo:hi]],
+                np.einsum("jk,jk->j", self.size, rows)[j[lo:hi]]]) * r[i] ** -self.mu
         return hit, out
 
 
@@ -838,7 +894,7 @@ def _region_integrand(f, n, alpha, r, side):
     mu = n - alpha
 
     def fun(segs, tag):
-        out = np.empty((tag.size, 3 * _GL_ORDER))
+        out = np.empty((tag.size, 2 * _GL_ORDER + 1))
         rg, sg = r[tag], side[tag]
         far = np.flatnonzero(sg == 0.0)
         if far.size:

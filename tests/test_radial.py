@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 import subprocess
 import sys
 import time
@@ -32,6 +33,7 @@ from hartree_singular import (
 from hartree_singular import radial_quadrature
 from hartree_singular.radial_quadrature import (
     _gauss_jacobi,
+    _gauss_kronrod,
     _gauss_points,
     _jacobi_unit,
     _kernel_near,
@@ -333,8 +335,18 @@ def _sym_case(n, b):
             _moment_error(roots_jacobi(n, b, b), moments))
 
 
+def _kronrod_case(n):
+    # G_n is exact through degree 2n - 1 and its extension K_(2n+1) through
+    # 3n + 1; scipy has no Kronrod rule, so there is nothing to compare with
+    x, wg, wk = _gauss_kronrod(n)
+    u = (1.0 + x) / 2.0
+    moments = [(k, 2.0 / (k + 1.0), 2.0 / (k + 1.0)) for k in range(3 * n + 2)]
+    return max(_moment_error((u[:n], wg), moments[:2 * n]), _moment_error((u, wk), moments)), math.inf
+
+
 _RULE_FAMILIES = {
     "legendre": [(_legendre_case, n) for n in (12, 24)],
+    "kronrod": [(_kronrod_case, 12)],
     "jacobi_unit": [(_unit_case, n, float(g)) for n in (16, 32, 48)
                     for g in np.concatenate([np.linspace(-0.99, 10.0, 45), [0.0, 0.5, 1.0, 1.5]])],
     "jacobi_sym": [(_sym_case, 64, b) for b in (0.5, 1.0, 1.5)],
@@ -352,18 +364,38 @@ def test_gauss_rules_integrate_their_moments(family):
 
 
 _RULE_BYTES_SCRIPT = """
-from hartree_singular.radial_quadrature import _gauss_jacobi
-print([[v.hex() for v in part] for args in {args} for part in _gauss_jacobi(*args)])
+from hartree_singular.radial_quadrature import _gauss_jacobi, _gauss_kronrod
+rules = [_gauss_jacobi(*args) for args in {args}] + [_gauss_kronrod(12)]
+print([[v.hex() for v in part] for rule in rules for part in rule])
 """
 
 
 def test_gauss_rules_give_the_same_bytes_in_every_process():
+    # the child runs one BLAS thread, this process the default number
     args = [(12, 0.0, 0.0), (32, 0.0, -0.99), (48, 0.0, 0.5), (64, 1.5, 1.5)]
     proc = subprocess.run([sys.executable, "-c", _RULE_BYTES_SCRIPT.format(args=args)],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
     assert proc.returncode == 0, proc.stderr
-    here = [[v.hex() for v in part] for a in args for part in _gauss_jacobi(*a)]
+    rules = [_gauss_jacobi(*a) for a in args] + [_gauss_kronrod(12)]
+    here = [[v.hex() for v in part] for rule in rules for part in rule]
     assert proc.stdout == f"{here}\n"
+
+
+def test_kronrod_rule_extends_the_gauss_rule():
+    # 25 nodes inside (-1, 1), the 13 added ones between and around G12's
+    # (K, G, K, ..., G, K), positive weights, and both sums read one column
+    # per shared node
+    x, wg, wk = _gauss_kronrod(12)
+    nodes = np.sort(x)
+    assert -1.0 < nodes[0] and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0)
+    np.testing.assert_array_equal(nodes[1::2], np.sort(x[:12]))
+    assert np.all(wg > 0.0) and np.all(wk > 0.0)
+    np.testing.assert_array_equal(_gauss_points(np.array([[-1.0, 1.0]]))[0], x)
+    coarse, fine, size = radial_quadrature._rule_sums(np.eye(x.size))
+    np.testing.assert_array_equal(coarse, np.concatenate([wg, np.zeros(13)]))
+    np.testing.assert_array_equal(fine, wk)
+    np.testing.assert_array_equal(size, wk)
 
 
 def test_gauss_jacobi_at_a_plus_b_minus_one_is_gauss_chebyshev():
@@ -688,6 +720,17 @@ def test_riesz_full_grid_dim3_at_round_off(alpha, a):
     assert np.max(np.abs(got.values / closed - 1.0)) <= 1e-14
 
 
+@pytest.mark.parametrize("n, alpha, a", [(3, 1.2, 2.2), (3, 1.5, 2.6), (3, 0.5, 1.2), (4, 1.2, 3.2)])
+def test_full_grid_bars_cover_the_true_error(n, alpha, a):
+    # every radius of the default 400-point grid, mu = N - alpha = 1.8, 1.5 and
+    # 2.5 at N = 3 and 2.8 at N = 4: no bar falls below its radius's true error
+    grid = log_grid()
+    got = riesz_radial(RadialProfile.from_power(PowerLawTerm(1.0, a), grid), alpha, n)
+    err = np.abs(got.values / riesz_power(alpha, a, n)(grid) - 1.0)
+    assert np.all(got.point_errors >= err)
+    assert err.max() <= 2e-15
+
+
 def _initial_edges(a, b, presplit, breaks):
     """Initial panel edges of the replaced one-integral quadrature."""
     edges = np.linspace(a, b, max(1, int(presplit)) + 1)
@@ -703,8 +746,7 @@ def _adaptive_gl_scalar(fun, a, b, rel_tol, abs_tol, max_panels, presplit=1):
     if not b > a:
         return 0.0, 0.0, 0, True
     order = radial_quadrature._GL_ORDER
-    x1, w1 = _gauss_jacobi(order, 0.0, 0.0)
-    x2, w2 = _gauss_jacobi(2 * order, 0.0, 0.0)
+    x2, w1, w2 = _gauss_kronrod(order)  # G12 on the first 12 of K25's nodes
     edges = _initial_edges(a, b, presplit, [])
     segs = np.column_stack([edges[:-1], edges[1:]])
     total_len = b - a
@@ -714,8 +756,8 @@ def _adaptive_gl_scalar(fun, a, b, rel_tol, abs_tol, max_panels, presplit=1):
     while segs.size:
         mid = 0.5 * (segs[:, 0] + segs[:, 1])
         half = 0.5 * (segs[:, 1] - segs[:, 0])
-        f1 = fun((mid[:, None] + half[:, None] * x1[None, :]).ravel()).reshape(-1, order)
-        f2 = fun((mid[:, None] + half[:, None] * x2[None, :]).ravel()).reshape(-1, 2 * order)
+        f2 = fun((mid[:, None] + half[:, None] * x2[None, :]).ravel()).reshape(-1, x2.size)
+        f1 = f2[:, :order]
         coarse = (f1 @ w1) * half
         fine = (f2 @ w2) * half
         err = np.abs(fine - coarse)

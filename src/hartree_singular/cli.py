@@ -24,10 +24,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
+# numpy and the quadrature, verifier and moving-plane modules are imported by
+# the handlers that use them, so the algebra subcommands start without numpy
 from .errors import ConvergenceError, DomainError, IterationError, ValidationError
-from .moving_plane import sample_field, sweep_lambda0
 from .power_law import (
     ModelParams,
     PowerLawTerm,
@@ -36,13 +35,6 @@ from .power_law import (
     hls_conjugate,
     riesz_power,
     solve_params,
-)
-from .radial_quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    RadialProfile,
-    log_grid,
-    riesz_radial,
 )
 from .serialize import (
     MOVING_PLANE_SCHEMA,
@@ -53,7 +45,6 @@ from .serialize import (
     report_document,
     table_csv,
 )
-from .verifier import verify_solution
 
 _ALTERNATE_NOTE = (
     "diagnostic variant with q entering by -q; does not satisfy the equation "
@@ -132,9 +123,9 @@ _FLAGS = {
     "dim": (_integer, 3),
     "coefficient": (_number, 1.0),
     "radii": (_numbers, [0.5, 1.0, 2.0]),
-    "rel_tol": (_number, DEFAULT_CONFIG.rel_tol),
-    "abs_tol": (_number, DEFAULT_CONFIG.abs_tol),
-    "max_panels": (_integer, DEFAULT_CONFIG.max_panels),
+    "rel_tol": (_number, None),
+    "abs_tol": (_number, None),
+    "max_panels": (_integer, None),
     "grid_min": (_number, 1e-3),
     "grid_max": (_number, 1e3),
     "grid_num": (_integer, 400),
@@ -158,10 +149,17 @@ def _required(v, *names):
 
 
 def _quadrature(v):
-    """(radii, config, grid) of the numeric Riesz pass shared by verify and riesz."""
-    return (np.array(v.radii),
-            QuadratureConfig(v.rel_tol, v.abs_tol, v.max_panels),
-            log_grid(v.grid_min, v.grid_max, v.grid_num))
+    """(radii, config, grid) of the numeric Riesz pass shared by verify and riesz.
+
+    Unset tolerances and budgets take QuadratureConfig's defaults.
+    """
+    import numpy as np
+
+    from .radial_quadrature import QuadratureConfig, log_grid
+
+    given = {name: getattr(v, name) for name in ("rel_tol", "abs_tol", "max_panels")}
+    cfg = QuadratureConfig(**{name: x for name, x in given.items() if x is not None})
+    return np.array(v.radii), cfg, log_grid(v.grid_min, v.grid_max, v.grid_num)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +203,8 @@ def _do_solve_params(v):
 
 
 def _do_verify(v):
+    from .verifier import verify_solution
+
     dim = v.dim
     mu, p, q = _required(v, "mu", "p", "q")
     radii, cfg, grid = _quadrature(v)
@@ -244,6 +244,8 @@ def _do_riesz(v):
             f"{term.coefficient:.12g} r^-{term.exponent:.12g}   (dim {dim})")
     if not v.numeric:
         return body, None, head + "\n"
+    from .radial_quadrature import RadialProfile, riesz_radial
+
     radii, cfg, grid = _quadrature(v)
     src = RadialProfile.from_power(PowerLawTerm(coefficient, exponent), grid)
     pot = riesz_radial(src, alpha, dim, cfg=cfg, at=radii)
@@ -260,6 +262,8 @@ def _do_riesz(v):
 
 
 def _do_moving_plane(v):
+    from .moving_plane import sample_field, sweep_lambda0
+
     dim, decay, amplitude = v.dim, v.decay, v.amplitude
     if decay is None:
         if v.mu is None or v.p is None or v.q is None:
@@ -277,8 +281,7 @@ def _do_moving_plane(v):
     term = PowerLawTerm(amplitude, decay)
     field = sample_field(term, centers, dim=dim, extent=v.extent, num=v.num,
                          exclusion_radius=v.exclusion_radius)
-    lambdas = None if v.lambdas is None else np.array(v.lambdas)
-    report = sweep_lambda0(field, lambdas, tol=v.tol)
+    report = sweep_lambda0(field, v.lambdas, tol=v.tol)
     fields, table = report_document(report, MOVING_PLANE_SCHEMA)
     body = {"kind": "moving-plane-report", "dim": dim, "num": v.num, "extent": v.extent,
             "decay": decay, "amplitude": amplitude, "centers": centers, **fields}

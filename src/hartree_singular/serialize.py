@@ -3,15 +3,23 @@
 Every float is written with repr-faithful precision (17 significant digits),
 so the stdlib parser recovers the exact double. JSON objects keep insertion
 order; infinities and NaN use the Infinity/-Infinity/NaN tokens that the
-stdlib parser accepts.
+stdlib parser accepts. numpy scalars and arrays are accepted, but numpy is
+never imported here: no numpy object can exist before numpy is loaded.
 """
 
 import json
 import math
-
-import numpy as np
+import sys
 
 from .errors import DomainError
+
+
+def _kinds():
+    """The (integer, float, sequence) types, with numpy's once numpy is loaded."""
+    np = sys.modules.get("numpy")
+    if np is None:
+        return (int,), (float,), (list, tuple)
+    return (int, np.integer), (float, np.floating), (list, tuple, np.ndarray)
 
 
 def fmt(x):
@@ -27,20 +35,21 @@ def fmt(x):
 def dumps(obj):
     """Compact JSON with deterministic float text and insertion-order keys."""
     pieces = []
-    _emit(obj, pieces)
+    _emit(obj, pieces, _kinds())
     return "".join(pieces)
 
 
-def _emit(obj, out):
+def _emit(obj, out, kinds):
+    ints, floats, seqs = kinds
     if obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
     elif obj is False:
         out.append("false")
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+    elif isinstance(obj, ints) and not isinstance(obj, bool):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, floats):
         out.append(fmt(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
@@ -51,14 +60,14 @@ def _emit(obj, out):
                 out.append(",")
             out.append(json.dumps(str(k)))
             out.append(":")
-            _emit(v, out)
+            _emit(v, out, kinds)
         out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, seqs):
         out.append("[")
         for i, v in enumerate(obj):
             if i:
                 out.append(",")
-            _emit(v, out)
+            _emit(v, out, kinds)
         out.append("]")
     else:
         raise DomainError(f"cannot serialize object of type {type(obj).__name__}")
@@ -114,8 +123,8 @@ def kv_csv(body):
             items.extend((f"{k}_{ck}", cv) for ck, cv in v.items())
         else:
             items.append((k, v))
-    lines = ["key,value"]
+    lines, seqs = ["key,value"], _kinds()[2]
     for k, v in items:
-        if not isinstance(v, (list, tuple, np.ndarray, dict)):
+        if not isinstance(v, (*seqs, dict)):
             lines.append(f"{k},{'' if v is None else v if isinstance(v, str) else dumps(v)}")
     return "\n".join(lines) + "\n"

@@ -910,3 +910,34 @@ def test_light_subcommands_run_without_scipy(capsys):
     assert doc["loaded"] == []
     for argv, got in zip(commands, doc["runs"]):
         assert got == [0, *run(capsys, *argv)[1:]], argv
+
+
+_NO_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # from here on any numpy import raises ImportError
+import hartree_singular.cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = hartree_singular.cli.main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_algebra_subcommands_run_without_numpy(capsys):
+    # the three algebra subcommands and closed-form riesz are scalar arithmetic:
+    # they import no numpy, in any output form, and a rejection document and a
+    # usage error also go through without it
+    commands = [argv + form for argv in _LIGHT_COMMANDS[:4]
+                for form in ([], ["--pretty"], ["--format", "csv"])]
+    commands += [["solve-params", "--mu", "0.5", "--p", "1", "--q", "1"],
+                 ["solve-params", "--mu", "2.5", "--p", "2"]]
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert [code for code, _, _ in runs] == [0] * 12 + [1, 64]
+    for argv, got in zip(commands, runs):
+        assert got == list(run(capsys, *argv)), argv

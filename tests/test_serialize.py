@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -142,3 +144,58 @@ def test_kv_csv_flattens_one_level_and_skips_arrays():
            "arr": np.array([1.0]), "input": {"a": 2.0, "deep": {"b": 1}, "v": [1]}}
     assert ser.kv_csv(doc) == ("key,value\nkind,k\nn,3\nx,0.10000000000000001\n"
                                "ok,false\nnone,\ninput_a,2\n")
+
+
+# ---------------------------------------------------------------------------
+# The same text with and without numpy loaded: serialize never imports numpy,
+# and takes numpy scalars and arrays once numpy is there
+
+_DUMPS_TEXT = ["0.10000000000000001", "-7", "0.10000000149011612",
+               "[1.5,NaN,Infinity,-Infinity]", "[[1,[2.5,[null]]],[]]", "[[1,2],[3,4]]"]
+_KV_TEXT = ("key,value\na,0.10000000000000001\nn,3\nf,0.10000000149011612\n"
+            "inf,-Infinity\nnan,NaN\n")
+_TABLE_TEXT = "r,v,e\n0.5,0.10000000149011612,NaN\n1,Infinity,2\n"
+
+
+def test_numpy_values_render_to_fixed_text():
+    docs = [np.float64(0.1), np.int64(-7), np.float32(0.1),
+            np.array([1.5, math.nan, math.inf, -math.inf]),
+            [[np.int64(1), (np.float64(2.5), [None])], ()], np.array([[1, 2], [3, 4]])]
+    assert [ser.dumps(d) for d in docs] == _DUMPS_TEXT
+    assert ser.kv_csv({"a": np.float64(0.1), "n": np.int64(3), "f": np.float32(0.1),
+                       "inf": -math.inf, "nan": math.nan, "arr": np.array([1.0]),
+                       "t": (1, 2)}) == _KV_TEXT
+    assert ser.table_csv({"r": np.array([0.5, 1.0]), "v": [np.float32(0.1), math.inf],
+                          "e": (math.nan, np.int64(2))}) == _TABLE_TEXT
+    for bad in (object(), np.bool_(True), np.complex128(1j)):
+        with pytest.raises(DomainError, match="cannot serialize"):
+            ser.dumps({"x": bad})
+
+
+_NO_NUMPY_SCRIPT = """
+import json, math, sys
+sys.modules["numpy"] = None  # from here on any numpy import raises ImportError
+import hartree_singular.serialize as ser
+from hartree_singular.errors import DomainError
+inf, nan = math.inf, math.nan
+docs = [0.1, -7, 0.10000000149011612, [1.5, nan, inf, -inf], [[1, (2.5, [None])], ()],
+        [[1, 2], (3, 4)]]
+texts = [ser.dumps(d) for d in docs]
+kv = ser.kv_csv({"a": 0.1, "n": 3, "f": 0.10000000149011612, "inf": -inf, "nan": nan,
+                 "arr": [1.0], "t": (1, 2)})
+table = ser.table_csv({"r": (0.5, 1.0), "v": [0.10000000149011612, inf], "e": (nan, 2)})
+try:
+    ser.dumps({"x": object()})
+    error = None
+except DomainError as exc:
+    error = str(exc)
+print(json.dumps([texts, kv, table, error]))
+"""
+
+
+def test_plain_values_render_to_the_same_text_without_numpy():
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [_DUMPS_TEXT, _KV_TEXT, _TABLE_TEXT,
+                                       "cannot serialize object of type object"]

@@ -15,6 +15,7 @@ substitution rho = r(1 +- e^(-t)) so the split-point panels stay analytic.
 
 import contextlib
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -349,19 +350,52 @@ def _jacobi_unit(n, g):
 # ---------------------------------------------------------------------------
 # Angular kernel
 
-# polar-angle nodes of the far kernel at N >= 4, within 2.9e-15 of hyp2f1 for
-# rho/r in [1e-3, 1/2] (16 nodes miss by 2.4e-8); the near-diagonal pieces use
-# 48 and 16 per panel, the tails 64 and 32. point_errors carries no angular
-# term, so the rules are fixed where they reach round-off instead of being an option
-_ANGULAR_NODES = 32
+
+def _series(weights, step, ratio, n, mu):
+    """c_(K-1) .. c_0 for np.polyval, c_k = p_k sum(weights step^k), p_(k+1) = p_k ratio(k).
+
+    In each kernel series 0 <= step < 1 and |c_(k+1)| <= max(1, (mu/2 + k)/
+    (k + 1)) |c_k| for k >= N/4, so on [0, 1/4] the remainder after K terms is
+    at most |c_K| 4^-K / (1 - q), q = max(1, (mu/2 + K)/(K + 1))/4. K is the
+    first k >= N/4 where that is at most 2^-60 of c_0 and of the sum at 1/4,
+    two lower bounds of the positive, monotone piece that the series sums.
+    """
+    coef, p = [], 1.0
+    for k in itertools.count():
+        c, q = p * float(weights.sum()), max(1.0, (mu / 2.0 + k) / (k + 1.0)) / 4.0
+        rest = abs(c) * 0.25 ** k / (1.0 - q) * 2.0 ** 60  # the remainder bound, in units of 2^-60
+        if k >= n / 4.0 and rest <= coef[0] and rest <= np.polyval(coef[::-1], 0.25):
+            return np.array(coef[::-1])
+        coef.append(c)
+        weights, p = weights * step, p * ratio(k)
+
+
+@functools.cache
+def _kernel_series(n, mu):
+    """(far, near [1, 2], near [0, eps] / eps^c) series coefficients at N >= 4.
+
+    Far: 2F1(mu/2, (mu - N + 2)/2; N/2; z) in z = (min/max)^2 (DLMF 15.2.1),
+    with term ratios at most 1 in size for k >= N/4 - 1. Near, in eps, with
+    X, W the 48-point rule of int_0^1 x^h g(x) dx, h = (N-3)/2, at its exact
+    zeroth moment (the Golub-Welsch weights share an error of a few units in
+    the last place): [1, 2] in v = 2 - w from (eps + v)^(-mu/2) = sum_k
+    C(-mu/2, k) eps^k v^(-mu/2-k), ratio eps/v <= 1/4, and [0, eps] in w =
+    eps X from (2 - eps X)^h = sum_k C(h, k) 2^(h-k) (-eps X)^k, ratio <= 1/8.
+    """
+    a, b, c, h = mu / 2.0, (mu - n + 2.0) / 2.0, n / 2.0, (n - 3.0) / 2.0
+    X, W = _jacobi_unit(48, h)
+    v, W = 2.0 - X, W / (W.sum() * (h + 1.0))
+    return (_series(np.ones(1), 1.0, lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)), n, mu),
+            _series(W * v ** (h - a), 1.0 / v, lambda k: -(a + k) / (k + 1.0), n, mu),
+            _series(W * 2.0 ** h * (1.0 + X) ** -a, X, lambda k: (k - h) / (2.0 * k + 2.0), n, mu))
 
 
 def angular_kernel(r, rho, dim, mu):
     """Spherical average K(r, rho) of |r e1 - rho w|^(-mu) over w in S^(N-1).
 
     Symmetric in (r, rho) and homogeneous of degree -mu. N = 3 has closed
-    forms. At N >= 4, far from the diagonal (min/max <= 1/2) K is a
-    Gauss-Jacobi rule in the polar angle; near it, the quadrature's own near
+    forms. At N >= 4, far from the diagonal (min/max <= 1/2) K is the
+    hypergeometric series in (min/max)^2; near it, the quadrature's own near
     kernel, with e^2-wide Gauss-Legendre panels in log(1 - cos theta).
     On the diagonal the average is finite for mu < N-1 (a Beta-function
     closed form) and diverges for mu in [N-1, N), where a signaled infinity
@@ -416,35 +450,26 @@ def angular_kernel(r, rho, dim, mu):
     return k
 
 
-def _kernel_sep(r, rho, n, mu, nodes=_ANGULAR_NODES):
-    """K(r, rho) for broadcastable arrays r, rho with min/max ratio <= 1/2.
+def _kernel_sep(r, rho, n, mu):
+    """K(r, rho) for broadcastable arrays r, rho with s = min/max <= 1/2.
 
     At N = 3, (r + rho)^e - |r - rho|^e with e = 2 - mu cancels as rho/r -> 0,
-    so it is built from s = lo/hi alone: hi^e ((1 + s)^e - (1 - s)^e), with
-    the difference of powers written as 2 exp(e(l+ + l-)/2) sinh(e(l+ - l-)/2)
-    and l+- = log1p(+-s); at mu = 2 the log form is l+ - l-. At N >= 4 the
-    node sums are einsum row sums, which unlike BLAS gemv do not depend on a
-    value's place in the batch.
+    so it is built from s alone: hi^e ((1 + s)^e - (1 - s)^e), with the
+    difference of powers written as 2 exp(e(l+ + l-)/2) sinh(e(l+ - l-)/2)
+    and l+- = log1p(+-s); at mu = 2 the log form is l+ - l-. At N >= 4 it is
+    |S^(N-1)| hi^-mu 2F1(mu/2, (mu - N + 2)/2; N/2; s^2), by _kernel_series.
     """
     rho = np.asarray(rho, dtype=float)
+    hi = np.maximum(r, rho)
+    s = np.minimum(r, rho) / hi
     if n == 3:
-        lo, hi = np.minimum(r, rho), np.maximum(r, rho)
-        s = lo / hi
         lp, lm = np.log1p(s), np.log1p(-s)
         if mu == 2.0:
             return (lp - lm) / (r * rho) * (2.0 * math.pi)
         e = 2.0 - mu
         return (hi ** e * 2.0 * np.exp(e * (lp + lm) / 2.0) * np.sinh(e * (lp - lm) / 2.0)
                 / (e * r * rho) * (2.0 * math.pi))
-    b = (n - 3.0) / 2.0
-    u, w = _gauss_jacobi(nodes, b, b)  # int_-1^1 (1-u^2)^b q(u) du
-    r, rho = np.asarray(r, dtype=float)[..., None], rho[..., None]
-    # one (..., nodes) array, updated in place: the same values as
-    # (r r + rho^2 - 2 r rho u)^(-mu/2), without three such temporaries
-    q = 2.0 * r * rho * u
-    np.subtract(r * r + rho ** 2, q, out=q)
-    np.power(q, -mu / 2.0, out=q)
-    return sphere_area(n - 1) * np.einsum("...j,j->...", q, w)
+    return sphere_area(n) * hi ** -mu * np.polyval(_kernel_series(n, mu)[0], s * s)
 
 
 def _kernel_near(r, rho, delta, n, mu, alpha=None):
@@ -457,16 +482,17 @@ def _kernel_near(r, rho, delta, n, mu, alpha=None):
     r/2 below the diagonal, delta <= r above it, delta < hi/2 in
     angular_kernel). N = 3 has closed forms. At N >= 4, with c = (N-1-mu)/2,
     eps^(-mu/2) is factored out of the [0, eps] piece, so that it reads eps^c
-    times a smooth integral, and [eps, 1] runs over e^2-wide Gauss-Legendre
-    panels in log w, where the integrand is at most 2^b max(1, eps^c): no
-    intermediate overflows while eps is a normal float. An eps that underflowed
-    to 0 gives NaN. alpha, when the caller knows N - mu exactly, gives c as
-    (alpha - 1)/2: a value moves by about |log eps| times an error in c, and
-    mu = N - alpha rounded put riesz_radial 11 units in the last place off at
-    alpha = 0.15. Each delta keeps the rules and piece order of a scalar
-    evaluation: [0, eps], the panel at eps, the panels from w = 1 down, then
-    [1, 2]. The node sums are einsum row sums, so a delta's value does not
-    depend on its place in the batch.
+    times a smooth integral; that and the [1, 2] piece are series of
+    _kernel_series. [eps, 1] runs over e^2-wide Gauss-Legendre panels in log
+    w, where the integrand is at most 2^b max(1, eps^c): no intermediate
+    overflows while eps is a normal float. An eps that underflowed to 0 gives
+    NaN. alpha, when the caller knows N - mu exactly, gives c as (alpha - 1)/2:
+    a value moves by about |log eps| times an error in c, and mu = N - alpha
+    rounded put riesz_radial 11 units in the last place off at alpha = 0.15.
+    Each delta keeps the piece order of a scalar evaluation: [0, eps], the
+    panel at eps, the panels from w = 1 down, then [1, 2]. The series are
+    elementwise and the node sums einsum row sums, so a delta's value does
+    not depend on its place in the batch.
     """
     delta = np.asarray(delta, dtype=float)
     if n == 3:
@@ -480,21 +506,8 @@ def _kernel_near(r, rho, delta, n, mu, alpha=None):
     b, c = (n - 3.0) / 2.0, ((n - mu if alpha is None else alpha) - 1.0) / 2.0
     eps = (delta / r) * (delta / rho) / 2.0  # no delta^2: it leaves the normal range first
     live = np.flatnonzero(eps > 0.0)  # an eps that underflowed to 0 gets K = nan
-    e = eps[:, None]
-    # both rules get their exact zeroth moment: the Golub-Welsch weights share an
-    # error of a few units in the last place, which every delta's value would carry
-    X, W = _jacobi_unit(48, b)
-    W = W / (W.sum() * (b + 1.0))
-    # piece [1, 2] via v = 2 - w: v^b (2-v)^b (eps + 2 - v)^(-mu/2), (2-v)^b in the weights
-    q = e + (2.0 - X)
-    np.power(q, -mu / 2.0, out=q)
-    j2 = np.einsum("ij,j->i", q, W * (2.0 - X) ** b)
-    # piece [0, eps] via w = eps X, with eps^(-mu/2) factored out of (eps + w)^(-mu/2):
-    # eps^c X^b (2 - eps X)^b (1 + X)^(-mu/2), (1 + X)^(-mu/2) in the weights
-    q = e * X
-    np.subtract(2.0, q, out=q)
-    np.power(q, b, out=q)
-    j1 = np.einsum("ij,j->i", q, W * (1.0 + X) ** (-mu / 2.0))
+    _, two, zero = _kernel_series(n, mu)  # pieces [1, 2] and [0, eps] / eps^c
+    j2, j1 = np.polyval(two, eps), np.polyval(zero, eps)
     j1[live] *= eps[live] ** c
     # piece [eps, 1] in log w, on panels of 16-point Gauss-Legendre rules: first
     # [eps, e^(-2 m)] with m = floor(-log(eps)/2), then [e^(-2(k+1)), e^(-2k)] for
@@ -504,7 +517,7 @@ def _kernel_near(r, rho, delta, n, mu, alpha=None):
     # panels have the same nodes for every delta, so w^c (2-w)^b goes into their
     # weights; pass k adds panel k to every delta with m > k
     u, wu = _gauss_jacobi(16, 0.0, 0.0)
-    u, wu = (u + 1.0) / 2.0, wu / wu.sum()
+    u, wu = (u + 1.0) / 2.0, wu / wu.sum()  # the exact zeroth moment
     el = eps[live]
     m = np.floor(-np.log(el) / 2.0)
     width = np.log(np.exp(-2.0 * m) / el)  # a rounded m may make it ~1e-16 negative
@@ -528,13 +541,10 @@ def _kernel_near(r, rho, delta, n, mu, alpha=None):
 
 _GL_ORDER = 12  # panels carry the G12 rule and its Kronrod extension K25: 25 points
 _RADIUS_BLOCK = 32  # radii per _adaptive_gl run, which bounds the live panel arrays
-# panels per integrand call at N = 3; at N >= 4 each point also carries a row
-# of _ANGULAR_NODES far or 48 near kernel terms, so a call takes
-# _CHUNK_PANELS // 2. The bound is memory, not time: at N = 3, 512 panels
-# raised the traced peak of a 400-radius call from 2.5 to 3.4 MB at no gain in
-# time; at N >= 4, 256 panels ran verify_solution no faster than 128 on a
-# 2-core Xeon and raised its peak RSS from 38.1 to 39.6 MB, through the
-# (points x 48) temporaries of the near kernel, now (128 * 25 x 48).
+# panels per integrand call at every N. The bound is memory, not time: at N = 3,
+# 512 panels raised the traced peak of a 400-radius call from 2.5 to 3.4 MB at
+# no gain in time. The widest temporaries are the (points x 16) arrays of the
+# near kernel's log-w panels; the kernels' series take one value per point
 _CHUNK_PANELS = 256
 # rounding floor of an error bound, per unit of sum |integrand * weight|: an
 # integrand value passes through about eight rounded steps (the node, exp,
@@ -677,7 +687,7 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
         raise DomainError("evaluation above the sampled window requires an outer tail")
 
     gam = riesz_gamma(alpha, n)
-    grid = _FarIntervals(f, at, n, mu, _CHUNK_PANELS if n == 3 else _CHUNK_PANELS // 2)
+    grid = _FarIntervals(f, at, n, mu)
     blocks = [_riesz_block(f, at[i:i + _RADIUS_BLOCK], grid.index[i:i + _RADIUS_BLOCK],
                            n, mu, alpha, cfg, grid)
               for i in range(0, at.size, _RADIUS_BLOCK)]
@@ -726,10 +736,10 @@ class _FarIntervals:
     _region_integrand.
     """
 
-    def __init__(self, f, at, n, mu, chunk):
+    def __init__(self, f, at, n, mu):
         radii = f.radii
         self.logr = logr = np.log(radii)
-        self.n, self.mu, self.chunk, self.intervals = n, mu, chunk, logr.size - 1
+        self.n, self.mu, self.intervals = n, mu, logr.size - 1
         self.h = (logr[-1] - logr[0]) / self.intervals
         self.index = np.full(at.size, -1)
         if np.max(np.abs(logr - (logr[0] + np.arange(logr.size) * self.h))) <= _LOG_UNIFORM:
@@ -764,9 +774,9 @@ class _FarIntervals:
             lo, hi, g = bounds[i], bounds[i + 1], index[i]
             k = j[lo:hi] - g + self.intervals
             new = k[~self.built[k]]
-            for s in range(0, new.size, self.chunk):
-                d = (new[s:s + self.chunk] - self.intervals) * self.h
-                self.rows[new[s:s + self.chunk]] = _kernel_sep(
+            for s in range(0, new.size, _CHUNK_PANELS):
+                d = (new[s:s + _CHUNK_PANELS] - self.intervals) * self.h
+                self.rows[new[s:s + _CHUNK_PANELS]] = _kernel_sep(
                     1.0, np.exp(_gauss_points(np.column_stack([d, d + self.h]))), self.n, self.mu)
             self.built[new] = True
             rows = self.rows[self.intervals - g:2 * self.intervals - g]  # row j: offset j - g
@@ -816,7 +826,7 @@ def _riesz_block(f, r, index, n, mu, alpha, cfg, grid):
         lo = np.minimum(r0, 0.5 * r)
         g = n - 1.0 - f.tail_inner.exponent  # > -1 by the tail precondition
         v, e = _tail_piece(f.tail_inner, g, lo ** (g + 1.0),
-                           lambda X, m: _kernel_sep(r[:, None], lo[:, None] * X, n, mu, m))
+                           lambda X: _kernel_sep(r[:, None], lo[:, None] * X, n, mu))
         raw += v
         err += e
     else:
@@ -827,7 +837,7 @@ def _riesz_block(f, r, index, n, mu, alpha, cfg, grid):
         hi = np.maximum(r1, 2.0 * r)
         g = f.tail_outer.exponent - alpha - 1.0  # > -1 by the tail precondition
         v, e = _tail_piece(f.tail_outer, g, hi ** (alpha - f.tail_outer.exponent),
-                           lambda X, m: _kernel_sep(1.0, r[:, None] * X / hi[:, None], n, mu, m))
+                           lambda X: _kernel_sep(1.0, r[:, None] * X / hi[:, None], n, mu))
         raw += v
         err += e
     else:
@@ -848,7 +858,7 @@ def _riesz_block(f, r, index, n, mu, alpha, cfg, grid):
     tag = live[tag]
     val, e, used, ok = _adaptive_gl(
         _region_integrand(f, n, alpha, rg, side), segs, tag, length,
-        cfg.rel_tol, cfg.abs_tol, max(cfg.max_panels // 4, 4), grid.chunk,
+        cfg.rel_tol, cfg.abs_tol, max(cfg.max_panels // 4, 4), _CHUNK_PANELS,
         grid.given(segs, side[tag] == 0.0, r, index, tag // 4))
     for k in range(4):  # summed row by row, in table order
         raw += val[k::4]
@@ -915,16 +925,16 @@ def _region_integrand(f, n, alpha, r, side):
 def _tail_piece(term, g, scale, kernel):
     """c * scale * int_0^1 x^g kernel(x) dx over a tail, by Gauss-Jacobi in x, per radius.
 
-    The rule runs at m = 32 and at 16 nodes; kernel(X, 2m) gives the
-    (radii x m) kernel at the rule's nodes X with 2m angular nodes, and
-    scale is one factor per radius. Returns (value at 32, error bound) per
-    radius, summed by einsum as in _adaptive_gl. The bound is the
-    |difference| plus the rounding floor of _adaptive_gl; kernel and weights
-    are positive, so |value| is the sum of |integrand * weight|.
+    The rule runs at 32 and at 16 nodes; kernel(X) gives the (radii x
+    nodes) kernel at the rule's nodes X, and scale is one factor per radius.
+    Returns (value at 32, error bound) per radius, summed by einsum as in
+    _adaptive_gl. The bound is the |difference| plus the rounding floor of
+    _adaptive_gl; kernel and weights are positive, so |value| is the sum of
+    |integrand * weight|.
     """
     def rule(m):
         X, W = _jacobi_unit(m, g)
-        return term.coefficient * scale * np.einsum("ij,j->i", kernel(X, m * 2), W)
+        return term.coefficient * scale * np.einsum("ij,j->i", kernel(X), W)
 
     v = rule(32)
     return v, np.abs(v - rule(16)) + _ROUNDOFF * np.abs(v)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
-from scipy.special import hyp2f1, roots_jacobi, roots_legendre
+from scipy.special import gamma, hyp2f1, poch, roots_jacobi, roots_legendre
 
 from hartree_singular import (
     ConvergenceError,
@@ -38,6 +38,7 @@ from hartree_singular.radial_quadrature import (
     _jacobi_unit,
     _kernel_near,
     _kernel_sep,
+    _kernel_series,
     _pchip,
     _profile_table,
 )
@@ -461,6 +462,60 @@ def test_far_kernel_dim3_against_binomial_series(mu, log_s, log_r, swap):
     assert got == pytest.approx(want, rel=1e-14), (mu, lo, hi)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(data=st.data(), n=st.integers(4, 8),
+       s=st.one_of(st.just(0.5), st.floats(-8.0, math.log10(0.5)).map(lambda x: 10.0 ** x)),
+       log_r=st.floats(-2.0, 2.0), swap=st.booleans())
+def test_far_kernel_against_hypergeometric_oracle(data, n, s, log_r, swap):
+    # the far series in (rho/r)^2 at N >= 4, out to the far edge s = 1/2; at
+    # mu = N-2 the series is the constant 1 (the mean value property), and
+    # N-1 and N-3 are the other integer parameter cases
+    mu = data.draw(st.one_of(st.floats(0.05, n - 0.05), st.sampled_from([n - 1.0, n - 2.0,
+                                                                          n - 3.0])))
+    hi = 10.0 ** log_r
+    lo = hi * s
+    want = kernel_oracle(hi, lo, n, mu)
+    got = angular_kernel(lo, hi, n, mu) if swap else angular_kernel(hi, lo, n, mu)
+    assert got == pytest.approx(want, rel=1e-14), (n, mu, lo, hi)
+
+
+def _reference_series(n, mu, terms):
+    """The three kernel series of _kernel_series, lowest degree first, each to a fixed length.
+
+    Far: the 2F1 coefficients (mu/2)_k ((mu-N+2)/2)_k / ((N/2)_k k!). Near, with
+    the 48-point rule at its exact zeroth moment: C(-mu/2, k) sum W v^(h - mu/2 - k)
+    for [1, 2] and 2^h C(h, k) (-1/2)^k sum W (1 + X)^(-mu/2) X^k for [0, eps],
+    where C(x, k) = (-x)_k (-1)^k / k!.
+    """
+    a, b, c, h = mu / 2.0, (mu - n + 2.0) / 2.0, n / 2.0, (n - 3.0) / 2.0
+    k = np.arange(terms, dtype=float)
+    far = poch(a, k) / gamma(k + 1.0) * (poch(b, k) / poch(c, k))
+    X, W = _jacobi_unit(48, h)
+    W = W / (W.sum() * (h + 1.0))
+    v = 2.0 - X
+    two = (poch(a, k) / gamma(k + 1.0) * (-1.0) ** k
+           * np.array([np.sum(W * v ** (h - a - j)) for j in range(terms)]))
+    zero = (2.0 ** h * poch(-h, k) / gamma(k + 1.0) * 0.5 ** k
+            * np.array([np.sum(W * (1.0 + X) ** -a * X ** j) for j in range(terms)]))
+    return far, two, zero
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_kernel_series_are_cut_below_their_remainder_bound(n):
+    # each series is cut where the dropped terms at the window edge z = eps = 1/4
+    # sum to at most 2^-60 of the series; the kept coefficients are the series'
+    # own. mu runs up to the alpha = 0.13 edge, where the series converge slowest
+    for mu in np.concatenate([np.linspace(0.05, n - 0.13, 23), [n - 3.0, n - 2.0, n - 1.0]]):
+        for kept, ref in zip(_kernel_series(n, float(mu)), _reference_series(n, mu, 100)):
+            K = kept.size
+            edge = 0.25 ** np.arange(100.0)
+            total = np.sum(ref * edge)
+            assert total > 0.0
+            np.testing.assert_allclose(kept[::-1], ref[:K], rtol=1e-12, atol=0.0)
+            assert np.sum(np.abs(ref[K:] * edge[K:])) <= 2.0 ** -60 * total, (mu, K)
+            assert np.polyval(kept, 0.25) == pytest.approx(total, rel=1e-15, abs=0.0), (mu, K)
+
+
 def test_kernel_near_diagonal_against_oracle():
     for delta in (1e-3, 1e-6, 1e-9):
         got = angular_kernel(1.0, 1.0 - delta, 4, 2.7)
@@ -471,7 +526,7 @@ def test_kernel_near_diagonal_against_oracle():
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_kernel_between_half_and_diagonal_against_quad(n):
     # rho/r in (1/2, 1) is near-diagonal territory, as in the Riesz region
-    # table; the separated rule loses up to ~1e-10 there at mu close to N
+    # table; the far series, cut for (rho/r)^2 <= 1/4, misses by up to 9e-7 there
     for ratio, mu in itertools.product((0.7, 0.8), (0.6 * n, n - 1.2, 0.8 * n, 0.95 * n)):
         def integrand(t):
             return (1.0 + ratio ** 2 - 2.0 * ratio * math.cos(t)) ** (-mu / 2.0) * math.sin(t) ** (n - 2)
@@ -977,7 +1032,7 @@ def test_grid_radii_read_offset_rows_only_on_a_log_uniform_grid(monkeypatch, n, 
 
     def run(radii):
         prof = RadialProfile.from_power(term, radii)
-        far = radial_quadrature._FarIntervals(prof, radii[pick], n, n - alpha, 64)
+        far = radial_quadrature._FarIntervals(prof, radii[pick], n, n - alpha)
         return far.index, riesz_radial(prof, alpha, n, at=radii[pick])
 
     (rows_index, rows), (bent_index, bent_out) = run(grid), run(bent)

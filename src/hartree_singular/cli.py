@@ -117,14 +117,12 @@ def _format(flag, v):
 # Every flag: name -> (kind, default). None means unset; the handler decides.
 _FLAGS = {
     **dict.fromkeys(("mu", "p", "q", "t", "alpha", "exponent", "decay", "amplitude",
-                     "exclusion_radius", "tol"), (_number, None)),
+                     "exclusion_radius", "tol", "rel_tol"), (_number, None)),
     **dict.fromkeys(("use_alternate_s", "numeric", "pretty"), (_switch, False)),
     **dict.fromkeys(("output", "config"), (_text, None)),
     "dim": (_integer, 3),
     "coefficient": (_number, 1.0),
     "radii": (_numbers, [0.5, 1.0, 2.0]),
-    "rel_tol": (_number, None),
-    "abs_tol": (_number, None),
     "max_panels": (_integer, None),
     "grid_min": (_number, 1e-3),
     "grid_max": (_number, 1e3),
@@ -151,13 +149,13 @@ def _required(v, *names):
 def _quadrature(v):
     """(radii, config, grid) of the numeric Riesz pass shared by verify and riesz.
 
-    Unset tolerances and budgets take QuadratureConfig's defaults.
+    An unset --rel-tol or --max-panels takes QuadratureConfig's default.
     """
     import numpy as np
 
     from .radial_quadrature import QuadratureConfig, log_grid
 
-    given = {name: getattr(v, name) for name in ("rel_tol", "abs_tol", "max_panels")}
+    given = {name: getattr(v, name) for name in ("rel_tol", "max_panels")}
     cfg = QuadratureConfig(**{name: x for name, x in given.items() if x is not None})
     return np.array(v.radii), cfg, log_grid(v.grid_min, v.grid_max, v.grid_num)
 
@@ -315,7 +313,7 @@ def _do_critical(v):
     return body, None, pretty
 
 
-_QUAD = ("rel_tol", "abs_tol", "max_panels", "grid_min", "grid_max", "grid_num")
+_QUAD = ("rel_tol", "max_panels", "grid_min", "grid_max", "grid_num")
 
 # flags every subcommand takes, with their help lines
 _COMMON = {

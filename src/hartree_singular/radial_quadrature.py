@@ -33,15 +33,14 @@ _LOG_FLOAT_MAX, _LOG_FLOAT_TINY = math.log(np.finfo(float).max), math.log(_FLOAT
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets shared by every integral in this module."""
+    """The relative tolerance and panel budget shared by every adaptive integral."""
 
     rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
     max_panels: int = 2000
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
-            raise DomainError("quadrature tolerances must be positive and finite")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise DomainError("quadrature tolerance must be positive and finite")
         _check_count("max_panels", self.max_panels, 16)
 
 
@@ -260,10 +259,11 @@ def _mix_tails(t1, t2, w1, w2, r_edge, v_edge, inner):
 
 # ---------------------------------------------------------------------------
 # Gauss rules, built in numpy and cached on their exact arguments so that a
-# result never depends on which rules earlier calls happened to build.
+# result never depends on which rules earlier calls happened to build. Float-keyed
+# caches hold ~4x a verify-highdim cycle's keys: LRU under a cycle always misses.
 
 
-@functools.cache
+@functools.lru_cache(maxsize=4096)
 def _gauss_jacobi(n, a, b):
     """n-point Gauss rule for int_-1^1 (1-x)^a (1+x)^b h(x) dx, a, b > -1, n >= 2.
 
@@ -370,7 +370,7 @@ def _series(weights, step, ratio, n, mu):
         weights, p = weights * step, p * ratio(k)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1024)
 def _kernel_series(n, mu):
     """(far, near [1, 2], near [0, eps] / eps^c) series coefficients at N >= 4.
 
@@ -576,7 +576,7 @@ def _rule_sums(v):
             np.einsum("ij,j->i", np.abs(v), wk))
 
 
-def _adaptive_gl(fun, segs, tag, length, rel_tol, abs_tol, max_panels, chunk, given=None):
+def _adaptive_gl(fun, segs, tag, length, rel_tol, max_panels, chunk, given=None):
     """Globally adaptive Gauss-Legendre quadrature of many integrals at once.
 
     Integral g has length length[g] and initial panels segs[tag == g];
@@ -585,11 +585,11 @@ def _adaptive_gl(fun, segs, tag, length, rel_tol, abs_tol, max_panels, chunk, gi
     the initial panels segs[index], which fun then never sees. Each integral
     keeps the rules of a run of its own: a panel's value is its K25 sum, and
     a panel whose |K25 - G12| (never a NaN) exceeds its length share of
-    max(abs_tol, rel_tol |estimate|) is bisected; after max_panels the open
-    panels are added as they are and the integral is not converged. A
-    panel's error bound is |K25 - G12|, in effect the error of G12, plus
-    _ROUNDOFF times its K25 sum of |integrand * weight|. Returns
-    per-integral (value, error_bound, panels_used, converged).
+    max(rel_tol |estimate|, floor) is bisected; after max_panels the open
+    panels are added as they are and the integral is not converged. A panel's
+    error bound is |K25 - G12| plus its floor, _ROUNDOFF times its K25 sum of
+    |integrand * weight|; the floor in the max sums those of the integral's
+    open panels. Returns (value, error_bound, panels_used, converged).
     """
     groups = length.size
     val, err = np.zeros(groups), np.zeros(groups)
@@ -610,8 +610,9 @@ def _adaptive_gl(fun, segs, tag, length, rel_tol, abs_tol, max_panels, chunk, gi
         coarse, fine, size = sums
         e = np.abs(fine - coarse)
         used += np.bincount(tag, minlength=groups)
-        scale = np.abs(val + np.bincount(tag, fine, groups))
-        done = e <= np.maximum(abs_tol, rel_tol * scale[tag]) * (2.0 * half / length[tag])
+        tol = np.maximum(rel_tol * np.abs(val + np.bincount(tag, fine, groups)),
+                         _ROUNDOFF * np.bincount(tag, size, groups))
+        done = e <= tol[tag] * (2.0 * half / length[tag])
         over = (np.bincount(tag[~done], minlength=groups) > 0) & (used >= max_panels)
         ok &= ~over
         take = done | over[tag]
@@ -858,7 +859,7 @@ def _riesz_block(f, r, index, n, mu, alpha, cfg, grid):
     tag = live[tag]
     val, e, used, ok = _adaptive_gl(
         _region_integrand(f, n, alpha, rg, side), segs, tag, length,
-        cfg.rel_tol, cfg.abs_tol, max(cfg.max_panels // 4, 4), _CHUNK_PANELS,
+        cfg.rel_tol, max(cfg.max_panels // 4, 4), _CHUNK_PANELS,
         grid.given(segs, side[tag] == 0.0, r, index, tag // 4))
     for k in range(4):  # summed row by row, in table order
         raw += val[k::4]

@@ -170,8 +170,10 @@ _FAILURES = [
      "domain error: alpha=0.10000000000000009 is below the near-diagonal window alpha >= 0.1300 "
      "at N=4 (mu = N - alpha <= 3.8700)"),
     (("riesz", "--alpha", "1.5", "--exponent", "2.2", "--numeric", "--max-panels", "16",
-      "--rel-tol", "1e-15", "--abs-tol", "1e-300"), 2, "computation failed: "),
+      "--rel-tol", "1e-15"), 2, "computation failed: "),
     (("solve-params", "--mu", "2.5", "--p", "2"), 64, "missing required value --q"),
+    (("riesz", "--alpha", "1.5", "--exponent", "2.2", "--numeric", "--abs-tol", "1e-12"), 64,
+     "hartree-singular: unrecognized arguments: --abs-tol 1e-12"),
 ]
 
 
@@ -276,8 +278,7 @@ def test_riesz_non_finite_radius_is_domain_error(capsys):
 
 def test_riesz_unconverged_quadrature_exits_2(capsys):
     code, _, err = run(capsys, "riesz", "--alpha", "0.5", "--exponent", "2.5",
-                       "--numeric", "--rel-tol", "1e-15", "--abs-tol", "1e-300",
-                       "--max-panels", "16")
+                       "--numeric", "--rel-tol", "1e-15", "--max-panels", "16")
     assert code == 2 and "computation failed" in err
 
 
@@ -361,6 +362,18 @@ def test_threads_is_not_an_option(capsys, tmp_path):
     code, _, err = run(capsys, "moving-plane", "--decay", "0.5", "--num", "9",
                        "--config", str(cfg))
     assert code == 64 and "threads" in err
+
+
+def test_abs_tol_is_not_a_config_key(capsys, tmp_path):
+    # quadrature stops at rel_tol or the rounding floor: no absolute tolerance
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"abs_tol": 1e-12}')
+    code, out, err = run(capsys, "riesz", "--alpha", "1.5", "--exponent", "2.2", "--numeric",
+                         "--config", str(cfg))
+    assert code == 64 and "abs_tol" in err
+    assert out == ""
+    with pytest.raises(TypeError):
+        QuadratureConfig(abs_tol=1e-12)
 
 
 def test_angular_nodes_is_not_an_option(capsys, tmp_path):

@@ -66,8 +66,6 @@ def test_config_validation():
     with pytest.raises(DomainError):
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(DomainError):
-        QuadratureConfig(abs_tol=-1.0)
-    with pytest.raises(DomainError):
         QuadratureConfig(max_panels=4)
 
 
@@ -76,8 +74,7 @@ def test_non_finite_inputs_raise_domain_error():
                  (1e-3, 1e3, 16.5)):
         with pytest.raises(DomainError):
             log_grid(*args)
-    for kw in ({"rel_tol": math.inf}, {"abs_tol": math.inf}, {"max_panels": math.inf},
-               {"max_panels": 16.5}):
+    for kw in ({"rel_tol": math.inf}, {"max_panels": math.inf}, {"max_panels": 16.5}):
         with pytest.raises(DomainError):
             QuadratureConfig(**kw)
     with pytest.raises(DomainError):
@@ -796,7 +793,7 @@ def _initial_edges(a, b, presplit, breaks):
     return edges
 
 
-def _adaptive_gl_scalar(fun, a, b, rel_tol, abs_tol, max_panels, presplit=1):
+def _adaptive_gl_scalar(fun, a, b, rel_tol, max_panels, presplit=1):
     """One integral at a time: the loop that the tagged _adaptive_gl replaced."""
     if not b > a:
         return 0.0, 0.0, 0, True
@@ -819,7 +816,7 @@ def _adaptive_gl_scalar(fun, a, b, rel_tol, abs_tol, max_panels, presplit=1):
         floor = radial_quadrature._ROUNDOFF * (np.abs(f2) @ w2) * half
         panels += segs.shape[0]
         scale = abs(acc_val + fine.sum())
-        tol = np.maximum(abs_tol, rel_tol * scale) * (2.0 * half / total_len)
+        tol = np.maximum(floor.sum(), rel_tol * scale) * (2.0 * half / total_len)
         done = err <= tol
         acc_val += fine[done].sum()
         acc_err += (err + floor)[done].sum()
@@ -845,10 +842,11 @@ def test_tagged_quadrature_matches_scalar_reference_per_integral():
         (lambda x: 1.0 / (1e-6 + x * x), -1.0, 1.0, 3),  # sharp peak: refines deep
         (lambda x: np.sin(40.0 * x), 0.0, 2.0, 1),
         (lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0, 1),  # NaN never converges
+        (lambda x: 1e-30 / (1e-6 + x * x), -1.0, 1.0, 3),  # the peak, scaled: same panels
     ]
-    budget, rel_tol, abs_tol = 64, 1e-10, 1e-14
+    budget, rel_tol = 64, 1e-10
     with np.errstate(invalid="ignore"):
-        ref = [_adaptive_gl_scalar(fn, a, b, rel_tol, abs_tol, budget, presplit=p)
+        ref = [_adaptive_gl_scalar(fn, a, b, rel_tol, budget, presplit=p)
                for fn, a, b, p in cases]
     edges = [np.linspace(a, b, p + 1) for _, a, b, p in cases]
     segs = np.concatenate([np.column_stack([e[:-1], e[1:]]) for e in edges])
@@ -863,8 +861,10 @@ def test_tagged_quadrature_matches_scalar_reference_per_integral():
         return out
 
     val, err, used, ok = radial_quadrature._adaptive_gl(
-        fun, segs, tag, length, rel_tol, abs_tol, budget, 7)
-    assert [c for *_, c in ref] == [True, False, True, True, False]
+        fun, segs, tag, length, rel_tol, budget, 7)
+    assert [c for *_, c in ref] == [True, False, True, True, False, True]
+    # no absolute tolerance: the scaled peak refines exactly as its twin does
+    assert ref[5][2] == ref[2][2] > 3 and used[5] == used[2]
     for g, (v, e, panels, converged) in enumerate(ref):
         assert used[g] == panels and ok[g] == converged, g
         if math.isnan(v):
@@ -884,7 +884,7 @@ def test_tagged_quadrature_matches_scalar_reference_per_integral():
         return fun(s, t)
 
     given = radial_quadrature._adaptive_gl(
-        spy, segs, tag, length, rel_tol, abs_tol, budget, 7, (index, sums))
+        spy, segs, tag, length, rel_tol, budget, 7, (index, sums))
     for got, want in zip(given, (val, err, used, ok)):
         np.testing.assert_array_equal(got, want)
     assert sum(s.shape[0] for s in seen) == used.sum() - index.size
@@ -1092,6 +1092,51 @@ def test_riesz_linearity():
                                     rel=1e-12)
 
 
+def _power_riesz(n, alpha, a, c):
+    grid = log_grid()
+    return riesz_radial(RadialProfile.from_power(PowerLawTerm(c, a), grid), alpha, n,
+                        at=grid[::20])
+
+
+_SCALE_CASES = [(3, 1.5, 2.2), (4, 1.2, 3.2), (3, 0.5, 2.2)]
+_UNSCALED = {}
+
+
+def _check_scale_free(case, c):
+    # the potential is linear: c f gives c times the values of f and the same
+    # relative bars, since no tolerance of the quadrature is absolute
+    if case not in _UNSCALED:
+        _UNSCALED[case] = _power_riesz(*case, 1.0)
+    one, scaled = _UNSCALED[case], _power_riesz(*case, c)
+    np.testing.assert_allclose(scaled.values, c * one.values, rtol=4e-15, atol=0.0)
+    ratio = scaled.point_errors / one.point_errors
+    assert np.all((ratio >= 0.5) & (ratio <= 2.0)), (case, c, ratio.min(), ratio.max())
+
+
+@pytest.mark.parametrize("case", _SCALE_CASES)
+@pytest.mark.parametrize("c", [1e-20, 1e20])
+def test_riesz_is_scale_free(case, c):
+    _check_scale_free(case, c)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20, database=None)
+@given(case=st.sampled_from(_SCALE_CASES), k=st.floats(-30.0, 30.0))
+def test_riesz_is_scale_free_at_any_power_of_ten(case, k):
+    _check_scale_free(case, 10.0 ** k)
+
+
+def test_float_keyed_caches_are_bounded():
+    # a scan over mu or tail exponents must not grow the rule and series
+    # caches without end
+    for mu in np.linspace(0.2, 4.8, 2000):
+        _kernel_series(5, float(mu))
+    for b in np.linspace(-0.9, 3.0, 4200):
+        _gauss_jacobi(2, 0.0, float(b))
+    for cached in (_kernel_series, _gauss_jacobi):
+        info = cached.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
 def test_riesz_gaussian_newton_potential():
     # exp(-r^2) sampled without tails: far field is mass/(4 pi r), and the
     # Newton shell formula gives the exact interior values
@@ -1196,7 +1241,7 @@ def test_riesz_domain_errors():
 
 
 def test_riesz_convergence_error_carries_radius():
-    cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300, max_panels=16)
+    cfg = QuadratureConfig(rel_tol=1e-15, max_panels=16)
     prof = RadialProfile.from_power(PowerLawTerm(1.0, 2.5), log_grid())
     at = np.array([0.5, 1.0])
     with pytest.raises(ConvergenceError) as exc:

@@ -261,9 +261,11 @@ def _mix_tails(t1, t2, w1, w2, r_edge, v_edge, inner):
 # Gauss rules, built in numpy and cached on their exact arguments so that a
 # result never depends on which rules earlier calls happened to build. Float-keyed
 # caches hold ~4x a verify-highdim cycle's keys: LRU under a cycle always misses.
+# A cycle builds 256 kernel series, one per fresh mu, and 4 Jacobi rules: the
+# 16-point log-w panels and the 48-point near moments of N = 4, 5 and 6.
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=16)
 def _gauss_jacobi(n, a, b):
     """n-point Gauss rule for int_-1^1 (1-x)^a (1+x)^b h(x) dx, a, b > -1, n >= 2.
 
@@ -340,13 +342,6 @@ def _gauss_kronrod(n):
             2.0 / np.sum(q[:, order] ** 2, axis=0))
 
 
-def _jacobi_unit(n, g):
-    """Nodes X and weights W with sum W_i h(X_i) ~ int_0^1 x^g h(x) dx."""
-    g = float(g)
-    x, w = _gauss_jacobi(n, 0.0, g)
-    return (1.0 + x) / 2.0, w * 2.0 ** (-(g + 1.0))
-
-
 # ---------------------------------------------------------------------------
 # Angular kernel
 
@@ -372,21 +367,26 @@ def _series(weights, step, ratio, n, mu):
 
 @functools.lru_cache(maxsize=1024)
 def _kernel_series(n, mu):
-    """(far, near [1, 2], near [0, eps] / eps^c) series coefficients at N >= 4.
+    """(far, near [1, 2], near [0, eps] / eps^c) series; at N = 3 only (far,).
 
     Far: 2F1(mu/2, (mu - N + 2)/2; N/2; z) in z = (min/max)^2 (DLMF 15.2.1),
-    with term ratios at most 1 in size for k >= N/4 - 1. Near, in eps, with
-    X, W the 48-point rule of int_0^1 x^h g(x) dx, h = (N-3)/2, at its exact
-    zeroth moment (the Golub-Welsch weights share an error of a few units in
-    the last place): [1, 2] in v = 2 - w from (eps + v)^(-mu/2) = sum_k
-    C(-mu/2, k) eps^k v^(-mu/2-k), ratio eps/v <= 1/4, and [0, eps] in w =
-    eps X from (2 - eps X)^h = sum_k C(h, k) 2^(h-k) (-eps X)^k, ratio <= 1/8.
+    with term ratios at most 1 in size for k >= N/4 - 1; at N = 3 only the
+    Riesz tails use it, and the near kernel has closed forms. Near, in eps,
+    with X, W the 48-point rule of int_0^1 x^h g(x) dx, h = (N-3)/2, at its
+    exact zeroth moment (the Golub-Welsch weights share an error of a few
+    units in the last place): [1, 2] in v = 2 - w from (eps + v)^(-mu/2) =
+    sum_k C(-mu/2, k) eps^k v^(-mu/2-k), ratio eps/v <= 1/4, and [0, eps] in
+    w = eps X from (2 - eps X)^h = sum_k C(h, k) 2^(h-k) (-eps X)^k, ratio
+    <= 1/8.
     """
     a, b, c, h = mu / 2.0, (mu - n + 2.0) / 2.0, n / 2.0, (n - 3.0) / 2.0
-    X, W = _jacobi_unit(48, h)
+    far = _series(np.ones(1), 1.0, lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)), n, mu)
+    if n == 3:
+        return (far,)
+    X, W = _gauss_jacobi(48, 0.0, h)
+    X = (1.0 + X) / 2.0  # on [0, 1]; the weights' factor 2^-(h+1) there cancels below
     v, W = 2.0 - X, W / (W.sum() * (h + 1.0))
-    return (_series(np.ones(1), 1.0, lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)), n, mu),
-            _series(W * v ** (h - a), 1.0 / v, lambda k: -(a + k) / (k + 1.0), n, mu),
+    return (far, _series(W * v ** (h - a), 1.0 / v, lambda k: -(a + k) / (k + 1.0), n, mu),
             _series(W * 2.0 ** h * (1.0 + X) ** -a, X, lambda k: (k - h) / (2.0 * k + 2.0), n, mu))
 
 
@@ -444,7 +444,7 @@ def angular_kernel(r, rho, dim, mu):
                 # 1-element arrays, as the quadrature passes: numpy's scalar
                 # power may round unlike its array power
                 k = float(_kernel_near(np.array([hi]), np.array([hi - small]), np.array([small]),
-                                       n, mu)[0])
+                                       n, mu, n - mu)[0])
     if not _FLOAT_TINY <= k < math.inf:
         raise DomainError(f"K(r={r}, rho={rho}) at N={n}, mu={mu} leaves the normal float range")
     return k
@@ -472,7 +472,7 @@ def _kernel_sep(r, rho, n, mu):
     return sphere_area(n) * hi ** -mu * np.polyval(_kernel_series(n, mu)[0], s * s)
 
 
-def _kernel_near(r, rho, delta, n, mu, alpha=None):
+def _kernel_near(r, rho, delta, n, mu, alpha):
     """K(r, rho) with delta = |r - rho| passed exactly, batched over the delta array.
 
     Near the diagonal rho collapses onto r in floating point, so the kernel
@@ -486,9 +486,10 @@ def _kernel_near(r, rho, delta, n, mu, alpha=None):
     _kernel_series. [eps, 1] runs over e^2-wide Gauss-Legendre panels in log
     w, where the integrand is at most 2^b max(1, eps^c): no intermediate
     overflows while eps is a normal float. An eps that underflowed to 0 gives
-    NaN. alpha, when the caller knows N - mu exactly, gives c as (alpha - 1)/2:
-    a value moves by about |log eps| times an error in c, and mu = N - alpha
-    rounded put riesz_radial 11 units in the last place off at alpha = 0.15.
+    NaN. alpha = N - mu, as the caller holds it, gives c = (alpha - 1)/2
+    without the rounding of N - mu: a value moves by about |log eps| times an
+    error in c, and mu = N - alpha rounded put riesz_radial 11 units in the
+    last place off at alpha = 0.15.
     Each delta keeps the piece order of a scalar evaluation: [0, eps], the
     panel at eps, the panels from w = 1 down, then [1, 2]. The series are
     elementwise and the node sums einsum row sums, so a delta's value does
@@ -503,7 +504,7 @@ def _kernel_near(r, rho, delta, n, mu, alpha=None):
     # With u = cos(theta) and w = 1 - u, the quadratic factors as
     # 2 r rho (eps + w), eps = delta^2/(2 r rho), and
     # K = |S^(N-2)| (2 r rho)^(-mu/2) * int_0^2 w^b (2-w)^b (eps+w)^(-mu/2) dw
-    b, c = (n - 3.0) / 2.0, ((n - mu if alpha is None else alpha) - 1.0) / 2.0
+    b, c = (n - 3.0) / 2.0, (alpha - 1.0) / 2.0
     eps = (delta / r) * (delta / rho) / 2.0  # no delta^2: it leaves the normal range first
     live = np.flatnonzero(eps > 0.0)  # an eps that underflowed to 0 gets K = nan
     _, two, zero = _kernel_series(n, mu)  # pieces [1, 2] and [0, eps] / eps^c
@@ -802,9 +803,9 @@ def _t_cap(alpha):
 def _riesz_block(f, r, index, n, mu, alpha, cfg, grid):
     """Raw integrals int f rho^(N-1) K drho (no 1/gamma) at the radii r, all run together.
 
-    The tails cover [0, lo] and [hi, inf), analytically or by a truncation
-    estimate, as (radii x nodes) matrices. [lo, hi] is summed over the rows
-    of one region table, in order:
+    The tails cover [0, lo] and [hi, inf), as exact integrals of the far
+    kernel's series (_tail_piece) or by a truncation estimate. [lo, hi] is
+    summed over the rows of one region table, in order:
 
         g_lo     [lo, r/2]              side  0   x = log(rho)
         g_left   [max(lo, r/2), r]      side -1   rho = r(1 - e^(-t))
@@ -823,22 +824,22 @@ def _riesz_block(f, r, index, n, mu, alpha, cfg, grid):
     r0, r1 = float(f.radii[0]), float(f.radii[-1])
     raw, err, trunc = np.zeros(r.size), np.zeros(r.size), np.zeros(r.size)
 
-    if f.tail_inner is not None:  # analytic inner piece [0, lo]
+    if f.tail_inner is not None:  # inner piece [0, lo] via rho = lo x
         lo = np.minimum(r0, 0.5 * r)
-        g = n - 1.0 - f.tail_inner.exponent  # > -1 by the tail precondition
-        v, e = _tail_piece(f.tail_inner, g, lo ** (g + 1.0),
-                           lambda X: _kernel_sep(r[:, None], lo[:, None] * X, n, mu))
+        c, a = f.tail_inner.coefficient, f.tail_inner.exponent
+        g = n - 1.0 - a  # > -1 by the tail precondition
+        v, e = _tail_piece(g, c * (lo ** (g + 1.0) * r ** -mu), lo / r, n, mu)
         raw += v
         err += e
     else:
         lo = np.full(r.size, r0)
         trunc += _trunc_inner_estimate(f, r, n, mu)
 
-    if f.tail_outer is not None:  # analytic outer piece [hi, inf) via x = hi/rho
+    if f.tail_outer is not None:  # outer piece [hi, inf) via rho = hi/x
         hi = np.maximum(r1, 2.0 * r)
-        g = f.tail_outer.exponent - alpha - 1.0  # > -1 by the tail precondition
-        v, e = _tail_piece(f.tail_outer, g, hi ** (alpha - f.tail_outer.exponent),
-                           lambda X: _kernel_sep(1.0, r[:, None] * X / hi[:, None], n, mu))
+        c, a = f.tail_outer.coefficient, f.tail_outer.exponent
+        g = a - alpha - 1.0  # > -1 by the tail precondition
+        v, e = _tail_piece(g, c * hi ** (alpha - a), r / hi, n, mu)
         raw += v
         err += e
     else:
@@ -923,22 +924,19 @@ def _region_integrand(f, n, alpha, r, side):
     return fun
 
 
-def _tail_piece(term, g, scale, kernel):
-    """c * scale * int_0^1 x^g kernel(x) dx over a tail, by Gauss-Jacobi in x, per radius.
+def _tail_piece(g, scale, s, n, mu):
+    """scale * int_0^1 x^g K(1, s x) dx over a tail, per radius, for s <= 1/2.
 
-    The rule runs at 32 and at 16 nodes; kernel(X) gives the (radii x
-    nodes) kernel at the rule's nodes X, and scale is one factor per radius.
-    Returns (value at 32, error bound) per radius, summed by einsum as in
-    _adaptive_gl. The bound is the |difference| plus the rounding floor of
-    _adaptive_gl; kernel and weights are positive, so |value| is the sum of
-    |integrand * weight|.
+    K(1, s x) is the far series |S^(N-1)| sum_k c_k (s x)^(2k) of
+    _kernel_series, at every N, and each term integrates exactly:
+    int_0^1 x^g (s x)^(2k) dx = s^(2k)/(g + 2k + 1). Returns (value, error
+    bound) per radius; the series is cut below 2^-60 of its sum at s = 1/2,
+    so the bound is the rounding floor of _adaptive_gl, _ROUNDOFF |value|.
     """
-    def rule(m):
-        X, W = _jacobi_unit(m, g)
-        return term.coefficient * scale * np.einsum("ij,j->i", kernel(X), W)
-
-    v = rule(32)
-    return v, np.abs(v - rule(16)) + _ROUNDOFF * np.abs(v)
+    far = _kernel_series(n, mu)[0]
+    k = np.arange(far.size - 1.0, -1.0, -1.0)  # the degree of each coefficient, highest first
+    v = scale * sphere_area(n) * np.polyval(far / (g + 2.0 * k + 1.0), s * s)
+    return v, _ROUNDOFF * np.abs(v)
 
 
 # ---------------------------------------------------------------------------
@@ -1023,8 +1021,9 @@ def inverse_laplacian_radial(g, dim):
 
         u(r) = (1/(N-2)) [ r^(2-N) int_0^r g rho^(N-1) drho + int_r^inf g rho drho ].
 
-    Each grid interval is integrated by fixed 8- and 4-point Gauss rules;
-    their difference is the quadrature part of point_errors. Requires inner
+    Each grid interval is one panel of _adaptive_gl's G12/K25 rule, with
+    one pass of g over its 25 nodes for both moments: the K25 sum is the
+    value and |K25 - G12| the quadrature part of point_errors. Requires inner
     tail exponent < N and outer tail exponent > 2 when tails are attached; a
     missing tail truncates and its estimate is reported in point_errors.
     Returns u on g's grid.
@@ -1032,24 +1031,17 @@ def inverse_laplacian_radial(g, dim):
     n = _check_dim(dim)
     _check_tail_windows(g, 2.0, n)
     radii = g.radii
-    mid = 0.5 * (radii[1:] + radii[:-1])
     half = 0.5 * (radii[1:] - radii[:-1])
-
-    def moments(order):
-        """(int g rho^(N-1), int g rho, and both of |g|) over each grid interval, one pass of g."""
-        xs, ws = _gauss_jacobi(order, 0.0, 0.0)
-        nodes = mid[:, None] + half[:, None] * xs[None, :]
-        vals = g(nodes.ravel()).reshape(nodes.shape)
-        return [((v * nodes ** power) @ ws) * half
-                for v in (vals, np.abs(vals)) for power in (n - 1.0, 1.0)]
+    rho = _gauss_points(np.column_stack([radii[:-1], radii[1:]]))
+    vals = g(rho)
+    # (G12, K25, K25 of |.|) sums of int g rho^(N-1) and of int g rho per grid interval
+    (mass_g, mass, size_mass), (line_g, line, size_line) = (
+        np.array(_rule_sums(vals * rho ** p)) * half for p in (n - 1.0, 1.0))
 
     def potential(inner, mass, outer, line):
         """(1/(N-2)) [r^(2-N) (inner + cumsum mass) + outer + reverse cumsum line] on the grid."""
         return ((inner + np.concatenate([[0.0], np.cumsum(mass)])) * radii ** (2.0 - n)
                 + (outer + np.concatenate([np.cumsum(line[::-1])[::-1], [0.0]]))) / (n - 2.0)
-
-    mass8, line8, size_mass, size_line = moments(8)
-    mass4, line4, _, _ = moments(4)
 
     if g.tail_inner is not None:
         c, a = g.tail_inner.coefficient, g.tail_inner.exponent
@@ -1062,10 +1054,10 @@ def inverse_laplacian_radial(g, dim):
     else:
         outer_inf, trunc_out = 0.0, _trunc_outer_estimate(g, 2.0, 1.0, 2.0)
 
-    u = potential(inner0, mass8, outer_inf, line8)
-    # the 8/4-point differences, floored by the rounding of every summed term
-    errors = (potential(_ROUNDOFF * abs(inner0), np.abs(mass8 - mass4) + _ROUNDOFF * size_mass,
-                        _ROUNDOFF * abs(outer_inf), np.abs(line8 - line4) + _ROUNDOFF * size_line)
+    u = potential(inner0, mass, outer_inf, line)
+    # the K25/G12 differences, floored by the rounding of every summed term
+    errors = (potential(_ROUNDOFF * abs(inner0), np.abs(mass - mass_g) + _ROUNDOFF * size_mass,
+                        _ROUNDOFF * abs(outer_inf), np.abs(line - line_g) + _ROUNDOFF * size_line)
               + trunc_in * radii ** (2.0 - n) / (n - 2.0) + trunc_out / (n - 2.0))
     errors = errors / np.maximum(np.abs(u), 1e-300)
 

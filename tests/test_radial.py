@@ -35,12 +35,12 @@ from hartree_singular.radial_quadrature import (
     _gauss_jacobi,
     _gauss_kronrod,
     _gauss_points,
-    _jacobi_unit,
     _kernel_near,
     _kernel_sep,
     _kernel_series,
     _pchip,
     _profile_table,
+    _tail_piece,
 )
 
 # Frozen oracle values.
@@ -304,6 +304,12 @@ def _beta(x, y):
     return math.gamma(x) * math.gamma(y) / math.gamma(x + y)
 
 
+def _jacobi_unit(n, g):
+    """Nodes X and weights W with sum W_i h(X_i) ~ int_0^1 x^g h(x) dx."""
+    x, w = _gauss_jacobi(n, 0.0, g)
+    return (1.0 + x) / 2.0, w * 2.0 ** (-(g + 1.0))
+
+
 def _moment_error(rule, moments):
     """Worst |sum w x^k - exact_k| / scale_k over moments = [(k, exact_k, scale_k)]."""
     x, w = rule
@@ -457,6 +463,9 @@ def test_far_kernel_dim3_against_binomial_series(mu, log_s, log_r, swap):
     want = hi ** -mu * _k3_series(lo / hi, mu)
     got = angular_kernel(lo, hi, 3, mu) if swap else angular_kernel(hi, lo, 3, mu)
     assert got == pytest.approx(want, rel=1e-14), (mu, lo, hi)
+    # the N = 3 far series, which only the Riesz tails integrate
+    series = sphere_area(3) * hi ** -mu * np.polyval(_kernel_series(3, mu)[0], (lo / hi) ** 2)
+    assert series == pytest.approx(want, rel=1e-14), (mu, lo, hi)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
@@ -497,7 +506,7 @@ def _reference_series(n, mu, terms):
     return far, two, zero
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_kernel_series_are_cut_below_their_remainder_bound(n):
     # each series is cut where the dropped terms at the window edge z = eps = 1/4
     # sum to at most 2^-60 of the series; the kept coefficients are the series'
@@ -572,7 +581,7 @@ def test_batched_near_kernel_matches_scalar_reference():
                 delta = _near_deltas(r, side, n - mu, 60)
                 rho = r + side * delta
                 assert np.max(delta * delta / (2.0 * r * rho)) == pytest.approx(0.25)
-                got = _kernel_near(r, rho, delta, n, mu)
+                got = _kernel_near(r, rho, delta, n, mu, n - mu)
                 want = np.array([_k_general_delta(r, d, p, n, mu)
                                  for d, p in zip(delta, rho)])
                 assert np.all(np.isfinite(want))
@@ -584,7 +593,7 @@ def test_batched_near_kernel_underflowed_eps_is_nan_and_isolated():
     # levels would never reach 1, so it is left out rather than stalling the batch
     delta = np.array([1e-200, 1e-3, 0.1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        got = _kernel_near(1.0, 1.0 - delta, delta, 4, 2.0)
+        got = _kernel_near(1.0, 1.0 - delta, delta, 4, 2.0, 2.0)
     assert math.isnan(got[0])
     assert got[1:] == pytest.approx([kernel_oracle(1.0, 1.0 - d, 4, 2.0) for d in delta[1:]],
                                     rel=1e-11)
@@ -599,11 +608,11 @@ def test_kernels_do_not_depend_on_a_value_place_in_the_batch(n, mu):
     delta = 0.5 * rng.random(1000) ** 4
     rho = 1.0 - delta
     s = 0.5 * rng.random(1000)
-    near = _kernel_near(1.0, rho, delta, n, mu)
+    near = _kernel_near(1.0, rho, delta, n, mu, n - mu)
     far = _kernel_sep(1.0, s, n, mu)
     assert np.all(_kernel_sep(np.ones((10, 1)), s.reshape(10, 100), n, mu).ravel() == far)
     for i in range(s.size):
-        assert near[i] == _kernel_near(1.0, rho[i:i + 1], delta[i:i + 1], n, mu)[0], i
+        assert near[i] == _kernel_near(1.0, rho[i:i + 1], delta[i:i + 1], n, mu, n - mu)[0], i
         assert far[i] == _kernel_sep(1.0, s[i:i + 1], n, mu)[0], i
 
 
@@ -617,7 +626,7 @@ def test_angular_kernel_near_the_diagonal_is_the_quadrature_kernel(n, mu):
     lo = hi * (1.0 - 0.5 * rng.random(1000) ** 4)
     keep = (0.5 * hi < lo) & (lo < hi)
     hi, lo = hi[keep], lo[keep]
-    want = _kernel_near(hi, hi - (hi - lo), hi - lo, n, mu)
+    want = _kernel_near(hi, hi - (hi - lo), hi - lo, n, mu, n - mu)
     for i, (a, b) in enumerate(zip(hi.tolist(), lo.tolist())):
         assert (angular_kernel(a, b, n, mu) if i % 2 else angular_kernel(b, a, n, mu)) == want[i], i
 
@@ -630,7 +639,7 @@ def test_jacobi_path_at_dim_three_matches_closed_form():
             delta = _near_deltas(r, side, 3.0 - mu, 80)
             rho = r + side * delta
             got = np.array([_k_general_delta(r, d, p, 3, mu) for d, p in zip(delta, rho)])
-            want = _kernel_near(r, rho, delta, 3, mu)
+            want = _kernel_near(r, rho, delta, 3, mu, 3.0 - mu)
             assert np.max(np.abs(got / want - 1.0)) <= 1e-13, (mu, side)
 
 
@@ -1123,6 +1132,37 @@ def test_riesz_is_scale_free(case, c):
 @given(case=st.sampled_from(_SCALE_CASES), k=st.floats(-30.0, 30.0))
 def test_riesz_is_scale_free_at_any_power_of_ten(case, k):
     _check_scale_free(case, 10.0 ** k)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(data=st.data(), n=st.integers(3, 8), g=st.floats(-0.99, 10.0),
+       s=st.one_of(st.just(0.5), st.floats(-8.0, math.log10(0.5)).map(lambda x: 10.0 ** x)))
+def test_tail_integrals_are_exact(data, n, g, s):
+    # each tail is int_0^1 x^g K(1, s x) dx, summed term by term from the far
+    # series; against adaptive quadrature of the hypergeometric kernel with the
+    # x^g weight, out to the far edge s = 1/2, at the integer mu too
+    mu = data.draw(st.one_of(st.floats(0.05, n - 0.05), st.sampled_from(range(1, n)).map(float)))
+    got, bar = _tail_piece(g, 1.0, np.array([s]), n, mu)
+    want = quad(lambda x: kernel_oracle(1.0, s * x, n, mu), 0.0, 1.0, weight="alg",
+                wvar=(g, 0.0), epsabs=0.0, epsrel=2e-14, limit=200)[0]
+    assert got[0] == pytest.approx(want, rel=1e-13), (n, mu, g, s)
+    assert bar[0] == radial_quadrature._ROUNDOFF * got[0]
+
+
+def test_tails_build_no_rule_per_exponent():
+    # the tails take no quadrature rule of their own: at N = 3 no Gauss rule
+    # is built at all, and at N = 4 only the near kernel's 16-point log-w
+    # panels and its 48-point moments, whatever the tail exponents
+    _gauss_jacobi.cache_clear()
+    _kernel_series.cache_clear()
+    grid = log_grid(1e-2, 1e2, 40)
+    for a in np.linspace(2.05, 2.95, 7):
+        riesz_radial(RadialProfile.from_power(PowerLawTerm(1.0, float(a)), grid), 1.5, 3)
+    assert _gauss_jacobi.cache_info().currsize == 0
+    for a in np.linspace(3.05, 3.95, 7):
+        riesz_radial(RadialProfile.from_power(PowerLawTerm(1.0, float(a)), grid), 1.5, 4,
+                     at=[0.7, 1.9])
+    assert _gauss_jacobi.cache_info().currsize == 2
 
 
 def test_float_keyed_caches_are_bounded():

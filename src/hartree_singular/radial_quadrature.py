@@ -258,34 +258,7 @@ def _mix_tails(t1, t2, w1, w2, r_edge, v_edge, inner):
 
 
 # ---------------------------------------------------------------------------
-# Gauss rules, built in numpy and cached on their exact arguments so that a
-# result never depends on which rules earlier calls happened to build. Float-keyed
-# caches hold ~4x a verify-highdim cycle's keys: LRU under a cycle always misses.
-# A cycle builds 256 kernel series, one per fresh mu, and 4 Jacobi rules: the
-# 16-point log-w panels and the 48-point near moments of N = 4, 5 and 6.
-
-
-@functools.lru_cache(maxsize=16)
-def _gauss_jacobi(n, a, b):
-    """n-point Gauss rule for int_-1^1 (1-x)^a (1+x)^b h(x) dx, a, b > -1, n >= 2.
-
-    Golub & Welsch (Math. Comp. 23 (1969) 221): the nodes are the eigenvalues
-    of the weight's symmetric tridiagonal Jacobi matrix, and the weights are
-    the squared first eigenvector components times the zeroth moment
-    2^(a+b+1) B(a+1, b+1). The k = 0 diagonal and k = 1 off-diagonal entries
-    are written in cancelled form; the general ones are 0/0 at a + b = 0 or -1.
-    """
-    k = np.arange(1.0, n)
-    s = 2.0 * k + a + b
-    diag = np.concatenate([[(b - a) / (a + b + 2.0)], (b - a) * (b + a) / (s * (s + 2.0))])
-    k, s = k[1:], s[1:]
-    off = np.sqrt(np.concatenate([
-        [4.0 * (a + 1.0) * (b + 1.0) / ((a + b + 2.0) ** 2 * (a + b + 3.0))],
-        4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))]))
-    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))  # eigh reads the lower triangle
-    mu0 = 2.0 ** (a + b + 1.0) * math.exp(
-        math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
-    return x, mu0 * v[0] ** 2
+# Gauss rule
 
 
 @functools.cache
@@ -300,7 +273,9 @@ def _gauss_kronrod(n):
     the matrix's three-term recurrence polish them, and both weight sets are
     Christoffel sums 2 / sum q_k(x)^2 of its orthonormal polynomials at the
     polished nodes, k < n for G_n: the eigenvector weights of Golub-Welsch
-    were up to 300 units in the last place off at the end nodes.
+    were up to 300 units in the last place off at the end nodes. The only
+    rule builder: G12/K25 for the panels, G16 for the near kernel's log-w
+    panels and K49 for its series' moments.
     """
     b = np.zeros(2 * n + 1)
     k = np.arange(1.0, math.ceil(1.5 * n) + 1.0)
@@ -365,26 +340,27 @@ def _series(weights, step, ratio, n, mu):
         weights, p = weights * step, p * ratio(k)
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=1024)  # 4x the fresh mu of a verify-highdim cycle
 def _kernel_series(n, mu):
     """(far, near [1, 2], near [0, eps] / eps^c) series; at N = 3 only (far,).
 
     Far: 2F1(mu/2, (mu - N + 2)/2; N/2; z) in z = (min/max)^2 (DLMF 15.2.1),
     with term ratios at most 1 in size for k >= N/4 - 1; at N = 3 only the
     Riesz tails use it, and the near kernel has closed forms. Near, in eps,
-    with X, W the 48-point rule of int_0^1 x^h g(x) dx, h = (N-3)/2, at its
-    exact zeroth moment (the Golub-Welsch weights share an error of a few
-    units in the last place): [1, 2] in v = 2 - w from (eps + v)^(-mu/2) =
-    sum_k C(-mu/2, k) eps^k v^(-mu/2-k), ratio eps/v <= 1/4, and [0, eps] in
-    w = eps X from (2 - eps X)^h = sum_k C(h, k) 2^(h-k) (-eps X)^k, ratio
-    <= 1/8.
+    with X, W a rule for int_0^1 x^h g(x) dx, h = (N-3)/2: under x = y^2 the
+    weight is 2 y^(N-2) dy, so at the K49 nodes y on [0, 1], X = y^2 and W is
+    y^(N-2) times the K49 weights, scaled to the exact zeroth moment 1/(h+1).
+    [1, 2] in v = 2 - w from (eps + v)^(-mu/2) = sum_k C(-mu/2, k) eps^k
+    v^(-mu/2-k), ratio eps/v <= 1/4, and [0, eps] in w = eps X from
+    (2 - eps X)^h = sum_k C(h, k) 2^(h-k) (-eps X)^k, ratio <= 1/8.
     """
     a, b, c, h = mu / 2.0, (mu - n + 2.0) / 2.0, n / 2.0, (n - 3.0) / 2.0
     far = _series(np.ones(1), 1.0, lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)), n, mu)
     if n == 3:
         return (far,)
-    X, W = _gauss_jacobi(48, 0.0, h)
-    X = (1.0 + X) / 2.0  # on [0, 1]; the weights' factor 2^-(h+1) there cancels below
+    y, _, wk = _gauss_kronrod(24)
+    y = (1.0 + y) / 2.0
+    X, W = y * y, wk * y ** (n - 2.0)
     v, W = 2.0 - X, W / (W.sum() * (h + 1.0))
     return (far, _series(W * v ** (h - a), 1.0 / v, lambda k: -(a + k) / (k + 1.0), n, mu),
             _series(W * 2.0 ** h * (1.0 + X) ** -a, X, lambda k: (k - h) / (2.0 * k + 2.0), n, mu))
@@ -396,7 +372,8 @@ def angular_kernel(r, rho, dim, mu):
     Symmetric in (r, rho) and homogeneous of degree -mu. N = 3 has closed
     forms. At N >= 4, far from the diagonal (min/max <= 1/2) K is the
     hypergeometric series in (min/max)^2; near it, the quadrature's own near
-    kernel, with e^2-wide Gauss-Legendre panels in log(1 - cos theta).
+    kernel: series in eps = (r - rho)^2/(2 r rho) from K49 moments, and
+    e^2-wide 16-point Gauss-Legendre panels in log(1 - cos theta).
     On the diagonal the average is finite for mu < N-1 (a Beta-function
     closed form) and diverges for mu in [N-1, N), where a signaled infinity
     is returned; that infinity is only ever consumed inside integrals, where
@@ -483,13 +460,13 @@ def _kernel_near(r, rho, delta, n, mu, alpha):
     angular_kernel). N = 3 has closed forms. At N >= 4, with c = (N-1-mu)/2,
     eps^(-mu/2) is factored out of the [0, eps] piece, so that it reads eps^c
     times a smooth integral; that and the [1, 2] piece are series of
-    _kernel_series. [eps, 1] runs over e^2-wide Gauss-Legendre panels in log
-    w, where the integrand is at most 2^b max(1, eps^c): no intermediate
-    overflows while eps is a normal float. An eps that underflowed to 0 gives
-    NaN. alpha = N - mu, as the caller holds it, gives c = (alpha - 1)/2
-    without the rounding of N - mu: a value moves by about |log eps| times an
-    error in c, and mu = N - alpha rounded put riesz_radial 11 units in the
-    last place off at alpha = 0.15.
+    _kernel_series. [eps, 1] runs over e^2-wide G16 panels in log w (the
+    Gauss part of _gauss_kronrod(16)), where the integrand is at most 2^b
+    max(1, eps^c): no intermediate overflows while eps is a normal float. An
+    eps that underflowed to 0 gives NaN. alpha = N - mu, as the caller holds
+    it, gives c = (alpha - 1)/2 without the rounding of N - mu: a value moves
+    by about |log eps| times an error in c, and mu = N - alpha rounded put
+    riesz_radial 11 units in the last place off at alpha = 0.15.
     Each delta keeps the piece order of a scalar evaluation: [0, eps], the
     panel at eps, the panels from w = 1 down, then [1, 2]. The series are
     elementwise and the node sums einsum row sums, so a delta's value does
@@ -517,8 +494,8 @@ def _kernel_near(r, rho, delta, n, mu, alpha):
     # (1 + eps/w)^(-mu/2) has every factor below 2^b max(1, eps^c). The e^2-wide
     # panels have the same nodes for every delta, so w^c (2-w)^b goes into their
     # weights; pass k adds panel k to every delta with m > k
-    u, wu = _gauss_jacobi(16, 0.0, 0.0)
-    u, wu = (u + 1.0) / 2.0, wu / wu.sum()  # the exact zeroth moment
+    x, wu, _ = _gauss_kronrod(16)
+    u, wu = (x[:16] + 1.0) / 2.0, wu / wu.sum()  # G16 on [0, 1] at the exact zeroth moment
     el = eps[live]
     m = np.floor(-np.log(el) / 2.0)
     width = np.log(np.exp(-2.0 * m) / el)  # a rounded m may make it ~1e-16 negative

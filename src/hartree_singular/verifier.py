@@ -130,8 +130,8 @@ def fixed_point_iterate(params, init=None, steps=5):
     both sides passing the entry gates p*a_in < N and p*a_out > N - mu; any
     divergence deeper in the pipeline (for instance the source outer moment
     reaching exponent <= 2) surfaces as an IterationError carrying the step.
-    The Riesz step runs at DEFAULT_CONFIG; the Newton step uses fixed 8- and
-    4-point Gauss rules per grid interval.
+    The Riesz step runs at DEFAULT_CONFIG; the Newton step takes one G12/K25
+    panel per grid interval.
     Returns (final profile, per-step relative sup changes on the grid radii
     in [0.1, 10]); an init grid with no radius there raises DomainError.
     """

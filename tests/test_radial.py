@@ -32,7 +32,6 @@ from hartree_singular import (
 )
 from hartree_singular import radial_quadrature
 from hartree_singular.radial_quadrature import (
-    _gauss_jacobi,
     _gauss_kronrod,
     _gauss_points,
     _kernel_near,
@@ -298,69 +297,44 @@ def test_pchip_is_bit_identical_to_scipy(data):
 # Gauss rules, against their moments in closed form and against scipy's rules
 
 
-def _beta(x, y):
-    # a quotient of gammas is good to a few ulp at these arguments; a
-    # difference of lgamma values near 200 is off by up to 8e-14
-    return math.gamma(x) * math.gamma(y) / math.gamma(x + y)
-
-
-def _jacobi_unit(n, g):
-    """Nodes X and weights W with sum W_i h(X_i) ~ int_0^1 x^g h(x) dx."""
-    x, w = _gauss_jacobi(n, 0.0, g)
-    return (1.0 + x) / 2.0, w * 2.0 ** (-(g + 1.0))
-
-
 def _moment_error(rule, moments):
     """Worst |sum w x^k - exact_k| / scale_k over moments = [(k, exact_k, scale_k)]."""
     x, w = rule
     return max(abs(float(np.sum(w * x ** k)) - exact) / scale for k, exact, scale in moments)
 
 
+def _legendre_moments(degrees):
+    # (k, exact, scale) for u = (1 + x)/2 and the [-1, 1] weights: int_-1^1 u^k dx = 2/(k + 1)
+    return [(k, 2.0 / (k + 1.0), 2.0 / (k + 1.0)) for k in range(degrees)]
+
+
 def _legendre_case(n):
-    x, w = _gauss_jacobi(n, 0.0, 0.0)
-    moments = [(k, 2.0 / (k + 1.0), 2.0 / (k + 1.0)) for k in range(2 * n)]
-    ours = _moment_error(((1.0 + x) / 2.0, w), moments)
+    # G_n, the first n nodes of _gauss_kronrod(n), is exact through degree 2n - 1
+    x, wg, _ = _gauss_kronrod(n)
     xs, ws = roots_legendre(n)
-    return ours, _moment_error(((1.0 + xs) / 2.0, ws), moments)
-
-
-def _unit_case(n, g):
-    moments = [(k, 1.0 / (g + k + 1.0), 1.0 / (g + k + 1.0)) for k in range(2 * n)]
-    xs, ws = roots_jacobi(n, 0.0, g)
-    return (_moment_error(_jacobi_unit(n, g), moments),
-            _moment_error(((1.0 + xs) / 2.0, ws * 2.0 ** (-(g + 1.0))), moments))
-
-
-def _sym_case(n, b):
-    # int |u|^k (1-u^2)^b du = B((k+1)/2, b+1); the odd moments vanish
-    moments = [(k, 0.0 if k % 2 else _beta((k + 1) / 2.0, b + 1.0), _beta((k + 1) / 2.0, b + 1.0))
-               for k in range(2 * n)]
-    return (_moment_error(_gauss_jacobi(n, b, b), moments),
-            _moment_error(roots_jacobi(n, b, b), moments))
+    moments = _legendre_moments(2 * n)
+    return (_moment_error(((1.0 + x[:n]) / 2.0, wg), moments),
+            _moment_error(((1.0 + xs) / 2.0, ws), moments))
 
 
 def _kronrod_case(n):
-    # G_n is exact through degree 2n - 1 and its extension K_(2n+1) through
-    # 3n + 1; scipy has no Kronrod rule, so there is nothing to compare with
-    x, wg, wk = _gauss_kronrod(n)
-    u = (1.0 + x) / 2.0
-    moments = [(k, 2.0 / (k + 1.0), 2.0 / (k + 1.0)) for k in range(3 * n + 2)]
-    return max(_moment_error((u[:n], wg), moments[:2 * n]), _moment_error((u, wk), moments)), math.inf
+    # K_(2n+1) is exact through degree 3n + 1; scipy has no Kronrod rule, so
+    # there is nothing to compare with
+    x, _, wk = _gauss_kronrod(n)
+    return _moment_error(((1.0 + x) / 2.0, wk), _legendre_moments(3 * n + 2)), math.inf
 
 
+# the rules in use: G12/K25 panels, G16 log-w panels, K49 near-series moments
 _RULE_FAMILIES = {
-    "legendre": [(_legendre_case, n) for n in (12, 24)],
-    "kronrod": [(_kronrod_case, 12)],
-    "jacobi_unit": [(_unit_case, n, float(g)) for n in (16, 32, 48)
-                    for g in np.concatenate([np.linspace(-0.99, 10.0, 45), [0.0, 0.5, 1.0, 1.5]])],
-    "jacobi_sym": [(_sym_case, 64, b) for b in (0.5, 1.0, 1.5)],
+    "legendre": [(_legendre_case, n) for n in (12, 16, 24)],
+    "kronrod": [(_kronrod_case, n) for n in (12, 16, 24)],
 }
 
 
 @pytest.mark.parametrize("family", sorted(_RULE_FAMILIES))
 def test_gauss_rules_integrate_their_moments(family):
-    # every degree k < 2n is exact in exact arithmetic; across the family the
-    # worst relative miss must be at round-off and no worse than scipy's rules
+    # every degree the rule is exact for in exact arithmetic; across the family
+    # the worst relative miss must be at round-off and no worse than scipy's rules
     errors = np.array([case(*args) for case, *args in _RULE_FAMILIES[family]])
     ours, scipys = errors.max(axis=0)
     assert ours <= 5e-14
@@ -368,20 +342,19 @@ def test_gauss_rules_integrate_their_moments(family):
 
 
 _RULE_BYTES_SCRIPT = """
-from hartree_singular.radial_quadrature import _gauss_jacobi, _gauss_kronrod
-rules = [_gauss_jacobi(*args) for args in {args}] + [_gauss_kronrod(12)]
+from hartree_singular.radial_quadrature import _gauss_kronrod
+rules = [_gauss_kronrod(n) for n in (12, 16, 24)]
 print([[v.hex() for v in part] for rule in rules for part in rule])
 """
 
 
 def test_gauss_rules_give_the_same_bytes_in_every_process():
     # the child runs one BLAS thread, this process the default number
-    args = [(12, 0.0, 0.0), (32, 0.0, -0.99), (48, 0.0, 0.5), (64, 1.5, 1.5)]
-    proc = subprocess.run([sys.executable, "-c", _RULE_BYTES_SCRIPT.format(args=args)],
+    proc = subprocess.run([sys.executable, "-c", _RULE_BYTES_SCRIPT],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
     assert proc.returncode == 0, proc.stderr
-    rules = [_gauss_jacobi(*a) for a in args] + [_gauss_kronrod(12)]
+    rules = [_gauss_kronrod(n) for n in (12, 16, 24)]
     here = [[v.hex() for v in part] for rule in rules for part in rule]
     assert proc.stdout == f"{here}\n"
 
@@ -400,14 +373,6 @@ def test_kronrod_rule_extends_the_gauss_rule():
     np.testing.assert_array_equal(coarse, np.concatenate([wg, np.zeros(13)]))
     np.testing.assert_array_equal(fine, wk)
     np.testing.assert_array_equal(size, wk)
-
-
-def test_gauss_jacobi_at_a_plus_b_minus_one_is_gauss_chebyshev():
-    # the general k = 1 off-diagonal entry is 0/0 at a + b = -1 (a + b = 0,
-    # the Legendre rules above, covers the k = 0 diagonal one)
-    x, w = _gauss_jacobi(9, -0.5, -0.5)
-    assert x == pytest.approx(np.cos((2 * np.arange(9, 0, -1) - 1) * np.pi / 18), abs=1e-15)
-    assert w == pytest.approx(np.full(9, np.pi / 9), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -485,25 +450,64 @@ def test_far_kernel_against_hypergeometric_oracle(data, n, s, log_r, swap):
     assert got == pytest.approx(want, rel=1e-14), (n, mu, lo, hi)
 
 
+def _near_rule(n):
+    """_kernel_series' X, W for int_0^1 x^h g(x) dx, h = (N-3)/2: K49 in y = sqrt(x).
+
+    x^h dx = 2 y^(N-2) dy, so X = y^2 and W = w y^(N-2) at the K49 nodes y and
+    weights w on [0, 1], scaled to the exact zeroth moment 1/(h + 1).
+    """
+    y, _, wk = _gauss_kronrod(24)
+    y = (1.0 + y) / 2.0
+    W = wk * y ** (n - 2.0)
+    return y * y, W / (W.sum() * (n - 1.0) / 2.0)  # 1/(h + 1) = 2/(N - 1)
+
+
 def _reference_series(n, mu, terms):
     """The three kernel series of _kernel_series, lowest degree first, each to a fixed length.
 
     Far: the 2F1 coefficients (mu/2)_k ((mu-N+2)/2)_k / ((N/2)_k k!). Near, with
-    the 48-point rule at its exact zeroth moment: C(-mu/2, k) sum W v^(h - mu/2 - k)
+    the product's rule X, W (_near_rule): C(-mu/2, k) sum W v^(h - mu/2 - k)
     for [1, 2] and 2^h C(h, k) (-1/2)^k sum W (1 + X)^(-mu/2) X^k for [0, eps],
     where C(x, k) = (-x)_k (-1)^k / k!.
     """
     a, b, c, h = mu / 2.0, (mu - n + 2.0) / 2.0, n / 2.0, (n - 3.0) / 2.0
     k = np.arange(terms, dtype=float)
     far = poch(a, k) / gamma(k + 1.0) * (poch(b, k) / poch(c, k))
-    X, W = _jacobi_unit(48, h)
-    W = W / (W.sum() * (h + 1.0))
+    X, W = _near_rule(n)
     v = 2.0 - X
     two = (poch(a, k) / gamma(k + 1.0) * (-1.0) ** k
            * np.array([np.sum(W * v ** (h - a - j)) for j in range(terms)]))
     zero = (2.0 ** h * poch(-h, k) / gamma(k + 1.0) * 0.5 ** k
             * np.array([np.sum(W * (1.0 + X) ** -a * X ** j) for j in range(terms)]))
     return far, two, zero
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(data=st.data(), n=st.integers(4, 8))
+def test_near_series_moments_are_those_of_their_weight(data, n):
+    # a near series coefficient is p_k times a moment of x^h dx on [0, 1], summed
+    # by K49 in y = sqrt(x); every moment a kept coefficient carries, k <= 40,
+    # against scipy's quadrature with the algebraic weight. A weaker rule fails
+    # here: K25 misses the high-k [1, 2] moments by 4e-8, K33 by 5e-12
+    mu = data.draw(st.one_of(st.floats(0.05, n - 0.05), st.sampled_from([n - 3.0, n - 2.0,
+                                                                         n - 1.0])))
+    a, h = mu / 2.0, (n - 3.0) / 2.0
+    _, two, zero = _kernel_series(n, mu)
+
+    def integral(f, lo, hi, wvar):
+        return quad(f, lo, hi, weight="alg", wvar=wvar, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+
+    pieces = [  # (kept series, p_(k+1)/p_k, exact moment k); [1, 2] in v = 2 - x
+        (two, lambda k: -(a + k) / (k + 1.0),
+         lambda k: integral(lambda v: v ** (h - a - k), 1.0, 2.0, (0.0, h))),
+        (zero, lambda k: (k - h) / (2.0 * k + 2.0),
+         lambda k: 2.0 ** h * integral(lambda x: (1.0 + x) ** -a * x ** k, 0.0, 1.0, (h, 0.0)))]
+    for kept, ratio, moment in pieces:
+        p = 1.0
+        for k, coef in enumerate(kept[::-1][:41]):
+            if p != 0.0:  # at odd N the [0, eps] series stops at k = h
+                assert coef / p == pytest.approx(moment(k), rel=1e-13, abs=0.0), (n, mu, k)
+            p *= ratio(k)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
@@ -546,14 +550,15 @@ def _k_general_delta(r, delta, rho, n, mu):
     """The scalar per-delta kernel that the batched _kernel_near replaced: its reference."""
     b = (n - 3.0) / 2.0
     eps = delta * delta / (2.0 * r * rho)
-    X, W = _jacobi_unit(48, b)
+    X, W = roots_jacobi(48, 0.0, b)
+    X, W = (1.0 + X) / 2.0, W * 2.0 ** (-(b + 1.0))  # sum W h(X) ~ int_0^1 x^b h(x) dx
     j2 = float(W @ ((2.0 - X) ** b * (eps + 2.0 - X) ** (-mu / 2.0)))
     if eps >= 1.0:
         j1 = float(W @ ((2.0 - X) ** b * (eps + X) ** (-mu / 2.0)))
     else:
         xe = eps * X
         j1 = eps ** (b + 1.0) * float(W @ ((2.0 - xe) ** b * (eps + xe) ** (-mu / 2.0)))
-        xg, wg = _gauss_jacobi(24, 0.0, 0.0)
+        xg, wg = roots_legendre(24)
         a = eps
         while a < 1.0:
             c = min(2.0 * a, 1.0)
@@ -589,8 +594,8 @@ def test_batched_near_kernel_matches_scalar_reference():
 
 
 def test_batched_near_kernel_underflowed_eps_is_nan_and_isolated():
-    # eps = delta^2/(2 r rho) underflows to 0 below delta ~ 1e-162; its dyadic
-    # levels would never reach 1, so it is left out rather than stalling the batch
+    # eps = delta^2/(2 r rho) underflows to 0 below delta ~ 1e-162; it would need
+    # infinitely many log-w panels, so it is left out rather than stalling the batch
     delta = np.array([1e-200, 1e-3, 0.1])
     with np.errstate(divide="ignore", invalid="ignore"):
         got = _kernel_near(1.0, 1.0 - delta, delta, 4, 2.0, 2.0)
@@ -1065,8 +1070,8 @@ print([v.hex() for v in potential(2.2 + 3e-13)])
 
 
 def test_riesz_result_does_not_depend_on_a_nearby_earlier_call():
-    # Gauss-Jacobi rules of the tails depend on the exponent; a rule built for
-    # 2.2 must not be reused for 2.2 + 3e-13, so each run starts a fresh process
+    # nothing built for exponent 2.2 may be reused for 2.2 + 3e-13: the bits
+    # must match those of a run without the earlier call, each in a fresh process
     def bits(before):
         script = _NEARBY_EXPONENT_SCRIPT.format(before=before)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -1149,32 +1154,30 @@ def test_tail_integrals_are_exact(data, n, g, s):
     assert bar[0] == radial_quadrature._ROUNDOFF * got[0]
 
 
-def test_tails_build_no_rule_per_exponent():
-    # the tails take no quadrature rule of their own: at N = 3 no Gauss rule
-    # is built at all, and at N = 4 only the near kernel's 16-point log-w
-    # panels and its 48-point moments, whatever the tail exponents
-    _gauss_jacobi.cache_clear()
+def test_tails_build_no_rule_per_exponent(monkeypatch):
+    # the tails take no quadrature rule of their own: at N = 3 only the G12/K25
+    # panel rule is built, and at N = 4 also the near kernel's G16 log-w panels
+    # and its K49 moments, whatever the tail exponents
+    built = set()
+    monkeypatch.setattr(radial_quadrature, "_gauss_kronrod",
+                        lambda n: built.add(n) or _gauss_kronrod(n))
     _kernel_series.cache_clear()
     grid = log_grid(1e-2, 1e2, 40)
     for a in np.linspace(2.05, 2.95, 7):
         riesz_radial(RadialProfile.from_power(PowerLawTerm(1.0, float(a)), grid), 1.5, 3)
-    assert _gauss_jacobi.cache_info().currsize == 0
+    assert built == {12}
     for a in np.linspace(3.05, 3.95, 7):
         riesz_radial(RadialProfile.from_power(PowerLawTerm(1.0, float(a)), grid), 1.5, 4,
                      at=[0.7, 1.9])
-    assert _gauss_jacobi.cache_info().currsize == 2
+    assert built == {12, 16, 24}
 
 
 def test_float_keyed_caches_are_bounded():
-    # a scan over mu or tail exponents must not grow the rule and series
-    # caches without end
+    # a scan over mu must not grow the series cache without end
     for mu in np.linspace(0.2, 4.8, 2000):
         _kernel_series(5, float(mu))
-    for b in np.linspace(-0.9, 3.0, 4200):
-        _gauss_jacobi(2, 0.0, float(b))
-    for cached in (_kernel_series, _gauss_jacobi):
-        info = cached.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize
+    info = _kernel_series.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_riesz_gaussian_newton_potential():

@@ -321,20 +321,20 @@ def _gauss_kronrod(n):
 # Angular kernel
 
 
-def _series(weights, step, ratio, n, mu):
+def _series(weights, step, ratio, n, mu, edge=0.25):
     """c_(K-1) .. c_0 for np.polyval, c_k = p_k sum(weights step^k), p_(k+1) = p_k ratio(k).
 
     In each kernel series 0 <= step < 1 and |c_(k+1)| <= max(1, (mu/2 + k)/
-    (k + 1)) |c_k| for k >= N/4, so on [0, 1/4] the remainder after K terms is
-    at most |c_K| 4^-K / (1 - q), q = max(1, (mu/2 + K)/(K + 1))/4. K is the
-    first k >= N/4 where that is at most 2^-60 of c_0 and of the sum at 1/4,
-    two lower bounds of the positive, monotone piece that the series sums.
+    (k + 1)) |c_k| for k >= N/4, so on [0, edge] the remainder after K terms is
+    at most |c_K| edge^K / (1 - q), q = max(1, (mu/2 + K)/(K + 1)) edge. K is
+    the first k >= N/4 where that is at most 2^-60 of c_0 and of the sum at
+    edge, two lower bounds of the positive, monotone piece that the series sums.
     """
     coef, p = [], 1.0
     for k in itertools.count():
-        c, q = p * float(weights.sum()), max(1.0, (mu / 2.0 + k) / (k + 1.0)) / 4.0
-        rest = abs(c) * 0.25 ** k / (1.0 - q) * 2.0 ** 60  # the remainder bound, in units of 2^-60
-        if k >= n / 4.0 and rest <= coef[0] and rest <= np.polyval(coef[::-1], 0.25):
+        c, q = p * float(weights.sum()), max(1.0, (mu / 2.0 + k) / (k + 1.0)) * edge
+        rest = abs(c) * edge ** k / (1.0 - q) * 2.0 ** 60  # the remainder bound, in units of 2^-60
+        if k >= n / 4.0 and rest <= coef[0] and rest <= np.polyval(coef[::-1], edge):
             return np.array(coef[::-1])
         coef.append(c)
         weights, p = weights * step, p * ratio(k)
@@ -342,7 +342,7 @@ def _series(weights, step, ratio, n, mu):
 
 @functools.lru_cache(maxsize=1024)  # 4x the fresh mu of a verify-highdim cycle
 def _kernel_series(n, mu):
-    """(far, near [1, 2], near [0, eps] / eps^c) series; at N = 3 only (far,).
+    """(far, near [1, 2], near [0, eps] / eps^c, log-w) series; at N = 3 only (far,).
 
     Far: 2F1(mu/2, (mu - N + 2)/2; N/2; z) in z = (min/max)^2 (DLMF 15.2.1),
     with term ratios at most 1 in size for k >= N/4 - 1; at N = 3 only the
@@ -353,6 +353,9 @@ def _kernel_series(n, mu):
     [1, 2] in v = 2 - w from (eps + v)^(-mu/2) = sum_k C(-mu/2, k) eps^k
     v^(-mu/2-k), ratio eps/v <= 1/4, and [0, eps] in w = eps X from
     (2 - eps X)^h = sum_k C(h, k) 2^(h-k) (-eps X)^k, ratio <= 1/8.
+    Log-w: the binomial coefficients C(-mu/2, j) of (1 + x)^(-mu/2), cut for
+    x <= e^-2, the ratio eps/w on the fixed log-w panels that _kernel_near sums
+    as one series.
     """
     a, b, c, h = mu / 2.0, (mu - n + 2.0) / 2.0, n / 2.0, (n - 3.0) / 2.0
     far = _series(np.ones(1), 1.0, lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)), n, mu)
@@ -363,17 +366,20 @@ def _kernel_series(n, mu):
     X, W = y * y, wk * y ** (n - 2.0)
     v, W = 2.0 - X, W / (W.sum() * (h + 1.0))
     return (far, _series(W * v ** (h - a), 1.0 / v, lambda k: -(a + k) / (k + 1.0), n, mu),
-            _series(W * 2.0 ** h * (1.0 + X) ** -a, X, lambda k: (k - h) / (2.0 * k + 2.0), n, mu))
+            _series(W * 2.0 ** h * (1.0 + X) ** -a, X, lambda k: (k - h) / (2.0 * k + 2.0), n, mu),
+            _series(np.ones(1), 1.0, lambda k: -(a + k) / (k + 1.0), n, mu, math.exp(-2.0)))
 
 
 def angular_kernel(r, rho, dim, mu):
     """Spherical average K(r, rho) of |r e1 - rho w|^(-mu) over w in S^(N-1).
 
     Symmetric in (r, rho) and homogeneous of degree -mu. N = 3 has closed
-    forms. At N >= 4, far from the diagonal (min/max <= 1/2) K is the
-    hypergeometric series in (min/max)^2; near it, the quadrature's own near
-    kernel: series in eps = (r - rho)^2/(2 r rho) from K49 moments, and
-    e^2-wide 16-point Gauss-Legendre panels in log(1 - cos theta).
+    forms, written so that they do not cancel as mu -> 2. At N >= 4, far from
+    the diagonal (min/max <= 1/2) K is the hypergeometric series in
+    (min/max)^2; near it, the quadrature's own near kernel: series in eps =
+    (r - rho)^2/(2 r rho) from K49 moments, and 16-point Gauss-Legendre panels
+    in log(1 - cos theta), of which all e^2-wide ones but the last sum as one
+    binomial series in eps.
     On the diagonal the average is finite for mu < N-1 (a Beta-function
     closed form) and diverges for mu in [N-1, N), where a signaled infinity
     is returned; that infinity is only ever consumed inside integrals, where
@@ -457,43 +463,56 @@ def _kernel_near(r, rho, delta, n, mu, alpha):
     the (possibly rounded) rho. r is a scalar or aligned with delta. Requires
     eps = delta^2/(2 r rho) <= 1/4, which every caller guarantees (delta <=
     r/2 below the diagonal, delta <= r above it, delta < hi/2 in
-    angular_kernel). N = 3 has closed forms. At N >= 4, with c = (N-1-mu)/2,
-    eps^(-mu/2) is factored out of the [0, eps] piece, so that it reads eps^c
-    times a smooth integral; that and the [1, 2] piece are series of
-    _kernel_series. [eps, 1] runs over e^2-wide G16 panels in log w (the
+    angular_kernel). N = 3 has closed forms, the difference of powers in
+    expm1 form where it would cancel, for mu near 2. At N >= 4, with c =
+    (N-1-mu)/2, eps^(-mu/2) is factored out of the [0, eps] piece, so that it
+    reads eps^c times a smooth integral; that and the [1, 2] piece are series
+    of _kernel_series. [eps, 1] runs over e^2-wide G16 panels in log w (the
     Gauss part of _gauss_kronrod(16)), where the integrand is at most 2^b
-    max(1, eps^c): no intermediate overflows while eps is a normal float. An
-    eps that underflowed to 0 gives NaN. alpha = N - mu, as the caller holds
-    it, gives c = (alpha - 1)/2 without the rounding of N - mu: a value moves
-    by about |log eps| times an error in c, and mu = N - alpha rounded put
-    riesz_radial 11 units in the last place off at alpha = 0.15.
+    max(1, eps^c): no intermediate overflows while eps is a normal float. Only
+    the panel at eps and the last fixed panel take per-node powers; the fixed
+    panels above them, where eps/w <= e^-2, are one binomial series whose
+    coefficients are the rule's own node sums, tabulated per call up to the
+    batch's largest panel count. An eps that underflowed to 0 gives NaN.
+    alpha = N - mu, as the caller holds it, gives c = (alpha - 1)/2 without
+    the rounding of N - mu: a value moves by about |log eps| times an error
+    in c, and mu = N - alpha rounded put riesz_radial 11 units in the last
+    place off at alpha = 0.15.
     Each delta keeps the piece order of a scalar evaluation: [0, eps], the
-    panel at eps, the panels from w = 1 down, then [1, 2]. The series are
-    elementwise and the node sums einsum row sums, so a delta's value does
-    not depend on its place in the batch.
+    panel at eps, the series of the fixed panels, the last fixed panel, then
+    [1, 2]. The series are elementwise, their tables do not depend on the
+    batch, and the node sums are einsum row sums, so a delta's value does not
+    depend on its place in the batch.
     """
     delta = np.asarray(delta, dtype=float)
     if n == 3:
         if mu == 2.0:
             return 2.0 * math.pi * np.log((r + rho) / delta) / (r * rho)
-        return (2.0 * math.pi * ((r + rho) ** (2.0 - mu) - delta ** (2.0 - mu))
-                / ((2.0 - mu) * r * rho))
+        e = 2.0 - mu
+        s, den = r + rho, e * r * rho
+        k = 2.0 * math.pi * (s ** e - delta ** e) / den
+        if abs(e) * math.log(3.0) < 0.25:  # L >= log 3 on every near piece
+            # the difference of powers cancels as e -> 0: delta^e expm1(e L) with
+            # L = log(s/delta) does not, where |e L| < 1/4, that is where delta >
+            # s e^(-1/(4|e|)); found without a log of every point
+            i = np.flatnonzero(delta > s * math.exp(-0.25 / abs(e)))
+            d = delta[i]
+            k[i] = 2.0 * math.pi * (d ** e * np.expm1(e * np.log(s[i] / d))) / den[i]
+        return k
     # With u = cos(theta) and w = 1 - u, the quadratic factors as
     # 2 r rho (eps + w), eps = delta^2/(2 r rho), and
     # K = |S^(N-2)| (2 r rho)^(-mu/2) * int_0^2 w^b (2-w)^b (eps+w)^(-mu/2) dw
     b, c = (n - 3.0) / 2.0, (alpha - 1.0) / 2.0
     eps = (delta / r) * (delta / rho) / 2.0  # no delta^2: it leaves the normal range first
     live = np.flatnonzero(eps > 0.0)  # an eps that underflowed to 0 gets K = nan
-    _, two, zero = _kernel_series(n, mu)  # pieces [1, 2] and [0, eps] / eps^c
+    _, two, zero, coef = _kernel_series(n, mu)  # pieces [1, 2], [0, eps] / eps^c, log w
     j2, j1 = np.polyval(two, eps), np.polyval(zero, eps)
     j1[live] *= eps[live] ** c
     # piece [eps, 1] in log w, on panels of 16-point Gauss-Legendre rules: first
     # [eps, e^(-2 m)] with m = floor(-log(eps)/2), then [e^(-2(k+1)), e^(-2k)] for
     # k = 0 .. m-1. A panel [a, a e^L] places its nodes by its own width L, w =
     # a e^(L u) for u in [0, 1], dw = w L du, and the integrand w^c (2-w)^b
-    # (1 + eps/w)^(-mu/2) has every factor below 2^b max(1, eps^c). The e^2-wide
-    # panels have the same nodes for every delta, so w^c (2-w)^b goes into their
-    # weights; pass k adds panel k to every delta with m > k
+    # (1 + eps/w)^(-mu/2) has every factor below 2^b max(1, eps^c)
     x, wu, _ = _gauss_kronrod(16)
     u, wu = (x[:16] + 1.0) / 2.0, wu / wu.sum()  # G16 on [0, 1] at the exact zeroth moment
     el = eps[live]
@@ -502,14 +521,36 @@ def _kernel_near(r, rho, delta, n, mu, alpha):
     w = el[:, None] * np.exp(width[:, None] * u)
     level = w ** c * (2.0 - w) ** b * (1.0 + el[:, None] / w) ** (-mu / 2.0)
     j1[live] += width * np.einsum("ij,j->i", level, wu)
-    w = np.exp(-2.0 * np.arange(1.0, m.max(initial=0.0) + 1.0))[:, None] * np.exp(2.0 * u)
+    # The e^2-wide panels have the same nodes for every delta, so w^c (2-w)^b
+    # goes into their weights, rows[k]. On panel k <= m-2, eps/w = z e^(-2(m-2-k))
+    # e^(-2u) with z = eps e^(2(m-1)) <= e^-2, so those panels sum to the series
+    # sum_j C(-mu/2, j) z^j A_m[j], A_m[j] = e^(-2j) A_(m-1)[j] + S[m-2, j] and
+    # S[k, j] = sum_i rows[k, i] e^(-2j u_i): the rule's own 16-node sums. Neither
+    # A_m nor the term count depends on the batch's largest m
+    top = int(m.max(initial=0.0))
+    w = np.exp(-2.0 * np.arange(1.0, top + 1.0))[:, None] * np.exp(2.0 * u)
     rows = 2.0 * wu * w ** c * (2.0 - w) ** b
-    for k in range(rows.shape[0]):
-        live, m = live[m > k], m[m > k]
-        q = eps[live, None] / w[k]
-        q += 1.0
-        np.power(q, -mu / 2.0, out=q)
-        j1[live] += np.einsum("ij,j->i", q, rows[k])
+    j = np.arange(coef.size - 1.0, -1.0, -1.0)  # degrees, highest first as in coef
+    S = np.einsum("ki,ij->kj", rows, np.exp(-2.0 * u[:, None] * j))
+    table, decay = np.zeros((top + 1, coef.size)), np.exp(-2.0 * j)
+    for k in range(2, top + 1):
+        table[k] = table[k - 1] * decay + S[k - 2]
+    table = (table * coef).T  # row j: C(-mu/2, j) A_m[j] for every m
+    k = m.astype(np.intp)
+    z = el / np.exp(-2.0 * (m - 1.0))  # e^(2(m-1)) would overflow for a subnormal eps
+    acc = table[0][k]
+    for row in table[1:]:  # Horner's rule, one degree at a time
+        acc *= z
+        acc += row[k]
+    j1[live] += acc
+    # panel m - 1 keeps its per-node powers: its ratio eps/w reaches 1
+    last = np.flatnonzero(m >= 1.0)
+    k = k[last] - 1
+    q = w[k]  # a gathered copy, divided in place
+    np.divide(el[last, None], q, out=q)
+    q += 1.0
+    np.power(q, -mu / 2.0, out=q)
+    j1[live[last]] += np.einsum("ij,ij->i", q, rows[k])
     return np.where(eps > 0.0, sphere_area(n - 1) * (2.0 * r * rho) ** (-mu / 2.0) * (j1 + j2),
                     np.nan)
 
@@ -522,7 +563,8 @@ _RADIUS_BLOCK = 32  # radii per _adaptive_gl run, which bounds the live panel ar
 # panels per integrand call at every N. The bound is memory, not time: at N = 3,
 # 512 panels raised the traced peak of a 400-radius call from 2.5 to 3.4 MB at
 # no gain in time. The widest temporaries are the (points x 16) arrays of the
-# near kernel's log-w panels; the kernels' series take one value per point
+# near kernel's two log-w panels with per-node powers, the one at eps and the
+# last fixed one; the kernels' series take one value per point
 _CHUNK_PANELS = 256
 # rounding floor of an error bound, per unit of sum |integrand * weight|: an
 # integrand value passes through about eight rounded steps (the node, exp,

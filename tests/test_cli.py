@@ -189,6 +189,28 @@ def test_failure_paths_exit_with_their_code(capsys, argv, code, stderr):
         assert out == ""
 
 
+# inside the window, where a run once failed: at N = 3 within 1e-8 of mu = 2,
+# where the near kernel's difference of powers cancelled, each exited 2
+_INTERIOR = [
+    ("verify", "--dim", "3", "--mu", "2.000000001", "--p", "2", "--q", "2"),
+    ("riesz", "--alpha", "1.000000001", "--exponent", "2", "--numeric"),
+    ("riesz", "--alpha", "0.999999999", "--exponent", "2", "--numeric"),
+]
+
+
+@pytest.mark.parametrize("argv", _INTERIOR, ids=[" ".join(argv) for argv in _INTERIOR])
+def test_window_interior_paths_exit_zero(capsys, argv):
+    got, out, err = run(capsys, *argv)
+    assert (got, err) == (0, "")
+    doc = json.loads(out)
+    if doc["kind"] == "verify-report":
+        assert doc["worst_deviation"] <= 1e-13
+    else:
+        num = doc["numeric"]
+        for value, closed, bar in zip(num["values"], num["closed_form"], num["point_errors"]):
+            assert abs(value / closed - 1.0) <= bar
+
+
 # ---------------------------------------------------------------------------
 # verify
 

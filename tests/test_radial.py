@@ -492,7 +492,7 @@ def test_near_series_moments_are_those_of_their_weight(data, n):
     mu = data.draw(st.one_of(st.floats(0.05, n - 0.05), st.sampled_from([n - 3.0, n - 2.0,
                                                                          n - 1.0])))
     a, h = mu / 2.0, (n - 3.0) / 2.0
-    _, two, zero = _kernel_series(n, mu)
+    two, zero = _kernel_series(n, mu)[1:3]
 
     def integral(f, lo, hi, wvar):
         return quad(f, lo, hi, weight="alg", wvar=wvar, epsabs=0.0, epsrel=2e-14, limit=200)[0]
@@ -524,6 +524,22 @@ def test_kernel_series_are_cut_below_their_remainder_bound(n):
             np.testing.assert_allclose(kept[::-1], ref[:K], rtol=1e-12, atol=0.0)
             assert np.sum(np.abs(ref[K:] * edge[K:])) <= 2.0 ** -60 * total, (mu, K)
             assert np.polyval(kept, 0.25) == pytest.approx(total, rel=1e-15, abs=0.0), (mu, K)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_log_w_series_is_cut_below_its_remainder_bound(n):
+    # the fixed log-w panels of _kernel_near sum as a series in z <= e^-2 whose
+    # term j is C(-mu/2, j) z^j times a node sum no larger than the j = 0 one;
+    # cut where the dropped terms at z = e^-2 sum to at most 2^-60 of the
+    # series, (1 + e^-2)^(-mu/2). mu runs up to the alpha = 0.13 edge
+    edge, j = math.exp(-2.0), np.arange(100.0)
+    for mu in np.concatenate([np.linspace(0.05, n - 0.13, 23), [n - 3.0, n - 2.0, n - 1.0]]):
+        kept = _kernel_series(n, float(mu))[3]
+        ref = (-1.0) ** j * poch(mu / 2.0, j) / gamma(j + 1.0)  # C(-mu/2, j)
+        K, total = kept.size, (1.0 + edge) ** (-mu / 2.0)
+        np.testing.assert_allclose(kept[::-1], ref[:K], rtol=1e-12, atol=0.0)
+        assert np.sum(np.abs(ref[K:] * edge ** j[K:])) <= 2.0 ** -60 * total, (mu, K)
+        assert np.polyval(kept, edge) == pytest.approx(total, rel=1e-15, abs=0.0), (mu, K)
 
 
 def test_kernel_near_diagonal_against_oracle():
@@ -646,6 +662,95 @@ def test_jacobi_path_at_dim_three_matches_closed_form():
             got = np.array([_k_general_delta(r, d, p, 3, mu) for d, p in zip(delta, rho)])
             want = _kernel_near(r, rho, delta, 3, mu, 3.0 - mu)
             assert np.max(np.abs(got / want - 1.0)) <= 1e-13, (mu, side)
+
+
+def _near_panels_reference(r, rho, delta, n, mu, alpha):
+    """_kernel_near at N >= 4 with every fixed log-w panel summed node by node.
+
+    The per-panel loop that one series per call replaced: fixed panel k,
+    [e^(-2(k+1)), e^(-2k)], adds its 16 nodes' (1 + eps/w)^(-mu/2) for each
+    delta with m = floor(-log(eps)/2) > k.
+    """
+    b, c = (n - 3.0) / 2.0, (alpha - 1.0) / 2.0
+    eps = (delta / r) * (delta / rho) / 2.0
+    two, zero = _kernel_series(n, mu)[1:3]
+    j2, j1 = np.polyval(two, eps), np.polyval(zero, eps) * eps ** c
+    x, wu, _ = _gauss_kronrod(16)
+    u, wu = (x[:16] + 1.0) / 2.0, wu / wu.sum()
+    m = np.floor(-np.log(eps) / 2.0)
+    width = np.log(np.exp(-2.0 * m) / eps)
+    w = eps[:, None] * np.exp(width[:, None] * u)
+    j1 += width * np.sum(wu * w ** c * (2.0 - w) ** b * (1.0 + eps[:, None] / w) ** (-mu / 2.0),
+                         axis=1)
+    for k in range(int(m.max())):
+        w = np.exp(-2.0 * (k + 1.0)) * np.exp(2.0 * u)
+        panel = 2.0 * wu * w ** c * (2.0 - w) ** b * (1.0 + eps[:, None] / w) ** (-mu / 2.0)
+        j1 += np.where(m > k, panel.sum(axis=1), 0.0)
+    return sphere_area(n - 1) * (2.0 * r * rho) ** (-mu / 2.0) * (j1 + j2)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_near_kernel_log_w_series_matches_the_per_panel_loop(n):
+    # out to t_cap and at both ends of the window: alpha = 0.13 builds the
+    # longest table (m up to about 354); at alpha = 1 and 3, c is an integer
+    r = 1.3
+    for alpha in np.concatenate([[0.13, 0.2, 1.0, 3.0], np.linspace(0.5, n - 0.05, 5)]):
+        if alpha >= n:
+            continue
+        for side in (-1, 1):
+            delta = _near_deltas(r, side, alpha, 300)
+            rho = r + side * delta
+            got = _kernel_near(r, rho, delta, n, n - alpha, alpha)
+            want = _near_panels_reference(r, rho, delta, n, n - alpha, alpha)
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-14, (n, alpha, side)
+
+
+def _k3_near_series(r, rho, delta, mu):
+    """K(r, rho) at N = 3 near the diagonal, from the Taylor series of expm1 by math.fsum.
+
+    With e = 2 - mu, L = log((r + rho)/delta) > 0 and x = |e| L, the closed
+    form 2 pi ((r + rho)^e - delta^e)/(e r rho) is 2 pi lo^e expm1(x)/(|e| r rho)
+    and 2 pi hi^e (-expm1(-x))/(|e| r rho), where lo^e and hi^e are the smaller
+    and the larger of the two powers. For x < 1 the first, with expm1(x)/|e|
+    = L sum_k x^k/(k + 1)!: positive terms, finite at e = 0 (mu = 2, the log
+    case). Above, the second, which an error in x (L carries one of up to
+    half a unit of L) moves by less than that error.
+    """
+    e = 2.0 - mu
+    L = math.log((r + rho) / delta)
+    x = abs(e) * L
+    lo, hi = (delta, r + rho) if e >= 0.0 else (r + rho, delta)
+    if x >= 1.0:
+        return 2.0 * math.pi * hi ** e * -math.expm1(-x) / (abs(e) * r * rho)
+    terms = [1.0]
+    while terms[-1] > 1e-20:
+        terms.append(terms[-1] * x / (len(terms) + 1.0))
+    return 2.0 * math.pi * lo ** e * L * math.fsum(terms) / (r * rho)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(mu=st.one_of(st.floats(0.01, 2.99), st.just(2.0), st.floats(1.999999, 2.000001)),
+       log_s=st.floats(-8.0, 0.0), log_r=st.floats(-2.0, 2.0), above=st.booleans())
+def test_near_kernel_dim3_against_expm1_series(mu, log_s, log_r, above):
+    # (r + rho)^e - delta^e cancels as e = 2 - mu -> 0: it was off by 2.7e-9
+    # at mu = 2 + 1e-8 and by 2e-5 at 2 + 1e-12. delta <= r/2 below the
+    # diagonal and delta <= r above it, as in the Riesz near pieces
+    r = 10.0 ** log_r
+    delta = r * (10.0 ** log_s if above else min(10.0 ** log_s, 0.5))
+    rho = r + delta if above else r - delta
+    got = _kernel_near(np.array([r]), np.array([rho]), np.array([delta]), 3, mu, 3.0 - mu)[0]
+    assert got == pytest.approx(_k3_near_series(r, rho, delta, mu), rel=1e-14), (mu, r, delta)
+
+
+@pytest.mark.parametrize("d", [1e-12, -1e-12, 1e-8, -1e-8, 1e-5, -1e-5])
+def test_riesz_dim3_within_its_bars_as_mu_nears_two(d):
+    # alpha = 1 + d at N = 3 is mu = 2 - d, inside the window; within 1e-8 of
+    # mu = 2 the near kernel's cancellation ended riesz_radial in ConvergenceError
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, 2.0), log_grid(1e-3, 1e3, 200))
+    at = np.array([0.01, 0.3, 1.0, 30.0])
+    out = riesz_radial(prof, 1.0 + d, 3, at=at)
+    closed = _riesz_power_reference(1.0 + d, 2.0, 3) * at ** (d - 1.0)
+    assert np.all(np.abs(out.values / closed - 1.0) <= out.point_errors), d
 
 
 def test_kernel_symmetry():

@@ -345,11 +345,12 @@ def _kernel_series(n, mu):
     """(far, near [1, 2], near [0, eps] / eps^c, log-w) series; at N = 3 only (far,).
 
     Far: 2F1(mu/2, (mu - N + 2)/2; N/2; z) in z = (min/max)^2 (DLMF 15.2.1),
-    with term ratios at most 1 in size for k >= N/4 - 1; at N = 3 only the
-    Riesz tails use it, and the near kernel has closed forms. Near, in eps,
-    with X, W a rule for int_0^1 x^h g(x) dx, h = (N-3)/2: under x = y^2 the
-    weight is 2 y^(N-2) dy, so at the K49 nodes y on [0, 1], X = y^2 and W is
-    y^(N-2) times the K49 weights, scaled to the exact zeroth moment 1/(h+1).
+    with term ratios at most 1 in size for k >= N/4 - 1: at every N the far
+    kernel, which the Riesz tails integrate term by term. The near series
+    exist at N >= 4 only: the N = 3 near kernel has closed forms. Near, in
+    eps, with X, W a rule for int_0^1 x^h g(x) dx, h = (N-3)/2: under x = y^2
+    the weight is 2 y^(N-2) dy, so at the K49 nodes y on [0, 1], X = y^2 and
+    W is y^(N-2) times the K49 weights, scaled to the exact zeroth moment 1/(h+1).
     [1, 2] in v = 2 - w from (eps + v)^(-mu/2) = sum_k C(-mu/2, k) eps^k
     v^(-mu/2-k), ratio eps/v <= 1/4, and [0, eps] in w = eps X from
     (2 - eps X)^h = sum_k C(h, k) 2^(h-k) (-eps X)^k, ratio <= 1/8.
@@ -373,13 +374,13 @@ def _kernel_series(n, mu):
 def angular_kernel(r, rho, dim, mu):
     """Spherical average K(r, rho) of |r e1 - rho w|^(-mu) over w in S^(N-1).
 
-    Symmetric in (r, rho) and homogeneous of degree -mu. N = 3 has closed
-    forms, written so that they do not cancel as mu -> 2. At N >= 4, far from
-    the diagonal (min/max <= 1/2) K is the hypergeometric series in
-    (min/max)^2; near it, the quadrature's own near kernel: series in eps =
-    (r - rho)^2/(2 r rho) from K49 moments, and 16-point Gauss-Legendre panels
-    in log(1 - cos theta), of which all e^2-wide ones but the last sum as one
-    binomial series in eps.
+    Symmetric in (r, rho) and homogeneous of degree -mu. Far from the
+    diagonal (min/max <= 1/2) K is the hypergeometric series in (min/max)^2
+    at every N. Near it, N = 3 has closed forms, written so that they do not
+    cancel as mu -> 2; at N >= 4 it is the quadrature's own near kernel:
+    series in eps = (r - rho)^2/(2 r rho) from K49 moments, and 16-point
+    Gauss-Legendre panels in log(1 - cos theta), of which all e^2-wide ones
+    but the last sum as one binomial series in eps.
     On the diagonal the average is finite for mu < N-1 (a Beta-function
     closed form) and diverges for mu in [N-1, N), where a signaled infinity
     is returned; that infinity is only ever consumed inside integrals, where
@@ -436,22 +437,13 @@ def angular_kernel(r, rho, dim, mu):
 def _kernel_sep(r, rho, n, mu):
     """K(r, rho) for broadcastable arrays r, rho with s = min/max <= 1/2.
 
-    At N = 3, (r + rho)^e - |r - rho|^e with e = 2 - mu cancels as rho/r -> 0,
-    so it is built from s alone: hi^e ((1 + s)^e - (1 - s)^e), with the
-    difference of powers written as 2 exp(e(l+ + l-)/2) sinh(e(l+ - l-)/2)
-    and l+- = log1p(+-s); at mu = 2 the log form is l+ - l-. At N >= 4 it is
-    |S^(N-1)| hi^-mu 2F1(mu/2, (mu - N + 2)/2; N/2; s^2), by _kernel_series.
+    At every N, |S^(N-1)| hi^-mu 2F1(mu/2, (mu - N + 2)/2; N/2; s^2), the far
+    series of _kernel_series that the Riesz tails integrate term by term. It
+    is built from s alone, so it does not cancel as s -> 0 or as mu -> 2.
     """
     rho = np.asarray(rho, dtype=float)
     hi = np.maximum(r, rho)
     s = np.minimum(r, rho) / hi
-    if n == 3:
-        lp, lm = np.log1p(s), np.log1p(-s)
-        if mu == 2.0:
-            return (lp - lm) / (r * rho) * (2.0 * math.pi)
-        e = 2.0 - mu
-        return (hi ** e * 2.0 * np.exp(e * (lp + lm) / 2.0) * np.sinh(e * (lp - lm) / 2.0)
-                / (e * r * rho) * (2.0 * math.pi))
     return sphere_area(n) * hi ** -mu * np.polyval(_kernel_series(n, mu)[0], s * s)
 
 
@@ -596,12 +588,12 @@ def _rule_sums(v):
             np.einsum("ij,j->i", np.abs(v), wk))
 
 
-def _adaptive_gl(fun, segs, tag, length, rel_tol, max_panels, chunk, given=None):
+def _adaptive_gl(fun, segs, tag, length, rel_tol, max_panels, given=None):
     """Globally adaptive Gauss-Legendre quadrature of many integrals at once.
 
     Integral g has length length[g] and initial panels segs[tag == g];
-    fun(segs, tag) gives the integrand at _gauss_points(segs), chunk panels
-    at a time. given = (index, sums), when passed, holds the _rule_sums of
+    fun(segs, tag) gives the integrand at _gauss_points(segs), _CHUNK_PANELS
+    panels at a time. given = (index, sums), when passed, holds the _rule_sums of
     the initial panels segs[index], which fun then never sees. Each integral
     keeps the rules of a run of its own: a panel's value is its K25 sum, and
     a panel whose |K25 - G12| (never a NaN) exceeds its length share of
@@ -623,8 +615,8 @@ def _adaptive_gl(fun, segs, tag, length, rel_tol, max_panels, chunk, given=None)
             todo[given[0]] = False
             given = None
         todo = np.flatnonzero(todo)
-        for s in range(0, todo.size, chunk):
-            p = todo[s:s + chunk]
+        for s in range(0, todo.size, _CHUNK_PANELS):
+            p = todo[s:s + _CHUNK_PANELS]
             sums[:, p] = _rule_sums(fun(segs[p], tag[p]))
         sums *= half
         coarse, fine, size = sums
@@ -750,11 +742,11 @@ class _FarIntervals:
     r_i^-mu times one kernel row per offset j - i, and the panel's sums are
     that row's products with two weighted tables of f(rho) rho^N: a coarse
     one of the 12 G12 columns and a fine one of all 25. Row j - i is stored
-    at j - i + J for J intervals, so radius i reads the view [J - i, 2J - i),
-    and a row is built from _kernel_sep when a far panel first needs it; rows
-    no panel needs stay zero. The table and rows exist only when some radius
-    is a grid radius; every other radius leaves its far panels to
-    _region_integrand.
+    at j - i + J for J intervals, so radius i reads the view [J - i, 2J - i).
+    Each block of radii builds the rows its panels need and that are not
+    built yet, in one _kernel_sep call; rows no panel needs stay zero. The
+    table and rows exist only when some radius is a grid radius; every other
+    radius leaves its far panels to _region_integrand.
     """
 
     def __init__(self, f, at, n, mu):
@@ -781,7 +773,7 @@ class _FarIntervals:
         is the grid index of r[i], else -1. Returns the positions p of the
         panels in segs[far] that are exactly grid interval j of a grid radius
         g, and their _rule_sums: the products of the table with the kernel
-        rows j - g, built where missing, times r^-mu.
+        rows j - g, times r^-mu. A block with no such panel builds no row.
         """
         logr = self.logr
         j = np.minimum(np.searchsorted(logr, segs[:, 0]), logr.size - 2)
@@ -789,17 +781,18 @@ class _FarIntervals:
                              & (logr[j + 1] == segs[:, 1]))
         j, owner = j[hit], owner[hit]
         out = np.empty((3, hit.size))
+        if hit.size:  # the rows exist only when some radius is a grid radius
+            new = np.zeros(self.built.size, dtype=bool)
+            new[j - index[owner] + self.intervals] = True
+            new = np.flatnonzero(new & ~self.built)
+            d = (new - self.intervals) * self.h
+            self.rows[new] = _kernel_sep(
+                1.0, np.exp(_gauss_points(np.column_stack([d, d + self.h]))), self.n, self.mu)
+            self.built[new] = True
         bounds = np.searchsorted(owner, np.arange(r.size + 1))
         # each owner's run, walked in order: np.unique would import numpy.ma (~13 ms)
         for i in np.flatnonzero(bounds[1:] > bounds[:-1]):
             lo, hi, g = bounds[i], bounds[i + 1], index[i]
-            k = j[lo:hi] - g + self.intervals
-            new = k[~self.built[k]]
-            for s in range(0, new.size, _CHUNK_PANELS):
-                d = (new[s:s + _CHUNK_PANELS] - self.intervals) * self.h
-                self.rows[new[s:s + _CHUNK_PANELS]] = _kernel_sep(
-                    1.0, np.exp(_gauss_points(np.column_stack([d, d + self.h]))), self.n, self.mu)
-            self.built[new] = True
             rows = self.rows[self.intervals - g:2 * self.intervals - g]  # row j: offset j - g
             out[:, lo:hi] = np.array([
                 np.einsum("jk,jk->j", self.coarse, rows[:, :_GL_ORDER])[j[lo:hi]],
@@ -878,9 +871,8 @@ def _riesz_block(f, r, index, n, mu, alpha, cfg, grid):
     segs, tag = _initial_panels(f.radii, grid.logr, al, bl, ya, yb, rl, far)
     tag = live[tag]
     val, e, used, ok = _adaptive_gl(
-        _region_integrand(f, n, alpha, rg, side), segs, tag, length,
-        cfg.rel_tol, max(cfg.max_panels // 4, 4), _CHUNK_PANELS,
-        grid.given(segs, side[tag] == 0.0, r, index, tag // 4))
+        _region_integrand(f, n, alpha, rg, side), segs, tag, length, cfg.rel_tol,
+        max(cfg.max_panels // 4, 4), grid.given(segs, side[tag] == 0.0, r, index, tag // 4))
     for k in range(4):  # summed row by row, in table order
         raw += val[k::4]
         err += e[k::4]

@@ -421,16 +421,14 @@ def _k3_series(s, mu):
        log_s=st.floats(-8.0, math.log10(0.5)), log_r=st.floats(-2.0, 2.0),
        swap=st.booleans())
 def test_far_kernel_dim3_against_binomial_series(mu, log_s, log_r, swap):
-    # the separated N = 3 kernel must not cancel as rho/r -> 0: the old form
-    # (r + rho)^e - |r - rho|^e lost 1.9e-12 relative at s = 1e-4
+    # the separated N = 3 kernel, the 2F1 series in s^2, must not cancel as
+    # rho/r -> 0: the old form (r + rho)^e - |r - rho|^e lost 1.9e-12
+    # relative at s = 1e-4. This reference sums the odd binomial series in s
     hi = 10.0 ** log_r
     lo = hi * min(10.0 ** log_s, 0.5)
     want = hi ** -mu * _k3_series(lo / hi, mu)
     got = angular_kernel(lo, hi, 3, mu) if swap else angular_kernel(hi, lo, 3, mu)
     assert got == pytest.approx(want, rel=1e-14), (mu, lo, hi)
-    # the N = 3 far series, which only the Riesz tails integrate
-    series = sphere_area(3) * hi ** -mu * np.polyval(_kernel_series(3, mu)[0], (lo / hi) ** 2)
-    assert series == pytest.approx(want, rel=1e-14), (mu, lo, hi)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
@@ -448,6 +446,17 @@ def test_far_kernel_against_hypergeometric_oracle(data, n, s, log_r, swap):
     want = kernel_oracle(hi, lo, n, mu)
     got = angular_kernel(lo, hi, n, mu) if swap else angular_kernel(hi, lo, n, mu)
     assert got == pytest.approx(want, rel=1e-14), (n, mu, lo, hi)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(data=st.data(), n=st.integers(3, 8), s=st.floats(0.0, 0.5, exclude_min=True))
+def test_far_kernel_is_the_tail_series_bit_for_bit(data, n, s):
+    # one far kernel at every N: the series that the Riesz tails integrate
+    # term by term, N = 3 included, so the far panels and the tails agree
+    mu = data.draw(st.one_of(st.floats(0.01, n - 0.01), st.sampled_from([2.0, n - 1.0,
+                                                                          n - 2.0])))
+    want = sphere_area(n) * np.polyval(_kernel_series(n, mu)[0], s * s)
+    assert _kernel_sep(1.0, s, n, mu) == want, (n, mu, s)
 
 
 def _near_rule(n):
@@ -952,9 +961,10 @@ def _adaptive_gl_scalar(fun, a, b, rel_tol, max_panels, presplit=1):
     return acc_val, acc_err, panels, True
 
 
-def test_tagged_quadrature_matches_scalar_reference_per_integral():
+def test_tagged_quadrature_matches_scalar_reference_per_integral(monkeypatch):
     # each integral keeps its own tolerance share, budget and convergence flag;
-    # only the summation order differs, and chunk=7 splits panels across calls
+    # only the summation order differs, and 7 panels per call split them across calls
+    monkeypatch.setattr(radial_quadrature, "_CHUNK_PANELS", 7)
     cases = [  # integrand, a, b, presplit
         (np.exp, 0.0, 3.0, 2),
         (np.sqrt, 0.0, 1.0, 1),  # endpoint singularity: overruns the budget
@@ -979,8 +989,7 @@ def test_tagged_quadrature_matches_scalar_reference_per_integral():
             out[t == g] = fn(y[t == g])
         return out
 
-    val, err, used, ok = radial_quadrature._adaptive_gl(
-        fun, segs, tag, length, rel_tol, budget, 7)
+    val, err, used, ok = radial_quadrature._adaptive_gl(fun, segs, tag, length, rel_tol, budget)
     assert [c for *_, c in ref] == [True, False, True, True, False, True]
     # no absolute tolerance: the scaled peak refines exactly as its twin does
     assert ref[5][2] == ref[2][2] > 3 and used[5] == used[2]
@@ -1003,10 +1012,11 @@ def test_tagged_quadrature_matches_scalar_reference_per_integral():
         return fun(s, t)
 
     given = radial_quadrature._adaptive_gl(
-        spy, segs, tag, length, rel_tol, budget, 7, (index, sums))
+        spy, segs, tag, length, rel_tol, budget, (index, sums))
     for got, want in zip(given, (val, err, used, ok)):
         np.testing.assert_array_equal(got, want)
     assert sum(s.shape[0] for s in seen) == used.sum() - index.size
+    assert max(s.shape[0] for s in seen) == 7
 
 
 def test_initial_panels_match_linspace_and_node_breaks():
@@ -1137,6 +1147,29 @@ def test_riesz_radius_blocks_match_pairwise_calls(n, alpha, a):
         errors = np.concatenate([p.point_errors for p in pairs])
         assert np.max(np.abs(whole.values / values - 1.0)) <= 4.5e-16
         assert np.max(np.abs(whole.point_errors / errors - 1.0)) <= 1e-4
+
+
+@pytest.mark.parametrize("n, alpha, a", [(3, 1.2, 2.1), (4, 1.5, 2.9)])
+def test_grid_radii_build_offset_rows_in_one_kernel_call_per_block(monkeypatch, n, alpha, a):
+    # the offset rows K(1, rho/r) of a block are built in one _kernel_sep call,
+    # not one per grid radius; 40 grid radii make 2 blocks
+    grid = log_grid(1e-2, 1e2, 100)
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, a), grid)
+    at = grid[20:60]
+    assert radial_quadrature._RADIUS_BLOCK < at.size <= 2 * radial_quadrature._RADIUS_BLOCK
+    want = riesz_radial(prof, alpha, n, at=at)
+    sep, rows = radial_quadrature._kernel_sep, []
+
+    def counted(r, rho, dim, mu):
+        if isinstance(r, float) and r == 1.0:
+            rows.append(np.size(rho) // (2 * radial_quadrature._GL_ORDER + 1))
+        return sep(r, rho, dim, mu)
+
+    monkeypatch.setattr(radial_quadrature, "_kernel_sep", counted)
+    got = riesz_radial(prof, alpha, n, at=at)
+    assert 1 <= len(rows) <= 2 and sum(rows) > 0
+    np.testing.assert_array_equal(got.values, want.values)
+    np.testing.assert_array_equal(got.point_errors, want.point_errors)
 
 
 @pytest.mark.parametrize("n, alpha, a", [(3, 1.2, 2.1), (4, 1.5, 2.9)])

@@ -21,6 +21,7 @@ from hartree_singular import (
     source_profile,
     verify_solution,
 )
+from hartree_singular import verifier
 
 
 BASE = solve_params(3, 2.5, 2.0, 2.0)
@@ -185,6 +186,24 @@ def test_fixed_point_iteration_error_carries_step():
         fixed_point_iterate(BASE, init=bad, steps=3)
     assert exc.value.step == 0
     assert "step 0" in str(exc.value)
+
+
+def test_fixed_point_iteration_stops_when_an_iterate_loses_positivity(monkeypatch):
+    # an image with a zero sample fails the positivity check at the top of
+    # the next step, before its powers are taken; the error carries that step
+    newton = verifier.inverse_laplacian_radial
+
+    def zero_at_one_radius(g, dim):
+        v = newton(g, dim)
+        values = v.values.copy()
+        values[200] = 0.0
+        return RadialProfile(v.radii, values, v.tail_inner, v.tail_outer)
+
+    monkeypatch.setattr(verifier, "inverse_laplacian_radial", zero_at_one_radius)
+    with pytest.raises(IterationError) as exc:
+        fixed_point_iterate(BASE, steps=3)
+    assert exc.value.step == 1
+    assert str(exc.value) == "step 1: iterate lost positivity"
 
 
 def test_fixed_point_entry_gates():

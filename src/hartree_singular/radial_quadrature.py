@@ -661,9 +661,9 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
         tail means hard truncation with the truncation estimate folded into
         the per-point error report.
     alpha : float
-        Order of the potential, 0 < alpha < N; at N >= 4 also alpha >= 0.13,
-        below which eps = e^(-2t)/2 at the end t = 46/alpha of the
-        near-diagonal pieces leaves the normal float range.
+        Order of the potential, 0 < alpha < N. The near-diagonal pieces end at
+        t = 46/alpha, where at N >= 4 eps = e^(-2t)/2 is normal for alpha >= 0.13
+        and at N = 3 the kernel is finite at the smallest r (alpha >= 0.0618 at r = 1).
     dim : int
         Ambient dimension N >= 3.
     cfg : QuadratureConfig, optional
@@ -693,6 +693,12 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
         raise DomainError(f"alpha={alpha} is below the near-diagonal window alpha >= {edge:.4f} "
                           f"at N={n} (mu = N - alpha <= {n - edge:.4f}): eps = e^(-2t)/2 "
                           "underflows at the substitution's end t = 46/alpha")
+    if n == 3:  # the near kernel is largest at that end and the smallest radius, where rho == r
+        with np.errstate(all="ignore"):
+            end = _kernel_near(at[:1], at[:1], at[:1] * np.exp(-_t_cap(alpha)), n, mu, alpha)
+        if not np.isfinite(end[0]):
+            raise DomainError(f"alpha={alpha} is below the near-diagonal window at N=3 for the "
+                              f"smallest radius r = {at[0]:.6g}: the kernel at t = 46/alpha is inf")
     _check_tail_windows(f, alpha, n)
     if f.tail_inner is None and at[0] < f.radii[0]:
         raise DomainError("evaluation below the sampled window requires an inner tail")
@@ -741,39 +747,39 @@ class _FarIntervals:
     [(j - i) h, (j - i + 1) h], so K(r_i, rho) = r_i^-mu K(1, rho/r_i) is
     r_i^-mu times one kernel row per offset j - i, and the panel's sums are
     that row's products with two weighted tables of f(rho) rho^N: a coarse
-    one of the 12 G12 columns and a fine one of all 25. Row j - i is stored
-    at j - i + J for J intervals, so radius i reads the view [J - i, 2J - i).
-    Each block of radii builds the rows its panels need and that are not
-    built yet, in one _kernel_sep call; rows no panel needs stay zero. The
-    table and rows exist only when some radius is a grid radius; every other
+    one of the 12 G12 columns and a fine one of all 25. One _kernel_sep call
+    builds the rows of the offsets that the grid radii reach, j - i for j in
+    [0, J) over J intervals and i from the least to the largest grid index
+    m; other offsets' rho/r may leave the float range on a wide grid. Row
+    j - i is at j - i + m, so radius i reads [m - i, m - i + J). The table
+    and rows exist only when some radius is a grid radius; every other
     radius leaves its far panels to _region_integrand.
     """
 
     def __init__(self, f, at, n, mu):
         radii = f.radii
         self.logr = logr = np.log(radii)
-        self.n, self.mu, self.intervals = n, mu, logr.size - 1
-        self.h = (logr[-1] - logr[0]) / self.intervals
+        self.mu, self.intervals = mu, logr.size - 1
+        h = (logr[-1] - logr[0]) / self.intervals
         self.index = np.full(at.size, -1)
-        if np.max(np.abs(logr - (logr[0] + np.arange(logr.size) * self.h))) <= _LOG_UNIFORM:
+        if np.max(np.abs(logr - (logr[0] + np.arange(logr.size) * h))) <= _LOG_UNIFORM:
             k = np.minimum(np.searchsorted(radii, at), radii.size - 1)
             self.index = np.where(radii[k] == at, k, -1)
         if np.any(self.index >= 0):
             _, wg, wk = _gauss_kronrod(_GL_ORDER)
             table = _profile_table(f, n)
             self.coarse, self.fine = table[:, :_GL_ORDER] * wg, table * wk
-            self.size = np.abs(self.fine)
-            self.rows = np.zeros((2 * self.intervals, wk.size))
-            self.built = np.zeros(2 * self.intervals, dtype=bool)
+            self.size, self.top = np.abs(self.fine), int(self.index.max())
+            d = np.arange(-self.top, self.intervals - self.index[self.index >= 0].min()) * h
+            self.rows = _kernel_sep(1.0, np.exp(_gauss_points(np.column_stack([d, d + h]))), n, mu)
 
     def given(self, segs, far, r, index, owner):
         """The given pair of _adaptive_gl: far panels that are one grid interval, and their sums.
 
-        Panel p belongs to radius r[owner[p]], owner ascending, and index[i]
-        is the grid index of r[i], else -1. Returns the positions p of the
-        panels in segs[far] that are exactly grid interval j of a grid radius
-        g, and their _rule_sums: the products of the table with the kernel
-        rows j - g, times r^-mu. A block with no such panel builds no row.
+        Panel p belongs to radius r[owner[p]], owner ascending, and index[i] is
+        the grid index of r[i], else -1. Returns the positions p of the panels in
+        segs[far] that are exactly grid interval j of a grid radius g, and their
+        _rule_sums: the table's products with the kernel rows j - g, times r^-mu.
         """
         logr = self.logr
         j = np.minimum(np.searchsorted(logr, segs[:, 0]), logr.size - 2)
@@ -781,19 +787,11 @@ class _FarIntervals:
                              & (logr[j + 1] == segs[:, 1]))
         j, owner = j[hit], owner[hit]
         out = np.empty((3, hit.size))
-        if hit.size:  # the rows exist only when some radius is a grid radius
-            new = np.zeros(self.built.size, dtype=bool)
-            new[j - index[owner] + self.intervals] = True
-            new = np.flatnonzero(new & ~self.built)
-            d = (new - self.intervals) * self.h
-            self.rows[new] = _kernel_sep(
-                1.0, np.exp(_gauss_points(np.column_stack([d, d + self.h]))), self.n, self.mu)
-            self.built[new] = True
         bounds = np.searchsorted(owner, np.arange(r.size + 1))
         # each owner's run, walked in order: np.unique would import numpy.ma (~13 ms)
         for i in np.flatnonzero(bounds[1:] > bounds[:-1]):
             lo, hi, g = bounds[i], bounds[i + 1], index[i]
-            rows = self.rows[self.intervals - g:2 * self.intervals - g]  # row j: offset j - g
+            rows = self.rows[self.top - g:self.top - g + self.intervals]  # row j: offset j - g
             out[:, lo:hi] = np.array([
                 np.einsum("jk,jk->j", self.coarse, rows[:, :_GL_ORDER])[j[lo:hi]],
                 np.einsum("jk,jk->j", self.fine, rows)[j[lo:hi]],

@@ -57,7 +57,8 @@ def _check_window(name, x, n):
 
 
 def _check_count(name, value, least):
-    """Node, panel, sample and step counts must be integers >= least (integral floats pass)."""
-    if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= least):
+    """Node, panel, sample and step counts: integers >= least, not bools (integral floats pass)."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and float(value).is_integer() and value >= least):
         raise DomainError(f"{name} must be an integer >= {least}, got {value}")
     return int(value)

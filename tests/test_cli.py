@@ -4,6 +4,8 @@ import functools
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -169,6 +171,12 @@ _FAILURES = [
     (("verify", "--dim", "4", "--mu", "3.9", "--p", "2", "--q", "2"), 1,
      "domain error: alpha=0.10000000000000009 is below the near-diagonal window alpha >= 0.1300 "
      "at N=4 (mu = N - alpha <= 3.8700)"),
+    # at N = 3 delta = r e^(-t) underflowed past t = 745 and both exited 2, with warnings
+    (("riesz", "--dim", "3", "--alpha", "0.05", "--exponent", "1.0", "--numeric"), 1,
+     "domain error: alpha=0.05 is below the near-diagonal window at N=3 for the smallest "
+     "radius r = 0.5"),
+    (("verify", "--dim", "3", "--mu", "2.95", "--p", "2", "--q", "2"), 1,
+     "domain error: alpha=0.04999999999999982 is below the near-diagonal window at N=3"),
     (("riesz", "--alpha", "1.5", "--exponent", "2.2", "--numeric", "--max-panels", "16",
       "--rel-tol", "1e-15"), 2, "computation failed: "),
     (("solve-params", "--mu", "2.5", "--p", "2"), 64, "missing required value --q"),
@@ -891,6 +899,26 @@ def test_module_invocation_runs():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["upper"] == pytest.approx(4.0)
+
+
+def test_readme_examples_run(capsys):
+    # each hartree-singular line of the README's sh blocks, as a module run,
+    # exits 0 with numpy warnings as errors, and its library example runs
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```(sh|python)\n(.*?)```", text, re.S)
+    commands = [shlex.split(line)[1:] for kind, body in blocks if kind == "sh"
+                for line in body.splitlines() if line.startswith("hartree-singular ")]
+    examples = [body for kind, body in blocks if kind == "python"]
+    assert len(commands) == 7 and len(examples) == 1
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "hartree_singular.cli", *argv],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, (argv, proc.stderr)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(examples[0], {})
+    assert len(capsys.readouterr().out.splitlines()) == 4
 
 
 _NO_SCIPY_SCRIPT = """

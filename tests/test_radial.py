@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -1150,14 +1151,16 @@ def test_riesz_radius_blocks_match_pairwise_calls(n, alpha, a):
 
 
 @pytest.mark.parametrize("n, alpha, a", [(3, 1.2, 2.1), (4, 1.5, 2.9)])
-def test_grid_radii_build_offset_rows_in_one_kernel_call_per_block(monkeypatch, n, alpha, a):
-    # the offset rows K(1, rho/r) of a block are built in one _kernel_sep call,
-    # not one per grid radius; 40 grid radii make 2 blocks
+def test_grid_radii_build_offset_rows_in_one_kernel_call(monkeypatch, n, alpha, a):
+    # a call builds the offset rows K(1, rho/r) in one _kernel_sep call, not
+    # one per block of radii (40 grid radii make 2 blocks): the offsets j - i
+    # that its grid radii i in [20, 59] reach over the 99 intervals j, and no
+    # others. A call whose radii are all off the grid builds none
     grid = log_grid(1e-2, 1e2, 100)
     prof = RadialProfile.from_power(PowerLawTerm(1.0, a), grid)
-    at = grid[20:60]
+    at, off = grid[20:60], np.geomspace(0.05, 20.0, 5)
     assert radial_quadrature._RADIUS_BLOCK < at.size <= 2 * radial_quadrature._RADIUS_BLOCK
-    want = riesz_radial(prof, alpha, n, at=at)
+    want, want_off = riesz_radial(prof, alpha, n, at=at), riesz_radial(prof, alpha, n, at=off)
     sep, rows = radial_quadrature._kernel_sep, []
 
     def counted(r, rho, dim, mu):
@@ -1167,9 +1170,29 @@ def test_grid_radii_build_offset_rows_in_one_kernel_call_per_block(monkeypatch, 
 
     monkeypatch.setattr(radial_quadrature, "_kernel_sep", counted)
     got = riesz_radial(prof, alpha, n, at=at)
-    assert 1 <= len(rows) <= 2 and sum(rows) > 0
+    assert rows == [59 - 20 + 99]
     np.testing.assert_array_equal(got.values, want.values)
     np.testing.assert_array_equal(got.point_errors, want.point_errors)
+    rows.clear()
+    got = riesz_radial(prof, alpha, n, at=off)
+    assert rows == []
+    np.testing.assert_array_equal(got.values, want_off.values)
+
+
+def test_grid_radii_on_a_wide_grid_build_only_the_offsets_they_reach():
+    # a grid with exact logs -688, -680, .., 232 is log-uniform and spans
+    # e^920: rows for every offset in +-J would overflow exp, while the grid
+    # radii 1 and e^8 reach rho/r from e^-696 to e^240 only. (log_grid(1e-300,
+    # 1e100, 81) is 512 eps off the lattice, so its radii read no rows)
+    logr = np.arange(-688.0, 233.0, 8.0)
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, 0.6), np.exp(logr))
+    at = prof.radii[86:88]
+    assert np.array_equal(np.log(prof.radii), logr) and at[0] == 1.0
+    assert np.array_equal(radial_quadrature._FarIntervals(prof, at, 3, 2.5).index, [86, 87])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = riesz_radial(prof, 0.5, 3, at=at)
+    assert np.max(np.abs(out.values / riesz_power(0.5, 0.6, 3)(at) - 1.0)) <= 1e-15
 
 
 @pytest.mark.parametrize("n, alpha, a", [(3, 1.2, 2.1), (4, 1.5, 2.9)])
@@ -1458,6 +1481,29 @@ def test_riesz_small_alpha_converges_or_is_refused_at_once(n):
         start = time.perf_counter()
         with pytest.raises(DomainError, match=r"below the near-diagonal window alpha >= 0\.1300"):
             riesz_radial(prof, 0.1299, n, at=at)
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("r, edge", [(1e-3, 0.0627), (1.0, 0.0617)])
+def test_riesz_dim3_small_alpha_converges_or_is_refused_at_once(r, edge):
+    # at N = 3 delta = r e^(-t) is absolute. At the pieces' end t = 46/alpha,
+    # exp(-t) underflows to 0 past t = 745.13 at every r, and at small r the
+    # kernel delta^(alpha - 1)/(r rho) overflows first. Just above that edge
+    # the potential is right to round-off, just below it is refused before
+    # any quadrature; neither warns. (The bars here, about 1.9e-15, are the
+    # rounding floor, which does not bound an error of 4e-15)
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, 1.5), log_grid())
+    at = np.array([r, 1.5 * r])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = riesz_radial(prof, edge + 1e-4, 3, at=at)
+        closed = riesz_power(edge + 1e-4, 1.5, 3)(at)
+        assert np.max(np.abs(out.values / closed - 1.0)) <= 1e-14
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=re.escape(
+                f"alpha={edge} is below the near-diagonal window at N=3 for the smallest "
+                f"radius r = {r:.6g}: ")):
+            riesz_radial(prof, edge, 3, at=at)
         assert time.perf_counter() - start < 1.0
 
 

@@ -225,7 +225,7 @@ def test_fixed_point_entry_gates():
 
 
 def test_fixed_point_parameter_validation():
-    for steps in (-1, 2.5, math.inf, math.nan):
+    for steps in (-1, 2.5, math.inf, math.nan, True, False):
         with pytest.raises(DomainError):
             fixed_point_iterate(BASE, steps=steps)
     # the change window [0.1, 10] must hold some grid radius of the init

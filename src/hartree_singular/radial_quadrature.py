@@ -663,7 +663,8 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
     alpha : float
         Order of the potential, 0 < alpha < N. The near-diagonal pieces end at
         t = 46/alpha, where at N >= 4 eps = e^(-2t)/2 is normal for alpha >= 0.13
-        and at N = 3 the kernel is finite at the smallest r (alpha >= 0.0618 at r = 1).
+        and at N = 3 the integrand f rho^2 K delta, its kernel included, is finite
+        at the smallest r (the kernel is for alpha >= 0.0618 at r = 1).
     dim : int
         Ambient dimension N >= 3.
     cfg : QuadratureConfig, optional
@@ -693,17 +694,20 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
         raise DomainError(f"alpha={alpha} is below the near-diagonal window alpha >= {edge:.4f} "
                           f"at N={n} (mu = N - alpha <= {n - edge:.4f}): eps = e^(-2t)/2 "
                           "underflows at the substitution's end t = 46/alpha")
-    if n == 3:  # the near kernel is largest at that end and the smallest radius, where rho == r
-        with np.errstate(all="ignore"):
-            end = _kernel_near(at[:1], at[:1], at[:1] * np.exp(-_t_cap(alpha)), n, mu, alpha)
-        if not np.isfinite(end[0]):
-            raise DomainError(f"alpha={alpha} is below the near-diagonal window at N=3 for the "
-                              f"smallest radius r = {at[0]:.6g}: the kernel at t = 46/alpha is inf")
     _check_tail_windows(f, alpha, n)
     if f.tail_inner is None and at[0] < f.radii[0]:
         raise DomainError("evaluation below the sampled window requires an inner tail")
     if f.tail_outer is None and at[-1] > f.radii[-1]:
         raise DomainError("evaluation above the sampled window requires an outer tail")
+    if n == 3:  # the near integrand in _region_integrand's order: its partial product f rho^2 K
+        # grows with t at small alpha, so take that end and the smallest radius, where rho == r
+        r, d = at[:1], at[:1] * np.exp(-_t_cap(alpha))
+        with np.errstate(all="ignore"):
+            end = f(r) * r ** (n - 1.0) * _kernel_near(r, r, d, n, mu, alpha) * d
+        if not np.isfinite(end[0]):
+            raise DomainError(f"alpha={alpha} is below the near-diagonal window at N=3 for the "
+                              f"smallest radius r = {at[0]:.6g}: the integrand at t = 46/alpha "
+                              "is not finite")
 
     gam = riesz_gamma(alpha, n)
     grid = _FarIntervals(f, at, n, mu)
@@ -751,16 +755,18 @@ class _FarIntervals:
     builds the rows of the offsets that the grid radii reach, j - i for j in
     [0, J) over J intervals and i from the least to the largest grid index
     m; other offsets' rho/r may leave the float range on a wide grid. Row
-    j - i is at j - i + m, so radius i reads [m - i, m - i + J). The table
-    and rows exist only when some radius is a grid radius; every other
+    j - i is at j - i + m, so radius i reads the window [m - i, m - i + J).
+    given sums, in one strided pass, every window from the least to the
+    largest start that a block's panels read, those between included. The
+    table and rows exist only when some radius is a grid radius; every other
     radius leaves its far panels to _region_integrand.
     """
 
     def __init__(self, f, at, n, mu):
         radii = f.radii
         self.logr = logr = np.log(radii)
-        self.mu, self.intervals = mu, logr.size - 1
-        h = (logr[-1] - logr[0]) / self.intervals
+        self.mu, intervals = mu, logr.size - 1
+        h = (logr[-1] - logr[0]) / intervals
         self.index = np.full(at.size, -1)
         if np.max(np.abs(logr - (logr[0] + np.arange(logr.size) * h))) <= _LOG_UNIFORM:
             k = np.minimum(np.searchsorted(radii, at), radii.size - 1)
@@ -770,32 +776,31 @@ class _FarIntervals:
             table = _profile_table(f, n)
             self.coarse, self.fine = table[:, :_GL_ORDER] * wg, table * wk
             self.size, self.top = np.abs(self.fine), int(self.index.max())
-            d = np.arange(-self.top, self.intervals - self.index[self.index >= 0].min()) * h
+            d = np.arange(-self.top, intervals - self.index[self.index >= 0].min()) * h
             self.rows = _kernel_sep(1.0, np.exp(_gauss_points(np.column_stack([d, d + h]))), n, mu)
 
     def given(self, segs, far, r, index, owner):
         """The given pair of _adaptive_gl: far panels that are one grid interval, and their sums.
 
-        Panel p belongs to radius r[owner[p]], owner ascending, and index[i] is
-        the grid index of r[i], else -1. Returns the positions p of the panels in
-        segs[far] that are exactly grid interval j of a grid radius g, and their
-        _rule_sums: the table's products with the kernel rows j - g, times r^-mu.
+        Panel p belongs to radius r[owner[p]]; index[i] is the grid index of
+        r[i], else -1. Returns the positions p of the panels in segs[far] that
+        are exactly grid interval j of a grid radius g, and their _rule_sums,
+        the table's products with the rows j - g times r^-mu; None if none.
         """
         logr = self.logr
         j = np.minimum(np.searchsorted(logr, segs[:, 0]), logr.size - 2)
         hit = np.flatnonzero(far & (index[owner] >= 0) & (logr[j] == segs[:, 0])
                              & (logr[j + 1] == segs[:, 1]))
+        if not hit.size:
+            return None
         j, owner = j[hit], owner[hit]
+        start = self.top - index[owner]
+        lo, hi = start.min(), start.max() + 1
+        view = np.lib.stride_tricks.sliding_window_view(self.rows, self.fine.shape)[lo:hi, 0]
         out = np.empty((3, hit.size))
-        bounds = np.searchsorted(owner, np.arange(r.size + 1))
-        # each owner's run, walked in order: np.unique would import numpy.ma (~13 ms)
-        for i in np.flatnonzero(bounds[1:] > bounds[:-1]):
-            lo, hi, g = bounds[i], bounds[i + 1], index[i]
-            rows = self.rows[self.top - g:self.top - g + self.intervals]  # row j: offset j - g
-            out[:, lo:hi] = np.array([
-                np.einsum("jk,jk->j", self.coarse, rows[:, :_GL_ORDER])[j[lo:hi]],
-                np.einsum("jk,jk->j", self.fine, rows)[j[lo:hi]],
-                np.einsum("jk,jk->j", self.size, rows)[j[lo:hi]]]) * r[i] ** -self.mu
+        for out_k, table in zip(out, (self.coarse, self.fine, self.size)):
+            out_k[:] = np.einsum("jk,gjk->gj", table, view[..., :table.shape[1]])[start - lo, j]
+        out *= np.array([x ** -self.mu for x in r])[owner]
         return hit, out
 
 

@@ -177,6 +177,10 @@ _FAILURES = [
      "radius r = 0.5"),
     (("verify", "--dim", "3", "--mu", "2.95", "--p", "2", "--q", "2"), 1,
      "domain error: alpha=0.04999999999999982 is below the near-diagonal window at N=3"),
+    # the kernel alone is finite there, but f rho^2 K of r^-2.5 overflowed: exit 2, with warnings
+    (("riesz", "--numeric", "--alpha", "0.4", "--exponent", "2.5", "--radii", "1e-100,1"), 1,
+     "domain error: alpha=0.4 is below the near-diagonal window at N=3 for the smallest "
+     "radius r = 1e-100: "),
     (("riesz", "--alpha", "1.5", "--exponent", "2.2", "--numeric", "--max-panels", "16",
       "--rel-tol", "1e-15"), 2, "computation failed: "),
     (("solve-params", "--mu", "2.5", "--p", "2"), 64, "missing required value --q"),

@@ -1113,7 +1113,8 @@ def test_off_grid_radii_build_no_profile_table(monkeypatch, n, alpha, a):
 @pytest.mark.parametrize("n, alpha, a", [(3, 1.2, 2.1), (4, 1.5, 2.9)])
 def test_riesz_radial_calls_no_np_unique(monkeypatch, n, alpha, a):
     # np.unique imports numpy.ma (about 13 ms) on its first call, even on an
-    # empty array; the offset-row sums walk their owner runs instead
+    # empty array; the offset-row sums index a block's strided pass by each
+    # panel's window start instead of grouping panels by radius
     prof = RadialProfile.from_power(PowerLawTerm(1.0, a), log_grid(1e-2, 1e2, 60))
     cases = (prof.radii[[10, 30, 50]], np.geomspace(0.05, 20.0, 5))
     want = [riesz_radial(prof, alpha, n, at=at) for at in cases]
@@ -1217,6 +1218,60 @@ def test_grid_radii_read_offset_rows_only_on_a_log_uniform_grid(monkeypatch, n, 
     assert np.max(np.abs(rows.values / direct.values - 1.0)) <= 2e-15
     np.testing.assert_array_equal(bent_out.values, bent_direct.values)
     np.testing.assert_array_equal(bent_out.point_errors, bent_direct.point_errors)
+
+
+def _given_reference(far, segs, in_far, r, index, owner):
+    """The sums of _FarIntervals.given as a walk over each radius's run of panels.
+
+    Panel owners ascend, as _riesz_block's do; each grid radius g forms three
+    whole-table einsums against its rows j - g and keeps its own intervals.
+    """
+    logr = far.logr
+    j = np.minimum(np.searchsorted(logr, segs[:, 0]), logr.size - 2)
+    hit = np.flatnonzero(in_far & (index[owner] >= 0) & (logr[j] == segs[:, 0])
+                         & (logr[j + 1] == segs[:, 1]))
+    j, owner = j[hit], owner[hit]
+    out = np.empty((3, hit.size))
+    bounds = np.searchsorted(owner, np.arange(r.size + 1))
+    for i in np.flatnonzero(bounds[1:] > bounds[:-1]):
+        lo, hi, g = bounds[i], bounds[i + 1], index[i]
+        rows = far.rows[far.top - g:far.top - g + far.fine.shape[0]]  # row j: offset j - g
+        out[:, lo:hi] = np.array([
+            np.einsum("jk,jk->j", far.coarse, rows[:, :radial_quadrature._GL_ORDER])[j[lo:hi]],
+            np.einsum("jk,jk->j", far.fine, rows)[j[lo:hi]],
+            np.einsum("jk,jk->j", far.size, rows)[j[lo:hi]]]) * r[i] ** -far.mu
+    return hit, out
+
+
+@pytest.mark.parametrize("n, alpha, a", [(3, 1.2, 2.1), (4, 1.5, 2.9), (5, 2.2, 3.4)])
+def test_far_interval_sums_match_the_per_radius_walk(monkeypatch, n, alpha, a):
+    # given sums a block's panels in one strided pass over its radii's row
+    # windows, gaps included; in every call of riesz_radial its positions and
+    # sums must equal the per-radius walk's, bit for bit, on the whole grid,
+    # gapped grid radii, grid radii mixed with off-grid ones, and off-grid
+    # radii only, where there is no panel to give
+    grid = log_grid(1e-2, 1e2, 100)
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, a), grid)
+    strided, hits = radial_quadrature._FarIntervals.given, []
+
+    def checked(self, segs, far, r, index, owner):
+        got = strided(self, segs, far, r, index, owner)
+        hit, want = _given_reference(self, segs, far, r, index, owner)
+        hits.append(hit.size)
+        if got is None:
+            assert hit.size == 0
+        else:
+            assert np.array_equal(got[0], hit) and np.array_equal(got[1], want)
+        return got
+
+    monkeypatch.setattr(radial_quadrature._FarIntervals, "given", checked)
+    off = np.geomspace(0.05, 20.0, 9)
+    mixed = np.sort(np.concatenate([grid[[5, 40, 41, 90]], off]))
+    for at, on_grid in ((grid, True), (grid[[0, 3, 50, 99]], True), (grid[::7], True),
+                        (mixed, True), (off, False)):
+        hits.clear()
+        riesz_radial(prof, alpha, n, at=at)
+        assert hits and (sum(hits) > 0) == on_grid
 
 
 _NEARBY_EXPONENT_SCRIPT = """
@@ -1505,6 +1560,29 @@ def test_riesz_dim3_small_alpha_converges_or_is_refused_at_once(r, edge):
                 f"radius r = {r:.6g}: ")):
             riesz_radial(prof, edge, 3, at=at)
         assert time.perf_counter() - start < 1.0
+
+
+def test_riesz_dim3_small_alpha_integrand_is_refused_at_once():
+    # at r = 1e-100 the kernel at t = 46/alpha is finite for these alpha, but
+    # the integrand's partial product f rho^2 K of r^-2.5 overflowed, and the
+    # call ended in ConvergenceError after warnings. The gate reads that
+    # product, so it refuses before any quadrature; at r = 1e-50 alpha = 0.4
+    # still returns, right to round-off
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, 2.5), log_grid())
+    r = np.array([1e-100])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (0.4, 0.45, 0.5):
+            d = r * np.exp(-46.0 / alpha)
+            assert np.isfinite(_kernel_near(r, r, d, 3, 3.0 - alpha, alpha)[0])
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match=re.escape(
+                    f"alpha={alpha} is below the near-diagonal window at N=3 for the smallest "
+                    "radius r = 1e-100: ")):
+                riesz_radial(prof, alpha, 3, at=[1e-100, 1.0])
+            assert time.perf_counter() - start < 1.0
+        out = riesz_radial(prof, 0.4, 3, at=[1e-50, 1.0])
+    assert np.max(np.abs(out.values / riesz_power(0.4, 2.5, 3)(out.radii) - 1.0)) <= 1e-14
 
 
 def test_riesz_convergence_error_names_a_radius_when_estimates_are_nan(monkeypatch):

@@ -547,6 +547,33 @@ def _kernel_near(r, rho, delta, n, mu, alpha):
                     np.nan)
 
 
+def _near_row(side, t, n, mu, alpha):
+    """row(t) = K(1, 1 + side d) (1 + side d)^(N-1) d at d = e^-t, broadcast over side and t.
+
+    K is homogeneous of degree -mu, so K(r, rho) rho^(N-1) delta = r^alpha
+    row(t) at rho = r(1 + side d), delta = r d. At N = 3, with s = 2 + side d
+    and e = alpha - 1 (from alpha, as in _kernel_near), row = 2 pi (1 + side d)
+    (d s^e - e^(-alpha t))/e = 2 pi (1 + side d) e^(-alpha t) expm1(x)/e, x =
+    e (log s + t); at alpha = 1, 2 pi (1 + side d) d (log s + t). No power of d
+    leaves the float range. Where x >= 1 the difference is taken, which does
+    not cancel there, and the rounded alpha t of the expm1 form costs up to
+    alpha t units in the last place. At N >= 4, eps = d^2/(2 (1 + side d)).
+    """
+    d = np.exp(-t)
+    rho = 1.0 + side * d
+    if n > 3:
+        k = _kernel_near(1.0, np.ravel(rho), np.ravel(d), n, mu, alpha).reshape(rho.shape)
+        return k * rho ** (n - 1.0) * d
+    e, log_s, small = alpha - 1.0, np.log(2.0 + side * d), np.exp(-alpha * t)
+    if e == 0.0:
+        return 2.0 * math.pi * small * (log_s + t) * rho
+    x = e * (log_s + t)
+    diff = small * np.expm1(x)
+    if e > 0.0:
+        diff = np.where(x < 1.0, diff, d * np.exp(e * log_s) - small)
+    return 2.0 * math.pi * diff / e * rho
+
+
 # ---------------------------------------------------------------------------
 # Adaptive Gauss quadrature (vectorized global bisection over tagged panels)
 
@@ -588,13 +615,13 @@ def _rule_sums(v):
             np.einsum("ij,j->i", np.abs(v), wk))
 
 
-def _adaptive_gl(fun, segs, tag, length, rel_tol, max_panels, given=None):
+def _adaptive_gl(fun, segs, tag, length, rel_tol, max_panels, *given):
     """Globally adaptive Gauss-Legendre quadrature of many integrals at once.
 
     Integral g has length length[g] and initial panels segs[tag == g];
     fun(segs, tag) gives the integrand at _gauss_points(segs), _CHUNK_PANELS
-    panels at a time. given = (index, sums), when passed, holds the _rule_sums of
-    the initial panels segs[index], which fun then never sees. Each integral
+    panels at a time. Each given pair (index, sums) that is not None holds the
+    _rule_sums of the initial panels segs[index], which fun then never sees. Each integral
     keeps the rules of a run of its own: a panel's value is its K25 sum, and
     a panel whose |K25 - G12| (never a NaN) exceeds its length share of
     max(rel_tol |estimate|, floor) is bisected; after max_panels the open
@@ -610,10 +637,10 @@ def _adaptive_gl(fun, segs, tag, length, rel_tol, max_panels, given=None):
         half = 0.5 * (segs[:, 1] - segs[:, 0])
         sums = np.empty((3, tag.size))
         todo = np.ones(tag.size, dtype=bool)
-        if given is not None:
-            sums[:, given[0]] = given[1]
-            todo[given[0]] = False
-            given = None
+        for index, known in filter(None, given):
+            sums[:, index] = known
+            todo[index] = False
+        given = ()
         todo = np.flatnonzero(todo)
         for s in range(0, todo.size, _CHUNK_PANELS):
             p = todo[s:s + _CHUNK_PANELS]
@@ -662,9 +689,10 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
         the per-point error report.
     alpha : float
         Order of the potential, 0 < alpha < N. The near-diagonal pieces end at
-        t = 46/alpha, where at N >= 4 eps = e^(-2t)/2 is normal for alpha >= 0.13
-        and at N = 3 the integrand f rho^2 K delta, its kernel included, is finite
-        at the smallest r (the kernel is for alpha >= 0.0618 at r = 1).
+        t = 46/alpha, where at N >= 4 eps = e^(-2t)/2 is normal for alpha >= 0.13.
+        Their integrand f(rho) r^alpha row(t) has no partial product that grows
+        with 1/r. At N = 3, alpha must also keep the old one, f rho^2 K delta,
+        finite at the smallest r (its kernel is for alpha >= 0.0618 at r = 1).
     dim : int
         Ambient dimension N >= 3.
     cfg : QuadratureConfig, optional
@@ -699,8 +727,9 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
         raise DomainError("evaluation below the sampled window requires an inner tail")
     if f.tail_outer is None and at[-1] > f.radii[-1]:
         raise DomainError("evaluation above the sampled window requires an outer tail")
-    if n == 3:  # the near integrand in _region_integrand's order: its partial product f rho^2 K
-        # grows with t at small alpha, so take that end and the smallest radius, where rho == r
+    if n == 3:  # the old near integrand f rho^2 K delta, whose partial product f rho^2 K grows
+        # with t at small alpha, at that end and the smallest radius, where rho == r. It is
+        # checked on purpose: the r-free row lifts this edge only with a presplit graded in t
         r, d = at[:1], at[:1] * np.exp(-_t_cap(alpha))
         with np.errstate(all="ignore"):
             end = f(r) * r ** (n - 1.0) * _kernel_near(r, r, d, n, mu, alpha) * d
@@ -711,8 +740,9 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
 
     gam = riesz_gamma(alpha, n)
     grid = _FarIntervals(f, at, n, mu)
+    near = _NearRows(f, grid, n, alpha)
     blocks = [_riesz_block(f, at[i:i + _RADIUS_BLOCK], grid.index[i:i + _RADIUS_BLOCK],
-                           n, mu, alpha, cfg, grid)
+                           n, mu, alpha, cfg, grid, near)
               for i in range(0, at.size, _RADIUS_BLOCK)]
     raw, abs_err, trunc, ok, panels = (np.concatenate(part) for part in zip(*blocks))
     values = raw / gam
@@ -759,14 +789,15 @@ class _FarIntervals:
     given sums, in one strided pass, every window from the least to the
     largest start that a block's panels read, those between included. The
     table and rows exist only when some radius is a grid radius; every other
-    radius leaves its far panels to _region_integrand.
+    radius leaves its far panels to _region_integrand. The near panels that
+    grid radii share read rows of _NearRows, built from index and h.
     """
 
     def __init__(self, f, at, n, mu):
         radii = f.radii
         self.logr = logr = np.log(radii)
         self.mu, intervals = mu, logr.size - 1
-        h = (logr[-1] - logr[0]) / intervals
+        self.h = h = (logr[-1] - logr[0]) / intervals
         self.index = np.full(at.size, -1)
         if np.max(np.abs(logr - (logr[0] + np.arange(logr.size) * h))) <= _LOG_UNIFORM:
             k = np.minimum(np.searchsorted(radii, at), radii.size - 1)
@@ -804,6 +835,67 @@ class _FarIntervals:
         return hit, out
 
 
+class _NearRows:
+    """Rule sums of the near-diagonal panels that grid radii share.
+
+    On a log-uniform grid of step h, node i + k of grid radius i sits at t =
+    -log|expm1(k h)|, whatever i is: t[k + K], 0 < |k| <= K, K = min(floor(
+    log 2/h) + 1, intervals), or K = 0 for h >= 1, are the near edges that
+    _initial_panels gives grid radii. A near group that is not clipped (no
+    tail, and r/2 or 2r past the grid) nor within K nodes of a grid end so
+    starts from its side's list of panels, built here from t over [log 2 or
+    0, t_cap]. Their rule sums are r^alpha times those of f(r(1 + side e^-t))
+    times the row of each node, from one _near_row call per side. Nothing is
+    built unless some radius is a grid radius of grid, the _FarIntervals.
+    """
+
+    def __init__(self, f, grid, n, alpha):
+        self.f, self.alpha, self.t, self.sides = f, alpha, None, []
+        if np.all(grid.index < 0):
+            return
+        big = min(int(math.log(2.0) / grid.h) + 1, grid.logr.size - 1) if grid.h < 1.0 else 0
+        k = np.arange(1.0, big + 1.0) * grid.h
+        self.t = np.concatenate([-np.log(-np.expm1(-k[::-1])), [np.nan], -np.log(np.expm1(k))])
+        ya = np.log(np.array([2.0, 1.0]))  # log(r/|a - r|) at a = r/2 and at b = 2r
+        segs, tag = _panels(ya, np.full(2, _t_cap(alpha)), np.full(2, 6.0), np.full(2, 2),
+                            np.repeat([0, 1], big), np.delete(self.t, big))
+        for g, side in enumerate((-1.0, 1.0)):
+            t = _gauss_points(segs[tag == g])
+            self.sides.append((segs[tag == g], 1.0 + side * np.exp(-t),
+                               _near_row(side, t, n, n - alpha, alpha)))
+
+    def given(self, segs, tag, r):
+        """A given pair of _adaptive_gl: near groups whose panels are a shared list, and their sums.
+
+        Group 4 i + 1 (left) or 4 i + 2 (right) belongs to r[i], and tag
+        ascends, as in _riesz_block. A group reads the rows when its initial
+        panels equal its side's list bit for bit; sums are formed
+        _CHUNK_PANELS panels at a time. None when nothing was built.
+        """
+        if not self.sides:
+            return None
+        counts = np.bincount(tag, minlength=4 * r.size)
+        start = np.cumsum(counts) - counts
+        scale = np.array([x ** self.alpha for x in r])
+        hits, sums = [], []
+        for row, (shared, ratio, rows) in zip((1, 2), self.sides):
+            size = shared.shape[0]
+            g = np.flatnonzero(counts[row::4] == size) * 4 + row
+            pos = start[g, None] + np.arange(size)
+            pos = pos[np.all(segs[pos] == shared, axis=(1, 2))]
+            owner = tag[pos[:, 0]] // 4
+            out = np.empty((3, owner.size, size))
+            step = max(1, _CHUNK_PANELS // size)
+            for s in range(0, owner.size, step):
+                rho = r[owner[s:s + step], None, None] * ratio
+                v = (self.f(rho) * rows).reshape(-1, ratio.shape[1])
+                out[:, s:s + step] = np.reshape(_rule_sums(v), (3, -1, size))
+            out *= scale[owner, None]
+            hits.append(pos.ravel())
+            sums.append(out.reshape(3, -1))
+        return np.concatenate(hits), np.concatenate(sums, axis=1)
+
+
 def _runs(counts):
     """Owner and position of each item when owner g holds counts[g] consecutive items."""
     owner = np.repeat(np.arange(counts.size), counts)
@@ -815,7 +907,7 @@ def _t_cap(alpha):
     return max(40.0, 46.0 / alpha)
 
 
-def _riesz_block(f, r, index, n, mu, alpha, cfg, grid):
+def _riesz_block(f, r, index, n, mu, alpha, cfg, grid, near):
     """Raw integrals int f rho^(N-1) K drho (no 1/gamma) at the radii r, all run together.
 
     The tails cover [0, lo] and [hi, inf), as exact integrals of the far
@@ -828,13 +920,14 @@ def _riesz_block(f, r, index, n, mu, alpha, cfg, grid):
         g_hi     [2r, hi]               side  0   x = log(rho)
 
     A side 0 row is a smooth far region integrated over [log a, log b]. A
-    side -+1 row is a near-diagonal piece, where delta = r e^(-t) is exact
-    and t runs from the far edge, log(r/|rho - r|), out to t_cap. Every
-    non-empty (radius, row) pair is one integral of one _adaptive_gl run.
-    index holds the grid index of each grid radius, else -1; the far panels
-    of a grid radius that are exactly one grid interval start from the
-    offset-row sums of grid (a _FarIntervals). Returns (raw, abs_err, trunc,
-    converged, panels) aligned with r.
+    side -+1 row is a near-diagonal piece, f(rho) r^alpha row(t), where t runs
+    from the far edge, log(r/|rho - r|), out to t_cap. Every non-empty
+    (radius, row) pair is one integral of one _adaptive_gl run. index holds
+    the grid index of each grid radius, else -1. The far panels of a grid
+    radius that are exactly one grid interval start from the offset-row sums
+    of grid (a _FarIntervals), and its near pieces take the offset edges of
+    near (a _NearRows) and, when their panels are its shared lists, its row
+    sums. Returns (raw, abs_err, trunc, converged, panels) aligned with r.
     """
     r0, r1 = float(f.radii[0]), float(f.radii[-1])
     raw, err, trunc = np.zeros(r.size), np.zeros(r.size), np.zeros(r.size)
@@ -871,38 +964,62 @@ def _riesz_block(f, r, index, n, mu, alpha, cfg, grid):
     yb = np.where(far, np.log(bl), _t_cap(alpha))
     length = np.zeros(a.size)
     length[live] = yb - ya
-    segs, tag = _initial_panels(f.radii, grid.logr, al, bl, ya, yb, rl, far)
+    lattice = None if near.t is None else (index[live // 4], near.t)
+    segs, tag = _initial_panels(f.radii, grid.logr, al, bl, ya, yb, rl, far, lattice)
     tag = live[tag]
     val, e, used, ok = _adaptive_gl(
         _region_integrand(f, n, alpha, rg, side), segs, tag, length, cfg.rel_tol,
-        max(cfg.max_panels // 4, 4), grid.given(segs, side[tag] == 0.0, r, index, tag // 4))
+        max(cfg.max_panels // 4, 4), grid.given(segs, side[tag] == 0.0, r, index, tag // 4),
+        near.given(segs, tag, r))
     for k in range(4):  # summed row by row, in table order
         raw += val[k::4]
         err += e[k::4]
     return raw, err, trunc, ok.reshape(-1, 4).all(axis=1), used.reshape(-1, 4).sum(axis=1)
 
 
-def _initial_panels(radii, logr, a, b, ya, yb, r, far):
+def _initial_panels(radii, logr, a, b, ya, yb, r, far, lattice=None):
     """Initial (segs, tag) of groups over rho in (a, b), that is variable in (ya, yb).
 
-    Group g gets the edges of np.linspace(ya[g], yb[g], presplit + 1), bit for
-    bit, and one at each grid radius inside (a[g], b[g]): the interpolant is
-    one cubic between sample nodes, so node-aligned edges let no sampled
-    feature slip through. A group with ya >= yb gets no panels.
+    Group g gets an edge at each grid radius inside (a[g], b[g]): the
+    interpolant is one cubic between sample nodes, so node-aligned edges let
+    no sampled feature slip through. A near group's edge sits at t =
+    log(r/|radius - r|), or, with lattice = (index, t) and index[g] >= 0, at
+    the offset edge t[k + K] of node index[g] + k, for 2K + 1 = t.size: on a
+    log-uniform grid every grid radius then has the same edges. Near groups
+    also take the edges of np.linspace(ya[g], yb[g], presplit + 1), bit for
+    bit, presplit = max(2, span/6); so do far groups, with max(1, span/1.2),
+    unless they lie inside a grid whose log step is at most 1.2, where their
+    grid intervals are their panels. A group with ya >= yb gets no panels.
     """
-    span = yb - ya
-    split = np.where(far, np.maximum(1, (span / 1.2).astype(int)),
-                     np.maximum(2, (span / 6.0).astype(int)))
-    g, k = _runs(np.where(span > 0.0, split + 1, 0))
-    y = np.where(k == split[g], yb[g], k * (span / split)[g] + ya[g])
     first = np.searchsorted(radii, a, "right")
     h, j = _runs(np.maximum(np.searchsorted(radii, b, "left") - first, 0))
     i = first[h] + j
     x = logr[i]
-    d = ~far[h]
-    x[d] = np.log(r[h[d]] / np.abs(radii[i[d]] - r[h[d]]))
-    keep = (x > ya[h]) & (x < yb[h])
-    g, y = np.concatenate([g, h[keep]]), np.concatenate([y, x[keep]])
+    near = ~far[h]
+    if lattice is not None:
+        index, t = lattice
+        k = i - index[h] + t.size // 2
+        on = near & (index[h] >= 0) & (k >= 0) & (k < t.size)
+        x[on] = t[k[on]]
+        near &= ~on
+    x[near] = np.log(r[h[near]] / np.abs(radii[i[near]] - r[h[near]]))
+    bare = far & (a >= radii[0]) & (b <= radii[-1]) & (np.max(np.diff(logr)) <= 1.2)
+    return _panels(ya, yb, np.where(far, np.where(bare, np.inf, 1.2), 6.0), np.where(far, 1, 2), h, x)
+
+
+def _panels(ya, yb, width, least, owner, x):
+    """(segs, tag) of groups g over (ya[g], yb[g]): presplit edges and the edges x of owner.
+
+    Group g is presplit into max(least[g], span/width[g]) panels of
+    np.linspace, bit for bit; each x[i] strictly inside (ya, yb) of its group
+    owner[i] is one more edge.
+    """
+    span = yb - ya
+    split = np.maximum(least, (span / width).astype(int))
+    g, k = _runs(np.where(span > 0.0, split + 1, 0))
+    y = np.where(k == split[g], yb[g], k * (span / split)[g] + ya[g])
+    keep = (x > ya[owner]) & (x < yb[owner])
+    g, y = np.concatenate([g, owner[keep]]), np.concatenate([y, x[keep]])
     order = np.lexsort((y, g))
     g, y = g[order], y[order]
     pair = (g[1:] == g[:-1]) & (y[1:] != y[:-1])  # adjacent distinct edges of one group
@@ -910,12 +1027,13 @@ def _initial_panels(radii, logr, a, b, ya, yb, r, far):
 
 
 def _region_integrand(f, n, alpha, r, side):
-    """fun(segs, tag) of _adaptive_gl: (f rho^p) K jacobian for group g at r[g], side[g].
+    """fun(segs, tag) of _adaptive_gl: the integrand of group g at r[g], side[g].
 
-    Far panels are in x = log(rho) with p = N. Near-diagonal panels are in
-    t, with delta = r e^(-t) exact, p = N-1 and jacobian delta. K is the
-    kernel of mu = N - alpha, and the near one takes its singular exponent
-    from alpha itself (see _kernel_near).
+    Far panels are in x = log(rho), f rho^N K(r, rho). Near-diagonal panels
+    are in t, rho = r(1 + side e^-t), f(rho) r^alpha row(side, t): the
+    homogeneous form of f rho^(N-1) K delta, delta = r e^-t (see _near_row),
+    the same row that _NearRows tabulates. K is the kernel of mu = N - alpha,
+    and the near row takes its singular exponent from alpha itself.
     """
     mu = n - alpha
 
@@ -928,11 +1046,8 @@ def _region_integrand(f, n, alpha, r, side):
             out[far] = f(rho) * rho ** float(n) * _kernel_sep(rg[far, None], rho, n, mu)
         near = np.flatnonzero(sg != 0.0)
         if near.size:
-            rn, sn = np.repeat(rg[near], out.shape[1]), np.repeat(sg[near], out.shape[1])
-            d = rn * np.exp(-_gauss_points(segs[near]).ravel())
-            rho = rn + sn * d
-            k = _kernel_near(rn, rho, d, n, mu, alpha)
-            out[near] = (f(rho) * rho ** (n - 1.0) * k * d).reshape(near.size, -1)
+            t, rn, sn = _gauss_points(segs[near]), rg[near, None], sg[near, None]
+            out[near] = f(rn * (1.0 + sn * np.exp(-t))) * rn ** alpha * _near_row(sn, t, n, mu, alpha)
         return out
 
     return fun

@@ -223,6 +223,21 @@ def test_window_interior_paths_exit_zero(capsys, argv):
             assert abs(value / closed - 1.0) <= bar
 
 
+@pytest.mark.parametrize("dim, alpha, exponent", [("4", "0.2", "3.5"), ("5", "0.3", "4.5")])
+def test_riesz_high_dim_tiny_radius_exits_zero(capsys, dim, alpha, exponent):
+    # at r = 1e-60 the near integrand's partial product f rho^(N-1) K overflowed:
+    # 26 RuntimeWarnings, then exit 2 at the panel budget. Its r-free row
+    # returns every value within its bar, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(capsys, "riesz", "--numeric", "--dim", dim, "--alpha", alpha,
+                            "--exponent", exponent, "--radii", "1e-60,1")
+    assert (got, err) == (0, "")
+    num = json.loads(out)["numeric"]
+    for value, closed, bar in zip(num["values"], num["closed_form"], num["point_errors"]):
+        assert abs(value / closed - 1.0) <= bar
+
+
 # ---------------------------------------------------------------------------
 # verify
 

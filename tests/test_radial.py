@@ -1,5 +1,6 @@
 """Radial quadrature: angular kernel, Riesz potential, inverse Laplacian."""
 
+import decimal
 import itertools
 import math
 import os
@@ -1272,6 +1273,150 @@ def test_far_interval_sums_match_the_per_radius_walk(monkeypatch, n, alpha, a):
         hits.clear()
         riesz_radial(prof, alpha, n, at=at)
         assert hits and (sum(hits) > 0) == on_grid
+
+
+def test_far_groups_inside_a_fine_grid_take_no_presplit_edges():
+    # a far group's grid nodes are already panel edges, so on a grid whose log
+    # step is at most 1.2 a group inside it gets exactly those; the linspace
+    # edges would only split grid intervals. Groups reaching past the grid,
+    # and every group of a wider grid, keep the span/1.2 presplit
+    for radii, bare in ((log_grid(1e-2, 1e2, 100), True), (log_grid(0.1, 1e104, 60), False)):
+        logr = np.log(radii)
+        a, b = np.array([radii[0], 1.5 * radii[3], 0.5 * radii[0]]), np.array([
+            radii[40], 0.5 * radii[-1], radii[20]])
+        far = np.ones(3, dtype=bool)
+        segs, tag = radial_quadrature._initial_panels(radii, logr, a, b, np.log(a), np.log(b),
+                                                      np.ones(3), far)
+        for g in range(3):
+            sel = np.log(radii[(radii > a[g]) & (radii < b[g])])
+            span = math.log(b[g]) - math.log(a[g])
+            presplit = 1 if bare and g < 2 else max(1, int(span / 1.2))
+            edges = _initial_edges(math.log(a[g]), math.log(b[g]), presplit, sel)
+            np.testing.assert_array_equal(segs[tag == g], np.column_stack([edges[:-1], edges[1:]]))
+
+
+def _decimal_near_row(side, t, alpha):
+    """The N = 3 row 2 pi ((2 + side d)^e - d^e)(1 + side d) d/e at d = e^-t, in 40 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        d = (-decimal.Decimal(t)).exp()
+        e, s = decimal.Decimal(alpha) - 1, 2 + int(side) * d
+        diff = (s / d).ln() * d if e == 0 else (s ** e - d ** e) * d / e
+        return float(2 * decimal.Decimal(math.pi) * diff * (1 + int(side) * d))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(data=st.data(), side=st.sampled_from([-1.0, 1.0]),
+       alpha=st.one_of(st.floats(0.1, 2.9), st.just(1.0), st.floats(0.999999, 1.000001)))
+def test_near_row_dim3_against_its_closed_form(data, side, alpha):
+    # the r-free N = 3 row, in e^(-alpha t) expm1 form or as the difference
+    # where that does not cancel, against the difference of powers evaluated
+    # in 40 digits. The left side starts at rho = r/2, t = log 2: below it 1 - d
+    # would cancel, and no near piece goes there
+    t = data.draw(st.floats(math.log(2.0) if side < 0.0 else 0.0, 30.0))
+    got = radial_quadrature._near_row(side, np.array([t]), 3, 3.0 - alpha, alpha)[0]
+    want = _decimal_near_row(side, t, alpha)
+    assert abs(got - want) <= 1e-14 * abs(want), (alpha, t, side)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(data=st.data(), n=st.integers(4, 6), log_r=st.floats(-3.0, 3.0),
+       side=st.sampled_from([-1.0, 1.0]))
+def test_near_row_is_the_homogeneous_kernel(data, n, log_r, side):
+    # K(r, r(1 + side d)) rho^(N-1) r d = r^alpha row(t) at d = e^-t, for eps =
+    # d^2/(2(1 + side d)) <= 1/4: t >= log 2 on the left side, t >= 0 on the right
+    alpha = data.draw(st.floats(0.13, n - 0.05))
+    t = np.array(data.draw(st.lists(st.floats(math.log(2.0) if side < 0.0 else 0.0, 30.0),
+                                    min_size=1, max_size=8)))
+    r, mu = 10.0 ** log_r, n - alpha
+    rho, delta = r * (1.0 + side * np.exp(-t)), r * np.exp(-t)
+    want = _kernel_near(r, rho, delta, n, mu, alpha) * rho ** (n - 1.0) * delta
+    got = r ** alpha * radial_quadrature._near_row(side, t, n, mu, alpha)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("n, alpha, a", [(3, 1.5, 2.2), (4, 1.2, 3.2), (5, 1.5, 4.2)])
+def test_shared_near_sums_match_the_integrand(monkeypatch, n, alpha, a):
+    # the near groups that read the shared rows get r^alpha times the rule sums
+    # of f row; the integrand forms f r^alpha row at the same nodes, and both
+    # must agree to round-off on every panel given in a default-grid call
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, a), log_grid())
+    shared, checked = radial_quadrature._NearRows.given, []
+
+    def compared(self, segs, tag, r):
+        got = shared(self, segs, tag, r)
+        if got is not None:
+            fun = radial_quadrature._region_integrand(self.f, n, alpha, np.repeat(r, 4),
+                                                      np.tile([0.0, -1.0, 1.0, 0.0], r.size))
+            pos = got[0]
+            for s in range(0, pos.size, 256):
+                p = pos[s:s + 256]
+                want = np.array(radial_quadrature._rule_sums(fun(segs[p], tag[p])))
+                np.testing.assert_allclose(got[1][:, s:s + 256], want, rtol=1e-14, atol=0.0)
+            checked.append(pos.size)
+        return got
+
+    monkeypatch.setattr(radial_quadrature._NearRows, "given", compared)
+    out = riesz_radial(prof, alpha, n)
+    assert sum(checked) > 0
+    assert np.max(np.abs(out.values / riesz_power(alpha, a, n)(out.radii) - 1.0)) <= 5e-15
+
+
+def test_grid_radii_share_one_near_row_table_per_side(monkeypatch):
+    # a default-grid call builds one row table per side, once; the near group
+    # of grid radius i reads it when its initial panels equal the shared list
+    # bit for bit, which holds for every i at least K = 20 nodes (log 2/h)
+    # from the grid's end on that side: 380 of 400 groups per side. An
+    # off-grid call builds no table and gives no near sums
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, 2.2), log_grid())
+    init, given, row = (radial_quadrature._NearRows.__init__, radial_quadrature._NearRows.given,
+                        radial_quadrature._near_row)
+    tables, groups, read = [], [], []
+
+    def counted_init(self, *args):
+        def counted_row(side, t, *rest):
+            tables.append((side, np.shape(t)))
+            return row(side, t, *rest)
+
+        monkeypatch.setattr(radial_quadrature, "_near_row", counted_row)
+        init(self, *args)
+        monkeypatch.setattr(radial_quadrature, "_near_row", row)
+
+    def counted_given(self, segs, tag, r):
+        got = given(self, segs, tag, r)
+        start = len(groups) and max(groups) // 4 + 1  # radius offset of this block
+        near = tag[(tag % 4 == 1) | (tag % 4 == 2)]
+        groups.extend(sorted({int(g) + 4 * start for g in near}))
+        if got is not None:
+            read.extend(sorted({int(g) + 4 * start for g in tag[got[0]]}))
+        return got
+
+    monkeypatch.setattr(radial_quadrature._NearRows, "__init__", counted_init)
+    monkeypatch.setattr(radial_quadrature._NearRows, "given", counted_given)
+    riesz_radial(prof, 1.5, 3)
+    assert [side for side, _ in tables] == [-1.0, 1.0]
+    assert all(len(shape) == 2 and shape[1] == 25 for _, shape in tables)
+    assert len(groups) == 800
+    left = {4 * i + 1 for i in range(20, 400)}
+    right = {4 * i + 2 for i in range(0, 380)}
+    assert set(read) == left | right and len(read) >= 760
+    for seen in (tables, groups, read):
+        seen.clear()
+    riesz_radial(prof, 1.5, 3, at=np.geomspace(0.05, 20.0, 5))
+    assert tables == [] and read == [] and len(groups) == 10
+
+
+@pytest.mark.parametrize("n, alpha, a", [(4, 0.2, 3.5), (5, 0.3, 4.5)])
+def test_riesz_high_dim_tiny_radius_returns_within_its_bars(n, alpha, a):
+    # f rho^(N-1) K of the old integrand overflowed at r = 1e-60 (K ~ r^-mu),
+    # and the call ended in ConvergenceError after warnings; the r-free row
+    # keeps every product of f(rho) r^alpha row in range
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, a), log_grid())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = riesz_radial(prof, alpha, n, at=[1e-60, 1.0])
+    err = np.abs(out.values / riesz_power(alpha, a, n)(out.radii) - 1.0)
+    assert np.all(err <= out.point_errors), (err, out.point_errors)
 
 
 _NEARBY_EXPONENT_SCRIPT = """

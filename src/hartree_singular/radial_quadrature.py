@@ -589,10 +589,11 @@ _CHUNK_PANELS = 256
 # integrand value passes through about eight rounded steps (the node, exp,
 # the interpolant, rho^p, the kernel), each good to a unit in the last place
 _ROUNDOFF = 8.0 * np.finfo(float).eps
-# grid radii read kernel rows per grid offset when no log(grid radius) is
-# further than this from the uniform lattice; a row then misplaces the kernel
-# by at most this much in log(rho), and log_grid(1e-3, 1e3, 400) is within 16 eps
+# grid radii share near rows when no log(grid radius) is further than this,
+# times max(1, |log r|), from the uniform lattice: log_grid(1e-3, 1e3, 400) is
+# within 16 eps, log_grid(1e-20, 1e20, 401) within 64 eps at |log r| = 46
 _LOG_UNIFORM = 32 * np.finfo(float).eps
+_FAR_PANEL = 1.2  # the widest initial far panel in log(rho)
 
 
 def _gauss_points(segs):
@@ -615,13 +616,15 @@ def _rule_sums(v):
             np.einsum("ij,j->i", np.abs(v), wk))
 
 
-def _adaptive_gl(fun, segs, tag, length, rel_tol, max_panels, *given):
+def _adaptive_gl(fun, segs, tag, length, rel_tol, max_panels, given=None, start=None):
     """Globally adaptive Gauss-Legendre quadrature of many integrals at once.
 
     Integral g has length length[g] and initial panels segs[tag == g];
     fun(segs, tag) gives the integrand at _gauss_points(segs), _CHUNK_PANELS
-    panels at a time. Each given pair (index, sums) that is not None holds the
-    _rule_sums of the initial panels segs[index], which fun then never sees. Each integral
+    panels at a time. A given pair (index, sums) holds the _rule_sums of the
+    initial panels segs[index], which fun then never sees. start, a (2,
+    integrals) array, holds the value and error bound of a part of each
+    integral summed elsewhere, which its estimate includes. Each integral
     keeps the rules of a run of its own: a panel's value is its K25 sum, and
     a panel whose |K25 - G12| (never a NaN) exceeds its length share of
     max(rel_tol |estimate|, floor) is bisected; after max_panels the open
@@ -631,16 +634,17 @@ def _adaptive_gl(fun, segs, tag, length, rel_tol, max_panels, *given):
     open panels. Returns (value, error_bound, panels_used, converged).
     """
     groups = length.size
-    val, err = np.zeros(groups), np.zeros(groups)
+    val, err = np.zeros((2, groups)) if start is None else np.array(start)
     used, ok = np.zeros(groups, dtype=np.int64), np.ones(groups, dtype=bool)
     while tag.size:
         half = 0.5 * (segs[:, 1] - segs[:, 0])
         sums = np.empty((3, tag.size))
         todo = np.ones(tag.size, dtype=bool)
-        for index, known in filter(None, given):
+        if given is not None:
+            index, known = given
             sums[:, index] = known
             todo[index] = False
-        given = ()
+            given = None
         todo = np.flatnonzero(todo)
         for s in range(0, todo.size, _CHUNK_PANELS):
             p = todo[s:s + _CHUNK_PANELS]
@@ -704,6 +708,10 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
     -------
     RadialProfile with point_errors set to the per-point relative error
     estimate (quadrature plus truncation).
+
+    A radius bit-equal to a node of a grid of log step at most 1.2 reads its
+    far regions from moment tables built once per call (_far_regions); the
+    choice reads only f and the radius, not the other radii of the call.
     """
     n = _check_dim(dim)
     cfg = cfg or DEFAULT_CONFIG
@@ -739,11 +747,17 @@ def riesz_radial(f, alpha, dim, cfg=None, at=None):
                               "is not finite")
 
     gam = riesz_gamma(alpha, n)
-    grid = _FarIntervals(f, at, n, mu)
-    near = _NearRows(f, grid, n, alpha)
-    blocks = [_riesz_block(f, at[i:i + _RADIUS_BLOCK], grid.index[i:i + _RADIUS_BLOCK],
-                           n, mu, alpha, cfg, grid, near)
-              for i in range(0, at.size, _RADIUS_BLOCK)]
+    logr = np.log(f.radii)
+    index, h = _grid_nodes(f.radii, logr, at)
+    far = None
+    if np.any(index >= 0) and np.max(np.diff(logr)) <= _FAR_PANEL:
+        far = _far_regions(f, logr, n, mu, at, index, cfg.rel_tol)
+    near = _NearRows(f, index, h, n, alpha)
+    blocks = []
+    for i in range(0, at.size, _RADIUS_BLOCK):
+        s = slice(i, i + _RADIUS_BLOCK)
+        blocks.append(_riesz_block(f, logr, at[s], index[s], n, mu, alpha, cfg,
+                                   None if far is None else (far[0][:, s], far[1][..., s]), near))
     raw, abs_err, trunc, ok, panels = (np.concatenate(part) for part in zip(*blocks))
     values = raw / gam
     size = np.maximum(np.abs(raw), 1e-300)
@@ -767,72 +781,107 @@ def _profile_table(f, n):
 
     The nodes come from _gauss_points, as in _adaptive_gl, so an entry is
     bit-equal to a direct evaluation on a far panel that is one grid interval.
+    The far moment tables of _far_regions are built from it.
     """
     logr = np.log(f.radii)
     rho = np.exp(_gauss_points(np.column_stack([logr[:-1], logr[1:]])))
     return f(rho) * rho ** float(n)
 
 
-class _FarIntervals:
-    """Rule sums of the far panels of grid radii that are exactly one grid interval.
+def _grid_nodes(radii, logr, at):
+    """(index, h): each radius's node index in radii (bit-equal), else -1, and the lattice step.
 
-    A grid radius is an evaluation radius bit-equal to a node of a log-uniform
-    grid of step h. Grid radius r_i sees interval j over log(rho/r_i) in
-    [(j - i) h, (j - i + 1) h], so K(r_i, rho) = r_i^-mu K(1, rho/r_i) is
-    r_i^-mu times one kernel row per offset j - i, and the panel's sums are
-    that row's products with two weighted tables of f(rho) rho^N: a coarse
-    one of the 12 G12 columns and a fine one of all 25. One _kernel_sep call
-    builds the rows of the offsets that the grid radii reach, j - i for j in
-    [0, J) over J intervals and i from the least to the largest grid index
-    m; other offsets' rho/r may leave the float range on a wide grid. Row
-    j - i is at j - i + m, so radius i reads the window [m - i, m - i + J).
-    given sums, in one strided pass, every window from the least to the
-    largest start that a block's panels read, those between included. The
-    table and rows exist only when some radius is a grid radius; every other
-    radius leaves its far panels to _region_integrand. The near panels that
-    grid radii share read rows of _NearRows, built from index and h.
+    h is None unless every log r lies within _LOG_UNIFORM max(1, |log r|) of
+    logr[0] + i h: the float spacing of log r grows with |log r|.
     """
+    k = np.minimum(np.searchsorted(radii, at), radii.size - 1)
+    h = (logr[-1] - logr[0]) / (logr.size - 1)
+    off = np.max(np.abs(logr - (logr[0] + np.arange(logr.size) * h)))
+    uniform = off <= _LOG_UNIFORM * max(1.0, float(np.max(np.abs(logr))))
+    return np.where(radii[k] == at, k, -1), h if uniform else None
 
-    def __init__(self, f, at, n, mu):
-        radii = f.radii
-        self.logr = logr = np.log(radii)
-        self.mu, intervals = mu, logr.size - 1
-        self.h = h = (logr[-1] - logr[0]) / intervals
-        self.index = np.full(at.size, -1)
-        if np.max(np.abs(logr - (logr[0] + np.arange(logr.size) * h))) <= _LOG_UNIFORM:
-            k = np.minimum(np.searchsorted(radii, at), radii.size - 1)
-            self.index = np.where(radii[k] == at, k, -1)
-        if np.any(self.index >= 0):
-            _, wg, wk = _gauss_kronrod(_GL_ORDER)
-            table = _profile_table(f, n)
-            self.coarse, self.fine = table[:, :_GL_ORDER] * wg, table * wk
-            self.size, self.top = np.abs(self.fine), int(self.index.max())
-            d = np.arange(-self.top, intervals - self.index[self.index >= 0].min()) * h
-            self.rows = _kernel_sep(1.0, np.exp(_gauss_points(np.column_stack([d, d + h]))), n, mu)
 
-    def given(self, segs, far, r, index, owner):
-        """The given pair of _adaptive_gl: far panels that are one grid interval, and their sums.
+def _far_regions(f, logr, n, mu, at, index, rel_tol):
+    """Far regions of the grid radii among at (index >= 0) from moment tables of the far series.
 
-        Panel p belongs to radius r[owner[p]]; index[i] is the grid index of
-        r[i], else -1. Returns the positions p of the panels in segs[far] that
-        are exactly grid interval j of a grid radius g, and their _rule_sums,
-        the table's products with the rows j - g times r^-mu; None if none.
-        """
-        logr = self.logr
-        j = np.minimum(np.searchsorted(logr, segs[:, 0]), logr.size - 2)
-        hit = np.flatnonzero(far & (index[owner] >= 0) & (logr[j] == segs[:, 0])
-                             & (logr[j + 1] == segs[:, 1]))
-        if not hit.size:
-            return None
-        j, owner = j[hit], owner[hit]
-        start = self.top - index[owner]
-        lo, hi = start.min(), start.max() + 1
-        view = np.lib.stride_tricks.sliding_window_view(self.rows, self.fine.shape)[lo:hi, 0]
-        out = np.empty((3, hit.size))
-        for out_k, table in zip(out, (self.coarse, self.fine, self.size)):
-            out_k[:] = np.einsum("jk,gjk->gj", table, view[..., :table.shape[1]])[start - lo, j]
-        out *= np.array([x ** -self.mu for x in r])[owner]
-        return hit, out
+    The far kernel is |S^(N-1)| r^-mu sum_k c_k (rho/r)^(2k) for rho <= r/2,
+    and |S^(N-1)| rho^-mu sum_k c_k (r/rho)^(2k) for rho >= 2r, so the region
+    below node J is |S^(N-1)| r^-mu sum_k c_k (rho_J/r)^(2k) L_k(J), the one
+    above it |S^(N-1)| sum_k c_k (r/rho_J)^(2k) U_k(J), with L_k(J) = sum_(j<J)
+    int_j f rho^N (rho/rho_J)^(2k) dx and U_k(J) = sum_(j>=J) int_j f rho^alpha
+    (rho_J/rho)^(2k) dx over the M grid intervals j (_moment_scan), over the
+    nodes the grid radii read, where rho^-mu is finite. In exact arithmetic
+    a row sums the whole-interval far panels of _initial_panels on a grid of
+    log step at most _FAR_PANEL. Row 0 runs to the last node <= r/2 when r0
+    < r/2, row 1 from the first node >= 2r when 2r < r1. A row's bar is its
+    quadrature part sum_k |c_k| z^k E_k(J), E the cumulative |K25 - G12|,
+    plus its floor; a row whose quadrature part exceeds max(rel_tol |value|,
+    floor) is not read and keeps every panel, as at an off-grid radius.
+    Returns (node, sums), (2, at.size) and (2, 2, at.size): each row's J,
+    else -1, and its (value, error bound), else zeros.
+    """
+    radii, t = f.radii, np.flatnonzero(index >= 0)
+    coef = _kernel_series(n, mu)[0][::-1]  # c_0, c_1, ...
+    k = np.arange(coef.size, dtype=float)
+    below = max(np.searchsorted(radii, 0.5 * at[t[-1]], "right") - 1, 0)
+    above = np.searchsorted(radii, 2.0 * at[t[0]], "left")
+    half = 0.5 * (logr[1:] - logr[:-1])
+    rho = np.exp(_gauss_points(np.column_stack([logr[:-1], logr[1:]])))
+    table, step = _profile_table(f, n), (radii[:-1] / radii[1:]) ** 2  # (rho_j/rho_(j+1))^2
+    lo, top = slice(0, below), slice(None, above - 1 if above else None, -1)  # down to above
+    lower = _moment_scan(table[lo], (rho[lo] / radii[1:below + 1, None]) ** 2, step[lo], half[lo], k)
+    upper = _moment_scan(table[top] * rho[top] ** -mu, (radii[:-1][top, None] / rho[top]) ** 2,
+                         step[top], half[top], k)  # column J: L(J); column M - J: U(J)
+    il, iu = t[radii[0] < 0.5 * at[t]], t[2.0 * at[t] < radii[-1]]  # radii with rows 0, 1
+    jl = np.searchsorted(radii, 0.5 * at[il], "right") - 1  # last node <= r/2
+    ju = np.searchsorted(radii, 2.0 * at[iu], "left")  # first node >= 2r
+    z = np.concatenate([(radii[jl] / at[il]) ** 2, (at[iu] / radii[ju]) ** 2])
+    # term k's floor adds to _ROUNDOFF the tables' roundings: about 4k units in
+    # p^k and the scan's step powers, and 2 by which the difference of two
+    # rounded sums may understate |K25 - G12|
+    weights = np.array([coef, np.abs(coef),
+                        np.abs(coef) * (_ROUNDOFF + (4.0 * k + 2.0) * np.finfo(float).eps)])
+    acc = 0.0
+    for term in range(k.size - 1, -1, -1):  # Horner in z, one term's columns at a time
+        sums = np.concatenate([lower[:, term, jl], upper[:, term, radii.size - 1 - ju]], axis=1)
+        acc = acc * z + weights[:, term, None] * sums
+    value, quad, floor = acc * (sphere_area(n) * np.concatenate([at[il] ** -mu, np.ones(iu.size)]))
+    ok = quad <= np.maximum(rel_tol * np.abs(value), floor)
+    row, i = np.repeat([0, 1], [il.size, iu.size])[ok], np.concatenate([il, iu])[ok]
+    node, out = np.full((2, at.size), -1), np.zeros((2, 2, at.size))
+    node[row, i] = np.concatenate([jl, ju])[ok]
+    out[row, :, i] = np.column_stack([value, quad + floor])[ok]
+    return node, out
+
+
+def _moment_scan(v, p, step, half, k):
+    """(3, k.size, intervals + 1) cumulative rule sums of v p^k: column j sums intervals i < j.
+
+    v is an integrand at each interval's _gauss_points, p the squared ratio
+    of each node to the interval's reference end, and step[j] that of the
+    reference ends of intervals j - 1 and j, all at most 1. The rows are the
+    K25 sums, |K25 - G12| and K25 sums of |v| times half of each interval
+    i < j, carried to interval j - 1 by step[i + 1]^k .. step[j - 1]^k: one
+    pass over the nodes per term, then a recursive doubling over the intervals.
+    """
+    _, wg, wk = _gauss_kronrod(_GL_ORDER)
+    rows = np.zeros((3,) + v.shape)
+    rows[0], rows[1, :, :_GL_ORDER], rows[2] = v * wk, v[:, :_GL_ORDER] * wg, np.abs(v) * wk
+    sums, power = np.zeros((3, k.size, v.shape[0] + 1)), np.ones_like(p)
+    run = sums[..., 1:]
+    for term in range(k.size):
+        run[:, term] = np.einsum("cjm,jm->cj", rows, power)
+        power *= p
+    run[1] = np.abs(run[0] - run[1])
+    run *= half
+    a, d = step ** k[:, None], 1
+    product = np.empty_like(a)  # the products of every step, without a temporary each
+    while d < v.shape[0]:
+        for row in run:
+            row[:, d:] += np.multiply(a[:, d:], row[:, :-d], out=product[:, d:])
+        a[:, d:] = np.multiply(a[:, d:], a[:, :-d], out=product[:, d:])
+        d *= 2
+    return sums
 
 
 class _NearRows:
@@ -845,16 +894,17 @@ class _NearRows:
     tail, and r/2 or 2r past the grid) nor within K nodes of a grid end so
     starts from its side's list of panels, built here from t over [log 2 or
     0, t_cap]. Their rule sums are r^alpha times those of f(r(1 + side e^-t))
-    times the row of each node, from one _near_row call per side. Nothing is
-    built unless some radius is a grid radius of grid, the _FarIntervals.
+    times the row of each node, from one _near_row call per side. index and h
+    come from _grid_nodes; nothing is built unless h is a lattice step and
+    some radius is a node.
     """
 
-    def __init__(self, f, grid, n, alpha):
+    def __init__(self, f, index, h, n, alpha):
         self.f, self.alpha, self.t, self.sides = f, alpha, None, []
-        if np.all(grid.index < 0):
+        if h is None or np.all(index < 0):
             return
-        big = min(int(math.log(2.0) / grid.h) + 1, grid.logr.size - 1) if grid.h < 1.0 else 0
-        k = np.arange(1.0, big + 1.0) * grid.h
+        big = min(int(math.log(2.0) / h) + 1, f.radii.size - 1) if h < 1.0 else 0
+        k = np.arange(1.0, big + 1.0) * h
         self.t = np.concatenate([-np.log(-np.expm1(-k[::-1])), [np.nan], -np.log(np.expm1(k))])
         ya = np.log(np.array([2.0, 1.0]))  # log(r/|a - r|) at a = r/2 and at b = 2r
         segs, tag = _panels(ya, np.full(2, _t_cap(alpha)), np.full(2, 6.0), np.full(2, 2),
@@ -907,7 +957,7 @@ def _t_cap(alpha):
     return max(40.0, 46.0 / alpha)
 
 
-def _riesz_block(f, r, index, n, mu, alpha, cfg, grid, near):
+def _riesz_block(f, logr, r, index, n, mu, alpha, cfg, tables, near):
     """Raw integrals int f rho^(N-1) K drho (no 1/gamma) at the radii r, all run together.
 
     The tails cover [0, lo] and [hi, inf), as exact integrals of the far
@@ -923,11 +973,14 @@ def _riesz_block(f, r, index, n, mu, alpha, cfg, grid, near):
     side -+1 row is a near-diagonal piece, f(rho) r^alpha row(t), where t runs
     from the far edge, log(r/|rho - r|), out to t_cap. Every non-empty
     (radius, row) pair is one integral of one _adaptive_gl run. index holds
-    the grid index of each grid radius, else -1. The far panels of a grid
-    radius that are exactly one grid interval start from the offset-row sums
-    of grid (a _FarIntervals), and its near pieces take the offset edges of
-    near (a _NearRows) and, when their panels are its shared lists, its row
-    sums. Returns (raw, abs_err, trunc, converged, panels) aligned with r.
+    the node index of each grid radius, else -1, and logr the log of f's
+    grid. tables, when not None, is the (node, sums) of _far_regions for r: a
+    g_lo or g_hi row that it covers enters _adaptive_gl with its table sums
+    up to node J as a start and keeps its length, and its one initial panel
+    is the partial one between node J and r/2 or 2r. The near pieces of a
+    grid radius take the offset edges
+    of near (a _NearRows) and, when their panels are its shared lists, its
+    row sums. Returns (raw, abs_err, trunc, converged, panels) aligned with r.
     """
     r0, r1 = float(f.radii[0]), float(f.radii[-1])
     raw, err, trunc = np.zeros(r.size), np.zeros(r.size), np.zeros(r.size)
@@ -964,13 +1017,22 @@ def _riesz_block(f, r, index, n, mu, alpha, cfg, grid, near):
     yb = np.where(far, np.log(bl), _t_cap(alpha))
     length = np.zeros(a.size)
     length[live] = yb - ya
+    start = None
+    if tables is not None:
+        node, sums = tables
+        start = np.zeros((2, r.size, 4))
+        start[..., 0], start[..., 3] = sums
+        start = start.reshape(2, -1)
+        for row, ends, edge, j in ((0, ya, al, node[0]), (3, yb, bl, node[1])):
+            i = np.flatnonzero(j >= 0)
+            pos = np.searchsorted(live, 4 * i + row)
+            ends[pos], edge[pos] = logr[j[i]], f.radii[j[i]]
     lattice = None if near.t is None else (index[live // 4], near.t)
-    segs, tag = _initial_panels(f.radii, grid.logr, al, bl, ya, yb, rl, far, lattice)
+    segs, tag = _initial_panels(f.radii, logr, al, bl, ya, yb, rl, far, lattice)
     tag = live[tag]
     val, e, used, ok = _adaptive_gl(
         _region_integrand(f, n, alpha, rg, side), segs, tag, length, cfg.rel_tol,
-        max(cfg.max_panels // 4, 4), grid.given(segs, side[tag] == 0.0, r, index, tag // 4),
-        near.given(segs, tag, r))
+        max(cfg.max_panels // 4, 4), near.given(segs, tag, r), start)
     for k in range(4):  # summed row by row, in table order
         raw += val[k::4]
         err += e[k::4]
@@ -988,8 +1050,9 @@ def _initial_panels(radii, logr, a, b, ya, yb, r, far, lattice=None):
     log-uniform grid every grid radius then has the same edges. Near groups
     also take the edges of np.linspace(ya[g], yb[g], presplit + 1), bit for
     bit, presplit = max(2, span/6); so do far groups, with max(1, span/1.2),
-    unless they lie inside a grid whose log step is at most 1.2, where their
-    grid intervals are their panels. A group with ya >= yb gets no panels.
+    unless they lie inside a grid whose log step is at most _FAR_PANEL = 1.2,
+    where their grid intervals are their panels. A group with ya >= yb gets
+    no panels.
     """
     first = np.searchsorted(radii, a, "right")
     h, j = _runs(np.maximum(np.searchsorted(radii, b, "left") - first, 0))
@@ -1003,8 +1066,9 @@ def _initial_panels(radii, logr, a, b, ya, yb, r, far, lattice=None):
         x[on] = t[k[on]]
         near &= ~on
     x[near] = np.log(r[h[near]] / np.abs(radii[i[near]] - r[h[near]]))
-    bare = far & (a >= radii[0]) & (b <= radii[-1]) & (np.max(np.diff(logr)) <= 1.2)
-    return _panels(ya, yb, np.where(far, np.where(bare, np.inf, 1.2), 6.0), np.where(far, 1, 2), h, x)
+    bare = far & (a >= radii[0]) & (b <= radii[-1]) & (np.max(np.diff(logr)) <= _FAR_PANEL)
+    return _panels(ya, yb, np.where(far, np.where(bare, np.inf, _FAR_PANEL), 6.0),
+                   np.where(far, 1, 2), h, x)
 
 
 def _panels(ya, yb, width, least, owner, x):

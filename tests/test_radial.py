@@ -1134,12 +1134,16 @@ def test_riesz_radial_calls_no_np_unique(monkeypatch, n, alpha, a):
 def test_riesz_radius_blocks_match_pairwise_calls(n, alpha, a):
     # 40 radii cross a block of _RADIUS_BLOCK radii; taken two at a time they must
     # give the same values, and error bars equal up to round-off in the estimates.
-    # Grid radii read kernel rows per grid offset, whichever radii share the call:
-    # the whole grid in one call against pairs of its radii.
+    # Grid radii read the far moment tables, whichever radii share the call: the
+    # whole grid in one call against pairs of its radii, and grid radii mixed with
+    # off-grid ones in one call against pairs of the mixed radii.
     grid = log_grid(1e-2, 1e2, 100)
     prof = RadialProfile.from_power(PowerLawTerm(1.0, a), grid)
     on_grid = riesz_radial(prof, alpha, n)
-    for at, whole in ((np.geomspace(0.05, 20.0, 40), None), (grid[20:60], on_grid)):
+    mixed = np.sort(np.concatenate([grid[20:60], np.geomspace(0.051, 19.0, 20)]))
+    assert np.isin(mixed, grid).sum() == 40
+    for at, whole in ((np.geomspace(0.05, 20.0, 40), None), (grid[20:60], on_grid),
+                      (mixed, None)):
         assert radial_quadrature._RADIUS_BLOCK < at.size
         if whole is None:
             whole = riesz_radial(prof, alpha, n, at=at)
@@ -1153,126 +1157,181 @@ def test_riesz_radius_blocks_match_pairwise_calls(n, alpha, a):
 
 
 @pytest.mark.parametrize("n, alpha, a", [(3, 1.2, 2.1), (4, 1.5, 2.9)])
-def test_grid_radii_build_offset_rows_in_one_kernel_call(monkeypatch, n, alpha, a):
-    # a call builds the offset rows K(1, rho/r) in one _kernel_sep call, not
-    # one per block of radii (40 grid radii make 2 blocks): the offsets j - i
-    # that its grid radii i in [20, 59] reach over the 99 intervals j, and no
-    # others. A call whose radii are all off the grid builds none
+def test_grid_radii_build_far_tables_once_per_call(monkeypatch, n, alpha, a):
+    # a call builds the far moment tables once, not once per block of radii (40
+    # grid radii make 2 blocks): one _far_regions call, with one scan per side.
+    # A call whose radii are all off the grid builds none
     grid = log_grid(1e-2, 1e2, 100)
     prof = RadialProfile.from_power(PowerLawTerm(1.0, a), grid)
     at, off = grid[20:60], np.geomspace(0.05, 20.0, 5)
     assert radial_quadrature._RADIUS_BLOCK < at.size <= 2 * radial_quadrature._RADIUS_BLOCK
     want, want_off = riesz_radial(prof, alpha, n, at=at), riesz_radial(prof, alpha, n, at=off)
-    sep, rows = radial_quadrature._kernel_sep, []
+    regions, scan, calls = radial_quadrature._far_regions, radial_quadrature._moment_scan, []
 
-    def counted(r, rho, dim, mu):
-        if isinstance(r, float) and r == 1.0:
-            rows.append(np.size(rho) // (2 * radial_quadrature._GL_ORDER + 1))
-        return sep(r, rho, dim, mu)
+    def counted_regions(*args):
+        calls.append("tables")
+        return regions(*args)
 
-    monkeypatch.setattr(radial_quadrature, "_kernel_sep", counted)
+    def counted_scan(*args):
+        calls.append("scan")
+        return scan(*args)
+
+    monkeypatch.setattr(radial_quadrature, "_far_regions", counted_regions)
+    monkeypatch.setattr(radial_quadrature, "_moment_scan", counted_scan)
     got = riesz_radial(prof, alpha, n, at=at)
-    assert rows == [59 - 20 + 99]
+    assert calls == ["tables", "scan", "scan"]
     np.testing.assert_array_equal(got.values, want.values)
     np.testing.assert_array_equal(got.point_errors, want.point_errors)
-    rows.clear()
+    calls.clear()
     got = riesz_radial(prof, alpha, n, at=off)
-    assert rows == []
+    assert calls == []
     np.testing.assert_array_equal(got.values, want_off.values)
 
 
-def test_grid_radii_on_a_wide_grid_build_only_the_offsets_they_reach():
-    # a grid with exact logs -688, -680, .., 232 is log-uniform and spans
-    # e^920: rows for every offset in +-J would overflow exp, while the grid
-    # radii 1 and e^8 reach rho/r from e^-696 to e^240 only. (log_grid(1e-300,
-    # 1e100, 81) is 512 eps off the lattice, so its radii read no rows)
-    logr = np.arange(-688.0, 233.0, 8.0)
-    prof = RadialProfile.from_power(PowerLawTerm(1.0, 0.6), np.exp(logr))
-    at = prof.radii[86:88]
-    assert np.array_equal(np.log(prof.radii), logr) and at[0] == 1.0
-    assert np.array_equal(radial_quadrature._FarIntervals(prof, at, 3, 2.5).index, [86, 87])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = riesz_radial(prof, 0.5, 3, at=at)
-    assert np.max(np.abs(out.values / riesz_power(0.5, 0.6, 3)(at) - 1.0)) <= 1e-15
+def _far_spy(monkeypatch, seen, rows=True):
+    """Record each (node, sums) of _far_regions in seen; rows=False reads no table row."""
+    tables = radial_quadrature._far_regions
+
+    def spy(*args):
+        node, sums = tables(*args)
+        if not rows:
+            node, sums = np.full_like(node, -1), np.zeros_like(sums)
+        seen.append((node, sums))
+        return node, sums
+
+    monkeypatch.setattr(radial_quadrature, "_far_regions", spy)
+
+
+def test_grid_radii_on_a_wide_grid_read_scaled_tables(monkeypatch):
+    # a grid with exact logs -688, -680, .., 232 spans e^920: rho^N, rho^-mu and
+    # (rho/r)^(2k) over all of it leave the float range, while the grid radii 1
+    # and e^8 see rho/r from e^-696 to e^240 only. At log step 8 their far rows
+    # take presplit panels and no table is built; on the same span at log step
+    # 1 they read the tables, whose powers are all relative to nearby nodes
+    seen = []
+    _far_spy(monkeypatch, seen)
+    for step, pick in ((8.0, [86, 87]), (1.0, [688, 696])):
+        logr = np.arange(-688.0, 233.0, step)
+        prof = RadialProfile.from_power(PowerLawTerm(1.0, 0.6), np.exp(logr))
+        at = prof.radii[pick]
+        assert np.array_equal(np.log(prof.radii), logr) and at[0] == 1.0
+        seen.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = riesz_radial(prof, 0.5, 3, at=at)
+        assert np.max(np.abs(out.values / riesz_power(0.5, 0.6, 3)(at) - 1.0)) <= 1e-15
+        if step > radial_quadrature._FAR_PANEL:
+            assert seen == []
+        else:
+            assert np.all(seen[0][0] >= 0)
 
 
 @pytest.mark.parametrize("n, alpha, a", [(3, 1.2, 2.1), (4, 1.5, 2.9)])
-def test_grid_radii_read_offset_rows_only_on_a_log_uniform_grid(monkeypatch, n, alpha, a):
-    # on a log grid the rows move values by round-off only; one node moved by
-    # 1e-12 relative breaks the lattice, and every radius then leaves its far
-    # panels to the integrand, bit for bit as with rows switched off
+def test_grid_radii_read_far_tables_on_any_fine_grid(monkeypatch, n, alpha, a):
+    # the tables need nodes, not a lattice: one node moved by 1e-12 relative
+    # breaks the lattice of the shared near rows, and the grid radii still
+    # read the tables. On both grids their values stay within 2e-15 of the
+    # direct far panels, which every radius takes when no table row is read
     grid = log_grid(1e-2, 1e2, 100)
     bent = grid.copy()
     bent[50] *= 1.0 + 1e-12
-    term, pick = PowerLawTerm(1.0, a), [10, 30, 50, 70]
+    term, pick, seen = PowerLawTerm(1.0, a), [10, 30, 50, 70], []
 
     def run(radii):
-        prof = RadialProfile.from_power(term, radii)
-        far = radial_quadrature._FarIntervals(prof, radii[pick], n, n - alpha)
-        return far.index, riesz_radial(prof, alpha, n, at=radii[pick])
+        return riesz_radial(RadialProfile.from_power(term, radii), alpha, n, at=radii[pick])
 
-    (rows_index, rows), (bent_index, bent_out) = run(grid), run(bent)
-    assert np.array_equal(rows_index, pick) and np.all(bent_index == -1)
-    monkeypatch.setattr(radial_quadrature, "_LOG_UNIFORM", -1.0)  # no grid is log-uniform
-    direct, bent_direct = run(grid)[1], run(bent)[1]
-    assert np.max(np.abs(rows.values / direct.values - 1.0)) <= 2e-15
-    np.testing.assert_array_equal(bent_out.values, bent_direct.values)
-    np.testing.assert_array_equal(bent_out.point_errors, bent_direct.point_errors)
+    _far_spy(monkeypatch, seen)
+    rows, bent_rows = run(grid), run(bent)
+    assert [int(np.sum(node >= 0)) for node, _ in seen] == [8, 8]
+    assert radial_quadrature._grid_nodes(grid, np.log(grid), grid[pick])[1] is not None
+    assert radial_quadrature._grid_nodes(bent, np.log(bent), bent[pick])[1] is None
+    _far_spy(monkeypatch, seen, rows=False)
+    for got, radii in ((rows, grid), (bent_rows, bent)):
+        assert np.max(np.abs(got.values / run(radii).values - 1.0)) <= 2e-15
 
 
-def _given_reference(far, segs, in_far, r, index, owner):
-    """The sums of _FarIntervals.given as a walk over each radius's run of panels.
+def _far_interval_reference(f, n, mu, r, node):
+    """The sums of _far_regions for the rows it reads, one radius and one grid interval at a time.
 
-    Panel owners ascend, as _riesz_block's do; each grid radius g forms three
-    whole-table einsums against its rows j - g and keeps its own intervals.
+    Row 0 of r[i] spans the grid intervals below node[0, i], row 1 those from
+    node[1, i] up. Each interval is one far panel of _adaptive_gl: the K25
+    sum of f rho^N K(r, rho) is its value, |K25 - G12| plus _ROUNDOFF times
+    its K25 sum of |.| its bar.
     """
-    logr = far.logr
-    j = np.minimum(np.searchsorted(logr, segs[:, 0]), logr.size - 2)
-    hit = np.flatnonzero(in_far & (index[owner] >= 0) & (logr[j] == segs[:, 0])
-                         & (logr[j + 1] == segs[:, 1]))
-    j, owner = j[hit], owner[hit]
-    out = np.empty((3, hit.size))
-    bounds = np.searchsorted(owner, np.arange(r.size + 1))
-    for i in np.flatnonzero(bounds[1:] > bounds[:-1]):
-        lo, hi, g = bounds[i], bounds[i + 1], index[i]
-        rows = far.rows[far.top - g:far.top - g + far.fine.shape[0]]  # row j: offset j - g
-        out[:, lo:hi] = np.array([
-            np.einsum("jk,jk->j", far.coarse, rows[:, :radial_quadrature._GL_ORDER])[j[lo:hi]],
-            np.einsum("jk,jk->j", far.fine, rows)[j[lo:hi]],
-            np.einsum("jk,jk->j", far.size, rows)[j[lo:hi]]]) * r[i] ** -far.mu
-    return hit, out
+    logr = np.log(f.radii)
+    ends = np.column_stack([logr[:-1], logr[1:]])
+    out = np.zeros((2, 2, r.size))
+    for row, i in zip(*np.nonzero(node >= 0)):
+        segs = ends[:node[row, i]] if row == 0 else ends[node[row, i]:]
+        rho = np.exp(_gauss_points(segs))
+        v = f(rho) * rho ** float(n) * _kernel_sep(r[i], rho, n, mu)
+        coarse, fine, size = np.array(radial_quadrature._rule_sums(v)) * (
+            0.5 * (segs[:, 1] - segs[:, 0]))
+        out[row, :, i] = fine.sum(), (np.abs(fine - coarse) + radial_quadrature._ROUNDOFF * size).sum()
+    return out
 
 
 @pytest.mark.parametrize("n, alpha, a", [(3, 1.2, 2.1), (4, 1.5, 2.9), (5, 2.2, 3.4)])
-def test_far_interval_sums_match_the_per_radius_walk(monkeypatch, n, alpha, a):
-    # given sums a block's panels in one strided pass over its radii's row
-    # windows, gaps included; in every call of riesz_radial its positions and
-    # sums must equal the per-radius walk's, bit for bit, on the whole grid,
-    # gapped grid radii, grid radii mixed with off-grid ones, and off-grid
-    # radii only, where there is no panel to give
+def test_far_tables_match_the_per_radius_interval_sums(monkeypatch, n, alpha, a):
+    # every far row of a grid radius reads the tables, and their values stay
+    # within 1e-15 of the per-radius sums over the same grid intervals, with
+    # bars at least the per-interval ones: on the whole grid, gapped grid
+    # radii, and grid radii mixed with off-grid ones, which read no row
     grid = log_grid(1e-2, 1e2, 100)
     prof = RadialProfile.from_power(PowerLawTerm(1.0, a), grid)
-    strided, hits = radial_quadrature._FarIntervals.given, []
-
-    def checked(self, segs, far, r, index, owner):
-        got = strided(self, segs, far, r, index, owner)
-        hit, want = _given_reference(self, segs, far, r, index, owner)
-        hits.append(hit.size)
-        if got is None:
-            assert hit.size == 0
-        else:
-            assert np.array_equal(got[0], hit) and np.array_equal(got[1], want)
-        return got
-
-    monkeypatch.setattr(radial_quadrature._FarIntervals, "given", checked)
+    seen = []
+    _far_spy(monkeypatch, seen)
     off = np.geomspace(0.05, 20.0, 9)
     mixed = np.sort(np.concatenate([grid[[5, 40, 41, 90]], off]))
-    for at, on_grid in ((grid, True), (grid[[0, 3, 50, 99]], True), (grid[::7], True),
-                        (mixed, True), (off, False)):
-        hits.clear()
+    for at in (grid, grid[[0, 3, 50, 99]], grid[::7], mixed):
+        seen.clear()
         riesz_radial(prof, alpha, n, at=at)
-        assert hits and (sum(hits) > 0) == on_grid
+        (node, sums), = seen
+        on = np.isin(at, grid)
+        assert np.array_equal(node >= 0, [on & (grid[0] < 0.5 * at), on & (2.0 * at < grid[-1])])
+        want = _far_interval_reference(prof, n, n - alpha, at, node)
+        assert np.all(np.abs(sums[:, 0] - want[:, 0]) <= 1e-15 * np.abs(want[:, 0]))
+        assert np.all(sums[:, 1] >= want[:, 1])
+
+
+def test_grid_radii_take_the_far_panels_where_the_tables_miss_their_tolerance(monkeypatch):
+    # f = r^-1.5 drops by 30 decades across the grid interval at r = 1, which
+    # one K25 panel does not resolve: below r/2, the quadrature part of grid
+    # radii 60-79 exceeds rel_tol, so those rows take every far panel through
+    # the adaptive loop, which bisects that interval, as at an off-grid
+    # radius; their rows above 2r read the tables. Read from the tables, the
+    # rows below r/2 would be 1.8e-11 off
+    grid = log_grid(1e-2, 1e2, 100)
+    prof = RadialProfile(grid, grid ** -1.5 * np.where(grid < 1.0, 1.0, 1e-30),
+                         PowerLawTerm(1.0, 1.5), PowerLawTerm(1e-30, 1.5))
+    at, seen, tables = grid[60:80], [], radial_quadrature._far_regions
+    _far_spy(monkeypatch, seen)
+    out = riesz_radial(prof, 1.2, 3, at=at)
+    (node, _), = seen
+    assert np.all(node[0] == -1) and np.all(node[1] >= 0)
+    _far_spy(monkeypatch, seen, rows=False)
+    direct = riesz_radial(prof, 1.2, 3, at=at)
+    assert np.max(np.abs(out.values / direct.values - 1.0)) <= 1e-15
+    monkeypatch.setattr(radial_quadrature, "_far_regions",
+                        lambda *args: tables(*args[:-1], math.inf))  # every row reads the tables
+    forced = riesz_radial(prof, 1.2, 3, at=at)
+    assert np.max(np.abs(forced.values / direct.values - 1.0)) > 1e-12
+
+
+@pytest.mark.parametrize("n, alpha, m", [(3, 1.5, 1), (3, 0.125, 2), (4, 1.25, 2), (5, 0.75, 4),
+                                         (6, 0.25, 5)])
+def test_grid_radii_scale_by_a_power_of_two_within_their_bars(n, alpha, m):
+    # 2^(1/8)-spaced nodes, eight base nodes scaled by exact powers of two, so
+    # 2r is a node whenever r is. For f = r^-(alpha + m) with alpha dyadic,
+    # homogeneity gives v(2r)/v(r) = 2^-m, exact in binary: a reference below
+    # the bars, so the ratio's error is within the two bars plus its rounding
+    base = 2.0 ** (np.arange(8) / 8.0)
+    radii = np.concatenate([base * 2.0 ** e for e in range(-6, 6)] + [[64.0]])
+    assert np.all(radii[8:] == 2.0 * radii[:-8])
+    out = riesz_radial(RadialProfile.from_power(PowerLawTerm(1.0, alpha + m), radii), alpha, n)
+    v, bar = out.values, out.point_errors
+    dev = np.abs(2.0 ** m * v[8:] / v[:-8] - 1.0)
+    assert np.all(dev <= bar[8:] + bar[:-8] + 2.0 * np.finfo(float).eps), np.max(dev / bar[8:])
 
 
 def test_far_groups_inside_a_fine_grid_take_no_presplit_edges():
@@ -1404,6 +1463,22 @@ def test_grid_radii_share_one_near_row_table_per_side(monkeypatch):
         seen.clear()
     riesz_radial(prof, 1.5, 3, at=np.geomspace(0.05, 20.0, 5))
     assert tables == [] and read == [] and len(groups) == 10
+
+
+def test_wide_log_grids_share_near_rows():
+    # the lattice bound scales with max |log r|, as the float spacing of log r
+    # does: log_grid(1e-20, 1e20, 401) is 64 eps and log_grid(1e-100, 1e100,
+    # 201) 256 eps off its lattice, and both share near rows. The first also
+    # has a log step below _FAR_PANEL, so its grid radii read the far tables
+    for args in ((1e-20, 1e20, 401), (1e-100, 1e100, 201)):
+        radii = log_grid(*args)
+        index, h = radial_quadrature._grid_nodes(radii, np.log(radii), radii[::50])
+        assert h is not None and np.array_equal(index, np.arange(0, radii.size, 50))
+    prof = RadialProfile.from_power(PowerLawTerm(1.0, 2.2), log_grid(1e-20, 1e20, 401))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = riesz_radial(prof, 1.5, 3)
+    assert np.max(np.abs(out.values / riesz_power(1.5, 2.2, 3)(out.radii) - 1.0)) <= 1e-14
 
 
 @pytest.mark.parametrize("n, alpha, a", [(4, 0.2, 3.5), (5, 0.3, 4.5)])
